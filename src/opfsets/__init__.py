@@ -31,7 +31,7 @@ from .scaling import (InfeasibleEpsilonError, OpfCertification, ScaleConstants,
                       scaled_measure_lower_bound, shrink_cell,
                       verify_scaled_opf)
 from .search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION,
-                     InfeasibleSelectionError,
+                     ExactSearchCapError, InfeasibleSelectionError,
                      PUBLISHED_UPPER_BOUNDS, SearchResult, double_cap_cellset,
                      evaluate, exact_mis, greedy_mis, local_search,
                      write_leaderboard)

@@ -89,10 +89,7 @@ def cmd_conflicts(args) -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
             conflicts.save_graph(graph, path)
             print(f"cached graph at {path}")
-    degrees = np.zeros(graph.n_cells(), dtype=int)
-    for a, b in graph.edges:
-        degrees[a] += 1
-        degrees[b] += 1
+    degrees = np.bincount(graph.edges.ravel(), minlength=graph.n_cells())
     print(f"level {graph.level} margin {graph.margin:g}: "
           f"{len(graph.edges)} edges, {len(graph.self_conflicts)} self-conflicts")
     hist = np.bincount(degrees)
@@ -103,13 +100,9 @@ def cmd_conflicts(args) -> int:
     return EXIT_OK
 
 
-def _load_graph_for(args, level: int) -> conflicts.ConflictGraph:
-    return conflicts.build_conflict_graph(level, max_level=args.max_level)
-
-
 def cmd_search(args) -> int:
     try:
-        graph = _load_graph_for(args, args.level)
+        graph = conflicts.build_conflict_graph(args.level, max_level=args.max_level)
     except conflicts.ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -132,7 +125,7 @@ def cmd_search(args) -> int:
     except search.InfeasibleSelectionError as exc:
         print(f"error: infeasible initial selection: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except search.ExactSearchCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     print(f"method {result.method}: {len(result.selection)} cells, "
@@ -304,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, search, certify, and convexify orthogonal-pair-free "
                     "cell selections on the sphere.")
     parser.add_argument("--config", help="plain key=value config file; flags win")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count hint for library parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grid", help="grid summary at a level")
@@ -387,7 +378,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         known = vars(args)
         int_keys = {"level", "seed", "iters", "samples", "depth", "max_level",
-                    "node_budget", "workers"}
+                    "node_budget"}
         float_keys = {"margin", "epsilon", "radius", "merge_tol"}
         given = argv if argv is not None else sys.argv[1:]
         for key, value in overrides.items():

@@ -157,24 +157,6 @@ def dot_range_polygons(p1, p2) -> DotRange:
     return DotRange(math.cos(dmax), math.cos(dmin))
 
 
-def _level_boxes_u(level: int):
-    """Per-ordinal (ulo, uhi, plo_turns, phi_turns) arrays for a whole level."""
-    n = n_bands(level)
-    w = 2.0 ** (-level)
-    bands = np.arange(n).repeat(n)
-    sectors = np.tile(np.arange(n), n)
-    return (1.0 - (bands + 1) * w, 1.0 - bands * w, sectors / n, (sectors + 1) / n)
-
-
-def _member_boxes_u(selection: CellSet):
-    n = n_bands(selection.level)
-    w = 2.0 ** (-selection.level)
-    members = np.asarray(selection.members, dtype=np.int64).reshape(-1, 2)
-    bands, sectors = members[:, 0], members[:, 1]
-    ords = bands * n + sectors
-    return ords, (1.0 - (bands + 1) * w, 1.0 - bands * w, sectors / n, (sectors + 1) / n)
-
-
 @dataclass
 class ConflictGraph:
     """Pairwise orthogonal-pair relation over all cells at one level.
@@ -195,11 +177,15 @@ class ConflictGraph:
 
     def adjacency(self) -> dict[int, set[int]]:
         if self._adj is None:
-            adj: dict[int, set[int]] = {i: set() for i in range(self.n_cells())}
-            for a, b in self.edges:
-                adj[int(a)].add(int(b))
-                adj[int(b)].add(int(a))
-            self._adj = adj
+            # CSR split: group both ends of every edge by node in one stable
+            # sort; with the sorted edge list each node's neighbours arrive in
+            # ascending order, which fixes the sets' iteration order
+            src = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+            dst = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+            order = np.argsort(src, kind="stable")
+            bounds = np.cumsum(np.bincount(src, minlength=self.n_cells()))[:-1]
+            self._adj = {i: set(nbrs.tolist())
+                         for i, nbrs in enumerate(np.split(dst[order], bounds))}
         return self._adj
 
     def __eq__(self, other) -> bool:
@@ -237,39 +223,91 @@ def _pair_scan(boxes, margin: float, include_diagonal: bool,
                 yield np.stack([rows[ii], cols[jj]], axis=1)
 
 
-def build_conflict_graph(level: int, margin: float = 0.0, max_level: int = 7,
-                         tile: int = 1024) -> ConflictGraph:
-    """Evaluate all cell pairs (and self-pairs) at a level; deterministic."""
+# Table entries per kernel call: bounds the kernel's float temporaries to a
+# few tens of MB whatever the level.
+_CHUNK = 1 << 20
+
+
+def _circulant_table(level: int, margin: float, bands) -> np.ndarray:
+    """T[x, y, d]: whether cell (bands[x], d) conflicts with cell (bands[y], 0).
+
+    Sector boundaries are exact dyadic turns and the kernel reads azimuths only
+    through their differences taken mod 1, so cell (b1, s1) conflicts with cell
+    (b2, s2) exactly when T[b1, b2, (s1 - s2) mod n] holds, bit for bit.
+    """
+    n = n_bands(level)
+    w = 2.0 ** (-level)
+    bands = np.asarray(bands, dtype=np.int64)
+    ulo, uhi = 1.0 - (bands + 1) * w, 1.0 - bands * w
+    d = np.arange(n)
+    table = np.empty((len(bands), len(bands), n), dtype=bool)
+    step = max(1, _CHUNK // (len(bands) * n))
+    for r0 in range(0, len(bands), step):
+        r = slice(r0, r0 + step)
+        lo, hi = dot_range_boxes_u(ulo[r, None, None], uhi[r, None, None], d / n, (d + 1) / n,
+                                   ulo[None, :, None], uhi[None, :, None], 0.0, 1.0 / n)
+        table[r] = (lo - margin <= 0.0) & (hi + margin >= 0.0)
+    return table
+
+
+def build_conflict_graph(level: int, margin: float = 0.0,
+                         max_level: int = 7) -> ConflictGraph:
+    """Decide all cell pairs (and self-pairs) at a level; deterministic.
+
+    The decisions are read off the n x n x n sector-circulant table, and the
+    sorted edge list is materialised from it one band at a time.
+    """
     if level > max_level:
         raise ResourceCapError(
             f"level {level} exceeds the configured maximum {max_level} "
             f"({cell_count(level)} cells)")
-    boxes = _level_boxes_u(level)
-    ulo, uhi, plo, phi_ = boxes
-    slo, shi = dot_range_boxes_u(ulo, uhi, plo, phi_, ulo, uhi, plo, phi_)
-    self_conflicts = np.nonzero((slo - margin <= 0.0) & (shi + margin >= 0.0))[0].astype(np.uint32)
-    edge_chunks = list(_pair_scan(boxes, margin, include_diagonal=False, tile=tile))
-    edges = (np.concatenate(edge_chunks) if edge_chunks
-             else np.empty((0, 2), dtype=np.int64)).astype(np.uint32)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return ConflictGraph(level, margin, self_conflicts, edges[order])
+    n = n_bands(level)
+    bands = np.arange(n)
+    table = _circulant_table(level, margin, bands)
+    self_bands = bands[table[bands, bands, 0]]
+    self_conflicts = (self_bands[:, None] * n + bands).ravel().astype(np.uint32)
+    circ = (bands[:, None] - bands[None, :]) % n    # circ[s1, s2] = (s1 - s2) mod n
+    above = bands[None, :] > bands[:, None]
+    chunks = []
+    for b in range(n):
+        # hit[s1, b2 - b, s2]: does cell (b, s1) conflict with (b2, s2), b2 >= b
+        hit = table[b, b:][:, circ].transpose(1, 0, 2)
+        hit[:, 0] &= above
+        rows, cols = np.nonzero(hit.reshape(n, -1))
+        chunk = np.empty((len(rows), 2), dtype=np.uint32)
+        chunk[:, 0] = rows + b * n
+        chunk[:, 1] = cols + b * n
+        chunks.append(chunk)
+    # row-major nonzero within a band and ascending bands: already sorted
+    return ConflictGraph(level, margin, self_conflicts, np.concatenate(chunks))
 
 
-def selection_violations(selection: CellSet, margin: float = 0.0,
-                         tile: int = 1024) -> tuple[list[int], list[tuple[int, int]]]:
+def selection_violations(selection: CellSet,
+                         margin: float = 0.0) -> tuple[list[int], list[tuple[int, int]]]:
     """(self-conflicting ordinals, conflicting ordinal pairs) within a selection.
 
-    Works directly on the selection's boxes; no full level graph is needed.
+    Looks the pairs up in the circulant table of the selection's bands; no full
+    level graph is needed.
     """
     if len(selection) == 0:
         return [], []
-    ords, boxes = _member_boxes_u(selection)
-    ulo, uhi, plo, phi_ = boxes
-    slo, _ = dot_range_boxes_u(ulo, uhi, plo, phi_, ulo, uhi, plo, phi_)
-    self_bad = [int(o) for o in ords[slo - margin <= 0.0]]
+    n = n_bands(selection.level)
+    members = np.asarray(selection.members, dtype=np.int64).reshape(-1, 2)
+    sectors = members[:, 1]
+    ords = members[:, 0] * n + sectors
+    bands, x = np.unique(members[:, 0], return_inverse=True)
+    table = _circulant_table(selection.level, margin, bands)
+    self_bad = ords[table[x, x, 0]].tolist()
     pairs: list[tuple[int, int]] = []
-    for chunk in _pair_scan(boxes, margin, include_diagonal=False, tile=tile):
-        pairs.extend((int(ords[i]), int(ords[j])) for i, j in chunk)
+    k = len(ords)
+    step = max(1, _CHUNK // k)
+    for r0 in range(0, k, step):
+        rows = np.arange(r0, min(r0 + step, k))
+        cols = np.arange(r0, k)
+        hit = table[x[rows, None], x[None, cols], (sectors[rows, None] - sectors[None, cols]) % n]
+        hit &= cols[None, :] > rows[:, None]
+        ii, jj = np.nonzero(hit)
+        pairs.extend(zip(ords[rows[ii]].tolist(), ords[cols[jj]].tolist()))
     return self_bad, sorted(pairs)
 
 

@@ -502,10 +502,6 @@ def _interior_sampler(poly: ConvexPolygon):
     return draw
 
 
-def _random_interior_point(poly: ConvexPolygon, rng: np.random.Generator) -> np.ndarray:
-    return _interior_sampler(poly)(rng, 1)[0]
-
-
 @dataclass(frozen=True)
 class PropertyReport:
     trials: int

@@ -25,6 +25,10 @@ BEST_UPPER_BOUND = 0.297742
 DOUBLE_CAP_FRACTION = 1.0 - math.sqrt(2.0) / 2.0  # two polar caps of radius pi/4
 
 
+class ExactSearchCapError(ValueError):
+    """More candidate cells than exact search accepts."""
+
+
 class InfeasibleSelectionError(ValueError):
     """Selection violates the conflict graph; carries the violation list."""
 
@@ -54,14 +58,12 @@ def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list
     """(ordinal, ordinal) violations of a selection against a built graph."""
     if selection.level != graph.level:
         raise ValueError(f"selection level {selection.level} != graph level {graph.level}")
-    ords = {DyadicCell(selection.level, b, s).ordinal for b, s in selection.members}
-    bad = [(int(o), int(o)) for o in graph.self_conflicts if int(o) in ords]
-    adj = graph.adjacency()
-    for o in sorted(ords):
-        for nb in adj[o]:
-            if nb > o and nb in ords:
-                bad.append((o, nb))
-    return sorted(bad)
+    members = np.asarray(selection.members, dtype=np.int64).reshape(-1, 2)
+    inside = np.zeros(graph.n_cells(), dtype=bool)
+    inside[members[:, 0] * n_bands(selection.level) + members[:, 1]] = True
+    selfs = graph.self_conflicts[inside[graph.self_conflicts]].tolist()
+    pairs = graph.edges[inside[graph.edges].all(axis=1)].tolist()
+    return sorted([(o, o) for o in selfs] + [(a, b) for a, b in pairs])
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,7 @@ def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000,
     """Branch-and-bound maximum conflict-free selection for small levels."""
     free = _free_ordinals(graph)
     if len(free) > max_cells:
-        raise ValueError(
+        raise ExactSearchCapError(
             f"{len(free)} candidate cells exceed the exact-search cap {max_cells}")
     adj = graph.adjacency()
     start = greedy_mis(graph, "min-degree")

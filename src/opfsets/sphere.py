@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 NORMALIZATION_TOL = 1e-12
-ROUND_TRIP_TOL = 1e-10
 PREDICATE_TOL = 1e-9
 
 TWO_PI = 2.0 * math.pi
@@ -67,11 +66,6 @@ def to_polar(v: np.ndarray) -> tuple[float, float]:
 def geodesic_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Length of the smaller great-circle arc between u and v, in [0, pi]."""
     return math.acos(max(-1.0, min(1.0, float(u @ v))))
-
-
-def polar_dot(u: np.ndarray, v: np.ndarray) -> float:
-    """Euclidean inner product; zero iff v lies on the great circle polar to u."""
-    return float(u @ v)
 
 
 def cap_area(radius: float) -> float:

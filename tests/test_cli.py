@@ -31,6 +31,11 @@ def test_conflicts_build_cache_and_reload(tmp_path, capsys):
     first = capsys.readouterr().out
     assert "1328 edges" in first
     assert "cached graph" in first
+    # histogram lines "  degree: cells" cover all 64 cells and both ends of each edge
+    hist = [tuple(map(int, line.split(":"))) for line in first.splitlines()
+            if line.startswith("  ")]
+    assert sum(c for _, c in hist) == 64
+    assert sum(d * c for d, c in hist) == 2 * 1328
     # second run loads the cache instead of rebuilding
     assert main(args) == EXIT_OK
     second = capsys.readouterr().out
@@ -73,6 +78,14 @@ def test_search_exact_level1(capsys):
     assert main(["search", "--level", "1", "--method", "exact"]) == EXIT_OK
     text = capsys.readouterr().out
     assert "optimal: True" in text
+
+
+def test_search_usage_error_and_exact_cap(capsys):
+    # no double cap exists at level 0: a usage error, not a resource cap
+    assert main(["search", "--level", "0", "--method", "baseline"]) == EXIT_USAGE
+    assert "level must be >= 1" in capsys.readouterr().err
+    assert main(["search", "--level", "3", "--method", "exact"]) == EXIT_RESOURCE
+    assert "exact-search cap" in capsys.readouterr().err
 
 
 def test_search_local_and_csv(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,12 +6,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opfsets import conflicts
 from opfsets.conflicts import (ConflictGraph, CorruptCacheError, DotRange,
-                               ResourceCapError, build_conflict_graph,
+                               ResourceCapError, _pair_scan, build_conflict_graph,
                                cells_conflict, dot_range_boxes, dot_range_cells,
                                load_graph, save_graph, selection_violations)
-from opfsets.grid import CellSet, DyadicCell, antipodal_cell, cell_bounds, n_bands
+from opfsets.grid import (CellSet, DyadicCell, antipodal_cell, cell_bounds,
+                          cell_from_ordinal, n_bands)
+from opfsets.search import selection_graph_violations
 from opfsets.sphere import from_polar
+
+# sha256 of save_graph output at margin 0, as written when graphs were still
+# built by the pairwise scan, so .opfg bytes stay fixed across the table build
+SAVED_GRAPH_SHA256 = {
+    2: "d4635b106c20de966a650394155606057bb6e13ca50df611ccd19e2abc8d9845",
+    3: "c2ed466773dda75d95057ae4c9a080782c80e34787a47cb67b2c06e9fd8022a7",
+    4: "ed066589e25a70e7b367d4c130e8bc64ceb1d0ae27fddac13b4f7ed1c9150433",
+    5: "ca90026ccdc6aaf741fd5422d88e5b8e8c10cc0d03d8b64edd96876c81939490",
+}
+
+
+def reference_graph(level, margin=0.0):
+    """Brute-force build: every cell pair through the tiled pairwise kernel scan."""
+    n = n_bands(level)
+    w = 2.0 ** (-level)
+    bands = np.arange(n).repeat(n)
+    sectors = np.tile(np.arange(n), n)
+    boxes = (1.0 - (bands + 1) * w, 1.0 - bands * w, sectors / n, (sectors + 1) / n)
+    with_self = np.concatenate(list(_pair_scan(boxes, margin, include_diagonal=True)))
+    diagonal = with_self[:, 0] == with_self[:, 1]
+    edges = with_self[~diagonal].astype(np.uint32)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return ConflictGraph(level, margin, with_self[diagonal, 0].astype(np.uint32), edges)
+
+
+def brute_force_violations(selection, margin=0.0):
+    """(self-conflicting ordinals, conflicting pairs) by cells_conflict on each pair."""
+    cells = [DyadicCell(selection.level, b, s) for b, s in selection.members]
+    selfs = [c.ordinal for c in cells if cells_conflict(c, c, margin)]
+    pairs = [(a.ordinal, b.ordinal) for i, a in enumerate(cells) for b in cells[i + 1:]
+             if cells_conflict(a, b, margin)]
+    return selfs, pairs
 
 
 @st.composite
@@ -149,11 +185,15 @@ def test_level1_graph_self_conflicts():
 
 
 def test_adjacency_consistency():
-    g = build_conflict_graph(1)
-    adj = g.adjacency()
-    assert sum(len(v) for v in adj.values()) == 2 * len(g.edges)
-    for a, b in g.edges[:20]:
-        assert int(b) in adj[int(a)]
+    for level in (0, 1, 2):
+        g = build_conflict_graph(level)
+        expect = {i: set() for i in range(g.n_cells())}
+        for a, b in g.edges.tolist():
+            expect[a].add(b)
+            expect[b].add(a)
+        adj = g.adjacency()
+        assert adj == expect
+        assert [list(adj[i]) for i in adj] == [list(expect[i]) for i in expect]
 
 
 def test_margin_monotone():
@@ -209,3 +249,44 @@ def test_graph_deterministic():
     b = build_conflict_graph(2)
     assert a == b
     assert isinstance(a, ConflictGraph)
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.05])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_table_graph_matches_pairwise_reference(level, margin):
+    g = build_conflict_graph(level, margin)
+    ref = reference_graph(level, margin)
+    assert g == ref
+    assert g.edges.dtype == g.self_conflicts.dtype == np.uint32
+
+
+@pytest.mark.parametrize("level", sorted(SAVED_GRAPH_SHA256))
+def test_saved_graph_bytes_pinned(tmp_path, level):
+    path = tmp_path / "g.opfg"
+    save_graph(build_conflict_graph(level), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_GRAPH_SHA256[level]
+
+
+def test_selection_checks_match_brute_force():
+    rng = np.random.default_rng(17)
+    for level in (0, 1, 2, 3, 4):
+        graph = build_conflict_graph(level)
+        m = graph.n_cells()
+        for size in (0, 1, 5, 24):
+            ords = rng.choice(m, size=min(size, m), replace=False)
+            sel = CellSet.from_cells(level, [
+                (c.band, c.sector) for c in (cell_from_ordinal(level, int(o)) for o in ords)])
+            for margin in (0.0, 0.05):
+                assert selection_violations(sel, margin) == brute_force_violations(sel, margin)
+            selfs, pairs = brute_force_violations(sel)
+            assert selection_graph_violations(sel, graph) == sorted(
+                [(o, o) for o in selfs] + pairs)
+
+
+def test_chunked_evaluation_matches_single_pass(monkeypatch):
+    # a tiny chunk forces one band per kernel call and two rows per lookup tile
+    rng = np.random.default_rng(3)
+    sel = CellSet.from_cells(3, [(int(b), int(s)) for b, s in rng.integers(0, 16, (40, 2))])
+    whole = build_conflict_graph(3, 0.05), selection_violations(sel, 0.05)
+    monkeypatch.setattr(conflicts, "_CHUNK", 2 * len(sel))
+    assert (build_conflict_graph(3, 0.05), selection_violations(sel, 0.05)) == whole
