@@ -8,14 +8,13 @@ boundaries, and convexifies them into disjoint spherical polygons.
 
 from .conflicts import (ConflictGraph, CorruptCacheError, DotRange,
                         ResourceCapError, build_conflict_graph, cells_conflict,
-                        dot_range_boxes, dot_range_cells, dot_range_polygons,
-                        load_graph, save_graph, selection_violations)
+                        dot_range_boxes, dot_range_cells, load_graph,
+                        save_graph, selection_violations)
 from .convexify import (ConvResult, ConvexDecomposition, ConvexPolygon,
                         HullInfeasibleError, certify_opf_polygons, check_pasch,
                         check_triangle_lemma, connected_components, conv, conv1,
                         conv2, convex_hull, convex_polygon_from_points,
-                        hausdorff_distance, polygon_distance,
-                        polygon_distance_range)
+                        hausdorff_distance, polygon_distance)
 from .density import (CoveringReport, DensityReport, MembershipOracle,
                       analytic_cell_density, cap_oracle, cap_union_oracle,
                       cell_set_oracle, covering_report, double_cap_oracle,

@@ -1,4 +1,4 @@
-"""Orthogonal-pair conflict tests between cells and polygons.
+"""Orthogonal-pair conflict tests between dyadic cells.
 
 Two regions conflict when the closed pair contains two points at geodesic
 distance exactly pi/2, i.e. when 0 lies in the closed range of inner products
@@ -20,7 +20,6 @@ which the closed-cell conflict semantics at margin 0 relies on.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -143,18 +142,6 @@ def dot_range_cells(c1: DyadicCell, c2: DyadicCell) -> DotRange:
 def cells_conflict(c1: DyadicCell, c2: DyadicCell, margin: float = 0.0) -> bool:
     """True iff the closed cells contain a pair at distance pi/2 (within margin)."""
     return dot_range_cells(c1, c2).contains_zero(margin)
-
-
-def dot_range_polygons(p1, p2) -> DotRange:
-    """Inner-product range between two spherical convex polygons.
-
-    hi = cos(min distance), lo = cos(max distance), with distance extremes
-    taken over vertex-vertex, vertex-edge, and edge-edge candidates.
-    """
-    from .convexify import polygon_distance_range
-
-    dmin, dmax = polygon_distance_range(p1, p2)
-    return DotRange(math.cos(dmax), math.cos(dmin))
 
 
 @dataclass

@@ -12,6 +12,7 @@ per-edge sampling resolution grows.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .sphere import (GeodesicSegment, NORMALIZATION_TOL, PREDICATE_TOL,
 
 HEMISPHERE_MARGIN = 1e-9
 MERGE_TOL = 1e-9
+FOOT_SLACK = 1e-6
 
 
 def _cross2(u, v) -> float:
@@ -233,179 +235,129 @@ def _contains_batch(poly: ConvexPolygon, points: np.ndarray,
     return inside
 
 
-def _points_arcs_range(points: np.ndarray, a: np.ndarray, b: np.ndarray,
-                       n: np.ndarray, tile: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point (min over arcs, max over arcs) geodesic distance to minor arcs.
+def _on_arcs(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Rowwise: does point x lie on the minor arc a -> b with unit normal n?"""
+    tol = PREDICATE_TOL
+    return (np.einsum("ki,ki->k", np.cross(a, x), n) >= -tol) \
+        & (np.einsum("ki,ki->k", np.cross(x, b), n) >= -tol)
+
+
+def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     n: np.ndarray, tile: int = 512) -> np.ndarray:
+    """Per-point minimum geodesic distance to a set of minor arcs.
 
     points (m, 3); a, b, n (e, 3).  Endpoint distances are a dense matrix
-    pass; the foot-of-perpendicular corrections run only on the (point, arc)
-    pairs whose circle distance could actually improve the endpoint value.
+    pass; the foot-of-perpendicular correction runs only on the (point, arc)
+    pairs whose circle distance could actually improve the endpoint value
+    and whose foot can lie on the arc.  A point whose foot lies on the arc is
+    within circle distance + arc length of an endpoint; FOOT_SLACK covers the
+    rounding of arccos near 0 (~1e-8) and the on-arc tolerance.
     """
-    m = len(points)
-    out_min = np.empty(m)
-    out_max = np.empty(m)
-    tol = PREDICATE_TOL
-
-    def apply_foot(feet, aa, bb, nn, circ, pmin, pmax, rows, anti):
-        fn = np.linalg.norm(feet, axis=1)
-        ok = fn > NORMALIZATION_TOL
-        feet = feet / np.maximum(fn, NORMALIZATION_TOL)[:, None]
-        if anti:
-            feet = -feet
-        on = ok & (np.einsum("ki,ki->k", np.cross(aa, feet), nn) >= -tol) \
-            & (np.einsum("ki,ki->k", np.cross(feet, bb), nn) >= -tol)
-        if not on.any():
-            return
-        if anti:
-            np.maximum.at(pmax, rows[on], math.pi - circ[on])
-        else:
-            np.minimum.at(pmin, rows[on], circ[on])
-
-    for r0 in range(0, m, tile):
+    out = np.empty(len(points))
+    length = np.arccos(np.clip(np.einsum("ei,ei->e", a, b), -1.0, 1.0))
+    for r0 in range(0, len(points), tile):
         p = points[r0:r0 + tile]                       # (t, 3)
-        da = np.arccos(np.clip(p @ a.T, -1.0, 1.0))    # (t, e)
-        db = np.arccos(np.clip(p @ b.T, -1.0, 1.0))
-        pmin = np.minimum(da, db).min(axis=1)
-        pmax = np.maximum(da, db).max(axis=1)
+        near = np.minimum(np.arccos(np.clip(p @ a.T, -1.0, 1.0)),
+                          np.arccos(np.clip(p @ b.T, -1.0, 1.0)))  # (t, e)
+        pmin = near.min(axis=1)
         s = p @ n.T                                    # signed sine of circle distance
         circ = np.arcsin(np.minimum(1.0, np.abs(s)))
-        ii, ee = np.nonzero(circ < pmin[:, None])
+        ii, ee = np.nonzero((circ < pmin[:, None]) & (near <= circ + length + FOOT_SLACK))
         if len(ii):
             feet = p[ii] - s[ii, ee, None] * n[ee]
-            apply_foot(feet, a[ee], b[ee], n[ee], circ[ii, ee],
-                       pmin, pmax, ii, anti=False)
-        ii, ee = np.nonzero(math.pi - circ > pmax[:, None])
-        if len(ii):
-            feet = p[ii] - s[ii, ee, None] * n[ee]
-            apply_foot(feet, a[ee], b[ee], n[ee], circ[ii, ee],
-                       pmin, pmax, ii, anti=True)
-        out_min[r0:r0 + tile] = pmin
-        out_max[r0:r0 + tile] = pmax
-    return out_min, out_max
+            fn = np.linalg.norm(feet, axis=1)
+            feet = feet / np.maximum(fn, NORMALIZATION_TOL)[:, None]
+            on = (fn > NORMALIZATION_TOL) & _on_arcs(feet, a[ee], b[ee], n[ee])
+            np.minimum.at(pmin, ii[on], circ[ii[on], ee[on]])
+        out[r0:r0 + tile] = pmin
+    return out
 
 
-def _arcs_arcs_range(arcs1, arcs2, dmin0: float, dmax0: float) -> tuple[float, float]:
-    """Interior-critical (min, max) candidates between two arc sets.
+def _arcs_cross(arcs1, arcs2) -> bool:
+    """Does some arc of arcs1 meet some arc of arcs2?
 
-    Only arc crossings (distance 0) and common-perpendicular pairs can beat
-    the callers' vertex-based candidates, and a Lipschitz bound on the
-    endpoint distances prunes almost every pair of short arcs before the
-    heavier vector work.
+    Two minor arcs that do not cross are nearest at an endpoint of one of
+    them, which the point-to-arc pass already covers, so a crossing is the
+    only arc-arc event that can lower the minimum distance.  Crossing arcs
+    have an endpoint pair no farther apart than the sum of their lengths,
+    which prunes almost every pair of short arcs before the vector work.
     """
     a1, b1, n1 = arcs1
     a2, b2, n2 = arcs2
-    tol = PREDICATE_TOL
     l1 = np.arccos(np.clip(np.einsum("ei,ei->e", a1, b1), -1.0, 1.0))
     l2 = np.arccos(np.clip(np.einsum("ei,ei->e", a2, b2), -1.0, 1.0))
-    slack = l1[:, None] + l2[None, :]
-    ends = [np.arccos(np.clip(x @ y.T, -1.0, 1.0))
-            for x in (a1, b1) for y in (a2, b2)]
-    minend = np.minimum.reduce(ends)
-    maxend = np.maximum.reduce(ends)
-    # a crossing forces small endpoint distances; a new max cannot exceed the
-    # endpoint max by more than the combined arc lengths
-    mask = (minend <= slack + tol) & (dmin0 > 0.0)
-    mask |= maxend + slack > dmax0
-    ii, jj = np.nonzero(mask)
+    minend = np.arccos(np.clip(np.maximum.reduce([x @ y.T for x in (a1, b1)
+                                                  for y in (a2, b2)]), -1.0, 1.0))
+    ii, jj = np.nonzero(minend <= l1[:, None] + l2[None, :] + PREDICATE_TOL)
     if len(ii) == 0:
-        return dmin0, dmax0
+        return False
     A1, B1, N1 = a1[ii], b1[ii], n1[ii]
     A2, B2, N2 = a2[jj], b2[jj], n2[jj]
-    dmin, dmax = dmin0, dmax0
-
-    def on_arcs(x, aa, bb, nn):
-        return (np.einsum("ki,ki->k", np.cross(aa, x), nn) >= -tol) \
-            & (np.einsum("ki,ki->k", np.cross(x, bb), nn) >= -tol)
-
     cr = np.cross(N1, N2)
     ncr = np.linalg.norm(cr, axis=1)
     generic = ncr > NORMALIZATION_TOL
     cr = cr / np.maximum(ncr, NORMALIZATION_TOL)[:, None]
-    for sign in (1.0, -1.0):
-        x = sign * cr
-        if (generic & on_arcs(x, A1, B1, N1) & on_arcs(x, A2, B2, N2)).any():
-            dmin = 0.0
-    # common-perpendicular criticals: extremize |p . n2| over circle 1
-    proj = N2 - np.einsum("ki,ki->k", N1, N2)[:, None] * N1
-    npr = np.linalg.norm(proj, axis=1)
-    valid = generic & (npr > NORMALIZATION_TOL)
-    proj = proj / np.maximum(npr, NORMALIZATION_TOL)[:, None]
-    for sign in (1.0, -1.0):
-        pstar = sign * proj
-        on1 = valid & on_arcs(pstar, A1, B1, N1)
-        if not on1.any():
-            continue
-        foot = pstar - np.einsum("ki,ki->k", pstar, N2)[:, None] * N2
-        nft = np.linalg.norm(foot, axis=1)
-        ok = on1 & (nft > NORMALIZATION_TOL)
-        foot = foot / np.maximum(nft, NORMALIZATION_TOL)[:, None]
-        for t in (1.0, -1.0):
-            f = t * foot
-            hit = ok & on_arcs(f, A2, B2, N2)
-            if hit.any():
-                d = np.arccos(np.clip(np.einsum("ki,ki->k", pstar, f),
-                                      -1.0, 1.0))[hit]
-                dmin = min(dmin, float(d.min()))
-                dmax = max(dmax, float(d.max()))
-    return dmin, dmax
+    return any((generic & _on_arcs(x, A1, B1, N1) & _on_arcs(x, A2, B2, N2)).any()
+               for x in (cr, -cr))
 
 
-def polygon_distance_range(p1: ConvexPolygon, p2: ConvexPolygon) -> tuple[float, float]:
-    """(min, max) geodesic distance between two closed convex polygons.
+def polygon_distance(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
+    """Min geodesic distance between closures; 0 iff they intersect.
 
-    Candidates: vertex-vertex pairs, vertex-arc extremes, arc-arc interior
-    criticals (common-perpendicular feet and crossing points), containment,
-    and antipodal containment for the max.
+    Candidates: vertex-vertex pairs, vertex-arc feet, a vertex inside the
+    other polygon, and arc crossings.
     """
-    v1, v2 = p1.vertices, p2.vertices
-    dots = np.clip(v1 @ v2.T, -1.0, 1.0)
-    dmin = float(np.arccos(dots.max()))
-    dmax = float(np.arccos(dots.min()))
+    dmin = float(np.arccos(np.clip(p1.vertices @ p2.vertices.T, -1.0, 1.0).max()))
     e1 = _edge_arrays(p1)
     e2 = _edge_arrays(p2)
     for poly, other, arcs in ((p1, p2, e2), (p2, p1, e1)):
         if _contains_batch(other, poly.vertices).any():
-            dmin = 0.0
-        if _contains_batch(other, -poly.vertices).any():
-            dmax = math.pi
-        lo, hi = _points_arcs_range(poly.vertices, *arcs)
-        dmin = min(dmin, float(lo.min()))
-        dmax = max(dmax, float(hi.max()))
-    dmin, dmax = _arcs_arcs_range(e1, e2, dmin, dmax)
-    return max(0.0, dmin), min(math.pi, dmax)
+            return 0.0
+        dmin = min(dmin, float(_points_arcs_min(poly.vertices, *arcs).min()))
+    if dmin > 0.0 and _arcs_cross(e1, e2):
+        return 0.0
+    return dmin
 
 
-def polygon_distance(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
-    """Min geodesic distance between closures; 0 iff they intersect."""
-    return polygon_distance_range(p1, p2)[0]
+def certify_opf_polygons(polygons) -> tuple:
+    """(i, j) index pairs (i == j allowed) whose polygons hold an orthogonal pair.
 
-
-def certify_opf_polygons(polygons, margin: float = 0.0) -> tuple:
-    """(i, j) index pairs (i == j allowed) whose dot range contains zero."""
-    from .conflicts import dot_range_polygons
-
+    Exact test on the vertex Gram matrix G = V_i V_j^T, flagging (i, j) iff
+    min G <= 0 <= max G.  Every point of a polygon is a positive multiple of
+    a convex combination of its vertices, so the sign of p . q is the sign of
+    a nonnegative (not all zero) combination of the entries of G.  If all
+    entries share one strict sign, no orthogonal pair exists.  If the signs
+    are mixed, P_i x P_j is connected and p . q takes both signs on it, so it
+    takes the value 0 somewhere.
+    """
     polys = list(polygons)
     violations = []
     for i in range(len(polys)):
         for j in range(i, len(polys)):
-            if dot_range_polygons(polys[i], polys[j]).contains_zero(margin):
+            gram = polys[i].vertices @ polys[j].vertices.T
+            if gram.min() <= 0.0 <= gram.max():
                 violations.append((i, j))
     return tuple(violations)
 
 
-def _pairwise_min_distance(polygons) -> float:
-    polys = list(polygons)
-    if len(polys) < 2:
-        return math.inf
-    return min(polygon_distance(polys[i], polys[j])
-               for i in range(len(polys)) for j in range(i + 1, len(polys)))
+def _set_distances(dist: np.ndarray, polys, pairs) -> None:
+    """Fill dist[a, b] and dist[b, a] with polygon_distance(polys[a], polys[b])."""
+    for a, b in pairs:
+        dist[a, b] = dist[b, a] = polygon_distance(polys[a], polys[b])
+
+
+def _distance_matrix(polys) -> np.ndarray:
+    """Symmetric pairwise polygon distances, inf on the diagonal."""
+    dist = np.full((len(polys), len(polys)), math.inf)
+    _set_distances(dist, polys, itertools.combinations(range(len(polys)), 2))
+    return dist
 
 
 def conv1(selection: CellSet, arc_samples: int = 32) -> ConvexDecomposition:
     """Connected components to convex hulls (stage 1)."""
     comps = connected_components(selection)
     polygons = tuple(convex_hull(c, arc_samples) for c in comps)
-    return ConvexDecomposition(polygons, _pairwise_min_distance(polygons))
+    return ConvexDecomposition(polygons, float(_distance_matrix(polygons).min(initial=math.inf)))
 
 
 def conv2(decomp: ConvexDecomposition,
@@ -414,26 +366,25 @@ def conv2(decomp: ConvexDecomposition,
 
     Deterministic lowest-index-pair-first merge order; returns the cleaned
     decomposition and the number of merges performed (at most count - 1).
+    Each pair's distance is computed once: a merge drops row and column j of
+    the distance matrix and recomputes only the merged polygon's entries.
     """
     polys = list(decomp.polygons)
+    dist = _distance_matrix(polys)
     merges = 0
     while True:
-        hit = None
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                if polygon_distance(polys[i], polys[j]) <= merge_tol:
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
+        hits = np.argwhere(np.triu(dist <= merge_tol, 1))
+        if len(hits) == 0:
             break
-        i, j = hit
+        i, j = (int(k) for k in hits[0])
         union = np.vstack([polys[i].vertices, polys[j].vertices])
         polys[i] = convex_polygon_from_points(union)
         polys.pop(j)
+        dist = np.delete(np.delete(dist, j, axis=0), j, axis=1)
+        # lower index first, the argument order _distance_matrix uses
+        _set_distances(dist, polys, (sorted((i, b)) for b in range(len(polys)) if b != i))
         merges += 1
-    return ConvexDecomposition(tuple(polys), _pairwise_min_distance(polys)), merges
+    return ConvexDecomposition(tuple(polys), float(dist.min(initial=math.inf))), merges
 
 
 @dataclass(frozen=True)
@@ -464,7 +415,7 @@ def conv(selection: CellSet, arc_samples: int = 32,
 
 
 def _distance_to_polygon_batch(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
-    d, _ = _points_arcs_range(points, *_edge_arrays(poly))
+    d = _points_arcs_min(points, *_edge_arrays(poly))
     d[_contains_batch(poly, points)] = 0.0
     return d
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .grid import CellSet, DyadicCell, cell_area, cell_bounds, locate_coords, n_bands
-from .sphere import SPHERE_AREA, TWO_PI, Cap, cap_area, to_polar
+from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, cap_area, to_polar
 
 THEOREM_BETA = 1.0 / 64.0
 
@@ -43,6 +43,16 @@ class MembershipOracle:
         kinds = {"cap", "double_cap", "cell_set", "polygon_set", "sieve_fractal"}
         if self.kind not in kinds:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
+        # touching caps are fine: PREDICATE_TOL absorbs the rounding of the
+        # centres, and an overlap that thin adds no visible area.  atan2 keeps
+        # the centre distance accurate near pi, where acos is not.
+        for i, a in enumerate(self.caps):
+            for b in self.caps[i + 1:]:
+                gap = math.atan2(float(np.linalg.norm(np.cross(a.center, b.center))),
+                                 float(a.center @ b.center))
+                if gap < a.radius + b.radius - PREDICATE_TOL:
+                    raise ValueError(f"caps of radii {a.radius} and {b.radius} overlap; "
+                                     "cap oracles need pairwise disjoint caps")
 
     def contains(self, p: np.ndarray) -> bool:
         return bool(self.contains_batch(p.reshape(1, 3))[0])
@@ -88,7 +98,7 @@ class MembershipOracle:
     def measure(self) -> float | None:
         """Exact measure of M in steradians when a closed form exists."""
         if self.kind in ("cap", "double_cap"):
-            # assumes the caps are pairwise disjoint
+            # __post_init__ rejects overlapping caps, so the areas add
             return sum(cap_area(c.radius) for c in self.caps)
         if self.kind == "cell_set":
             return self.cell_set.measure()

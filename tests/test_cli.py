@@ -108,6 +108,13 @@ def test_filter_epsilon_validation(capsys):
     assert "selected" in captured.out
 
 
+def test_filter_rejects_overlapping_caps(capsys):
+    # a radius above pi/2 makes the two polar caps overlap
+    assert main(["filter", "--oracle", "double-cap", "--radius", "2.0", "--level", "2",
+                 "--epsilon", "0.01"]) == EXIT_USAGE
+    assert "overlap" in capsys.readouterr().err
+
+
 def test_filter_double_cap_artifact(tmp_path, capsys):
     out = tmp_path / "filter.json"
     assert main(["filter", "--oracle", "double-cap", "--level", "3",

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from opfsets.convexify import (ConvexPolygon, HullInfeasibleError, check_pasch,
+from opfsets import convexify
+from opfsets.convexify import (ConvexDecomposition, ConvexPolygon,
+                               HullInfeasibleError, check_pasch,
                                check_triangle_lemma, connected_components, conv,
                                conv1, conv2, convex_hull,
                                convex_polygon_from_points, certify_opf_polygons,
-                               hausdorff_distance, polygon_distance,
-                               polygon_distance_range)
+                               hausdorff_distance, polygon_distance)
 from opfsets.grid import CellSet, cell_area
 from opfsets.search import double_cap_cellset
 from opfsets.sphere import from_polar, unit_vector
@@ -63,14 +64,11 @@ def test_polygon_distance_exact_two_rings():
     alpha = 0.3
     p1 = ring_polygon(np.array([0.0, 0.0, 1.0]), alpha)
     p2 = ring_polygon(np.array([1.0, 0.0, 0.0]), alpha)
-    lo, hi = polygon_distance_range(p1, p2)
-    # nearest and farthest pairs lie on the common great circle through the axes
+    lo = polygon_distance(p1, p2)
+    # the nearest pair lies on the common great circle through the axes
     assert lo == pytest.approx(math.pi / 2 - 2 * alpha, abs=1e-9)
-    assert hi == pytest.approx(math.pi / 2 + 2 * alpha, abs=1e-9)
-    assert polygon_distance(p1, p2) == pytest.approx(lo, abs=1e-12)
     # symmetry
-    lo2, hi2 = polygon_distance_range(p2, p1)
-    assert lo == pytest.approx(lo2, abs=1e-12) and hi == pytest.approx(hi2, abs=1e-12)
+    assert lo == pytest.approx(polygon_distance(p2, p1), abs=1e-12)
 
 
 def test_polygon_distance_zero_on_overlap():
@@ -86,15 +84,13 @@ def test_polygon_distance_matches_brute_force():
         a2 = from_polar(rng.uniform(1.2, 2.2), rng.uniform(0, 2 * math.pi))
         p1 = ring_polygon(a1, rng.uniform(0.1, 0.3), n=5, offset=rng.uniform(0, 1))
         p2 = ring_polygon(a2, rng.uniform(0.1, 0.3), n=5, offset=rng.uniform(0, 1))
-        lo, hi = polygon_distance_range(p1, p2)
+        lo = polygon_distance(p1, p2)
         b1 = p1.boundary_samples(per_edge=60)
         b2 = p2.boundary_samples(per_edge=60)
         d = np.arccos(np.clip(b1 @ b2.T, -1, 1))
-        # the closed form must enclose the sampled extremes and sit close
+        # the closed form must not exceed the sampled minimum and sit close
         assert lo <= d.min() + 1e-9
-        assert hi >= d.max() - 1e-9
         assert lo >= d.min() - 2e-3
-        assert hi <= d.max() + 2e-3
 
 
 def test_connected_components():
@@ -148,7 +144,6 @@ def test_conv2_merges_touching_hulls():
     level = 3
     left = convex_hull(CellSet.from_cells(level, [(2, 1)]))
     right = convex_hull(CellSet.from_cells(level, [(2, 2)]))
-    from opfsets.convexify import ConvexDecomposition
     decomp = ConvexDecomposition((left, right), polygon_distance(left, right))
     assert decomp.pairwise_min_distance <= 1e-9
     merged, merges = conv2(decomp)
@@ -170,6 +165,81 @@ def test_certify_flags_equator_straddling_polygon():
     assert (1, 1) in violations
     # a clean pair certifies
     assert certify_opf_polygons(conv1(double_cap_cellset(2)).polygons) == ()
+
+
+def test_conv2_computes_each_pair_once(monkeypatch):
+    level = 3
+    polys = tuple(convex_hull(CellSet.from_cells(level, [c]))
+                  for c in [(2, 1), (2, 2), (6, 9)])
+    calls = []
+    seen = []  # holds every polygon passed, so no id is reused mid-test
+    real = convexify.polygon_distance
+
+    def recording(p1, p2):
+        seen.extend((p1, p2))
+        calls.append((id(p1), id(p2)))
+        return real(p1, p2)
+
+    monkeypatch.setattr(convexify, "polygon_distance", recording)
+    merged, merges = conv2(ConvexDecomposition(polys, 0.0))
+    # three initial pairs, then the merged polygon against the far one
+    assert len(calls) == 4
+    # no pair is evaluated twice, in either order
+    assert len(set(calls) | {(b, a) for a, b in calls}) == 2 * len(calls)
+    # values computed by the rescanning merge loop this replaced
+    assert merges == 1
+    assert [p.area() for p in merged.polygons] == [0.11153809205760012,
+                                                   0.05028633230358537]
+    assert merged.pairwise_min_distance == 1.8393689729169562
+
+
+def test_certify_two_rings_closed_form():
+    # aligned squares inscribed in circles of radius alpha, axes beta apart:
+    # extreme vertex distances are beta +- 2 alpha along the common circle
+    rng = np.random.default_rng(41)
+    z = np.array([0.0, 0.0, 1.0])
+    checked = 0
+    while checked < 200:
+        alpha = rng.uniform(0.05, 1.2)
+        beta = rng.uniform(0.01, math.pi - 2 * alpha)
+        across = abs(beta - math.pi / 2) - 2 * alpha
+        self_ = 2 * alpha - math.pi / 2
+        if min(abs(across), abs(self_)) < 1e-6:
+            continue
+        violations = certify_opf_polygons(
+            [ring_polygon(z, alpha), ring_polygon(from_polar(beta, 0.0), alpha)])
+        assert ((0, 1) in violations) == (across <= 0.0)
+        assert ((0, 0) in violations) == (self_ >= 0.0) == ((1, 1) in violations)
+        checked += 1
+
+
+def _random_polygon(rng) -> ConvexPolygon:
+    """Hull of 3-8 gnomonic-uniform points about a random centre."""
+    c = rng.normal(size=3)
+    c /= np.linalg.norm(c)
+    e1 = np.cross(c, [0.3, 0.5, 0.8])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(c, e1)
+    xy = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2)) * rng.uniform(0.05, 1.2)
+    pts = c + xy[:, :1] * e1 + xy[:, 1:] * e2
+    return convex_polygon_from_points(pts / np.linalg.norm(pts, axis=1, keepdims=True), c)
+
+
+def test_certify_random_triples_pinned():
+    # pinned from the earlier certificate, which went through exact
+    # (min, max) polygon distances instead of vertex dot-product signs
+    expected = [
+        ((0, 1), (1, 2)), ((0, 1), (0, 2), (1, 2)), ((0, 2), (1, 2), (2, 2)),
+        ((0, 1), (0, 2), (1, 2)), (), ((0, 1), (0, 2)), ((1, 2),),
+        ((0, 1), (0, 2)), ((0, 1),), ((0, 1), (0, 2), (1, 2)), ((0, 2), (1, 2)),
+        ((0, 1), (0, 2)), ((0, 1), (0, 2)), ((0, 1), (0, 2), (1, 2)),
+        ((0, 1), (0, 2)), ((1, 2),), (), ((0, 2), (1, 2)), ((0, 1), (0, 2)),
+        ((0, 1), (1, 2)), (), ((0, 1),), ((0, 1), (1, 2)), ((0, 2), (1, 2)),
+    ]
+    rng = np.random.default_rng(31)
+    got = [certify_opf_polygons([_random_polygon(rng) for _ in range(3)])
+           for _ in range(len(expected))]
+    assert got == expected
 
 
 def test_hausdorff_metric_properties():

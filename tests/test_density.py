@@ -12,7 +12,7 @@ from opfsets.density import (CoveringReport, DensityReport, MembershipOracle,
                              polygon_set_oracle, sample_in_cell,
                              select_dense_cells, sieve_fractal_oracle)
 from opfsets.grid import CellSet, DyadicCell, cell_area, cell_bounds
-from opfsets.sphere import SPHERE_AREA, cap_area, from_polar
+from opfsets.sphere import SPHERE_AREA, Cap, cap_area, from_polar
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -174,3 +174,21 @@ def test_covering_report_double_cap():
 def test_cap_union_measure_additivity():
     o = cap_union_oracle([c for c in double_cap_oracle().caps])
     assert o.measure() == pytest.approx(2 * cap_area(math.pi / 4), abs=1e-15)
+
+
+def test_overlapping_caps_rejected():
+    z = np.array([0.0, 0.0, 1.0])
+    # identical caps would count their common area twice in measure() and
+    # in analytic_cell_density
+    with pytest.raises(ValueError, match="overlap"):
+        cap_union_oracle([Cap(z, 0.5), Cap(z, 0.5)])
+    with pytest.raises(ValueError, match="overlap"):
+        cap_union_oracle([Cap(z, 0.5), Cap(from_polar(0.9, 0.0), 0.5)])
+    with pytest.raises(ValueError, match="overlap"):
+        double_cap_oracle(2.0)
+    # touching caps are allowed
+    touching = cap_union_oracle([Cap(z, 0.5), Cap(from_polar(1.0, 0.0), 0.5)])
+    assert touching.measure() == pytest.approx(2 * cap_area(0.5), abs=1e-15)
+    assert double_cap_oracle(math.pi / 2).measure() == pytest.approx(SPHERE_AREA, abs=1e-12)
+    axis = from_polar(0.3, 0.4)  # acos of its rounded antipodal dot is off by 1.5e-8
+    assert cap_union_oracle([Cap(axis, math.pi / 2), Cap(-axis, math.pi / 2)]).kind == "cap"
