@@ -11,9 +11,9 @@ import argparse
 import sys
 
 from opfsets.conflicts import build_conflict_graph
-from opfsets.search import (BEST_UPPER_BOUND, double_cap_cellset, evaluate,
-                            exact_mis, greedy_mis, local_search,
-                            write_leaderboard)
+from opfsets.search import (BEST_UPPER_BOUND, ExactSearchCapError,
+                            double_cap_cellset, evaluate, exact_mis, greedy_mis,
+                            local_search, write_leaderboard)
 
 
 def main() -> int:
@@ -24,7 +24,6 @@ def main() -> int:
                         help="random-order greedy restarts per level")
     parser.add_argument("--iters", type=int, default=300,
                         help="local-search swap attempts")
-    parser.add_argument("--exact-max-cells", type=int, default=64)
     parser.add_argument("--csv", default="leaderboard.csv")
     args = parser.parse_args()
 
@@ -40,9 +39,10 @@ def main() -> int:
         results.append(greedy_mis(graph, "min-degree"))
         for seed in range(args.seeds):
             results.append(greedy_mis(graph, "random", seed=seed))
-        free = graph.n_cells() - len(graph.self_conflicts)
-        if free <= args.exact_max_cells:
-            results.append(exact_mis(graph, max_cells=args.exact_max_cells))
+        try:
+            results.append(exact_mis(graph))
+        except ExactSearchCapError:
+            pass  # too many cells for exact search: no row
         best = max((r for r in results if r.selection.level == level),
                    key=lambda r: r.fraction)
         print(f"level {level}: best {best.method} -> {len(best.selection)} cells, "

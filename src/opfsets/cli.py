@@ -89,9 +89,9 @@ def cmd_conflicts(args) -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
             conflicts.save_graph(graph, path)
             print(f"cached graph at {path}")
-    degrees = np.bincount(graph.edges.ravel(), minlength=graph.n_cells())
+    degrees = graph.degrees()
     print(f"level {graph.level} margin {graph.margin:g}: "
-          f"{len(graph.edges)} edges, {len(graph.self_conflicts)} self-conflicts")
+          f"{degrees.sum() // 2} edges, {len(graph.self_conflicts)} self-conflicts")
     hist = np.bincount(degrees)
     print("degree histogram (degree: cells):")
     for d, c in enumerate(hist):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -144,42 +145,77 @@ def cells_conflict(c1: DyadicCell, c2: DyadicCell, margin: float = 0.0) -> bool:
     return dot_range_cells(c1, c2).contains_zero(margin)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConflictGraph:
     """Pairwise orthogonal-pair relation over all cells at one level.
 
-    Nodes are cell ordinals (band * 2^(k+1) + sector).  Edges are unordered
-    ordinal pairs stored as a sorted (m, 2) array; self_conflicts lists cells
-    that contain an orthogonal pair on their own.
+    Nodes are cell ordinals (band * n + sector, n = 2^(k+1)).  The graph is
+    its symmetric sector-circulant table: cell (b1, s1) conflicts with cell
+    (b2, s2) iff table[b1, b2, (s1 - s2) mod n], and table[b, b, 0] marks the
+    bands whose cells contain an orthogonal pair on their own.  Everything
+    else is a view of the table.
     """
 
     level: int
     margin: float
-    self_conflicts: np.ndarray
-    edges: np.ndarray
-    _adj: dict | None = field(default=None, repr=False, compare=False)
+    table: np.ndarray = field(repr=False)
 
     def n_cells(self) -> int:
         return cell_count(self.level)
 
+    def self_conflicting(self) -> np.ndarray:
+        """Mask by ordinal of the cells that conflict with themselves: whole bands."""
+        bands = np.arange(n_bands(self.level))
+        return np.repeat(self.table[bands, bands, 0], len(bands))
+
+    @cached_property
+    def self_conflicts(self) -> np.ndarray:
+        """Ascending uint32 ordinals of the self-conflicting cells."""
+        return np.flatnonzero(self.self_conflicting()).astype(np.uint32)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Sorted (m, 2) uint32 array of the conflicting ordinal pairs (a, b), a < b."""
+        n = n_bands(self.level)
+        bands = np.arange(n)
+        circ = (bands[:, None] - bands[None, :]) % n    # circ[s1, s2] = (s1 - s2) mod n
+        above = bands[None, :] > bands[:, None]
+        chunks = []
+        for b in range(n):
+            # hit[s1, b2 - b, s2]: does cell (b, s1) conflict with (b2, s2), b2 >= b
+            hit = self.table[b, b:][:, circ].transpose(1, 0, 2)
+            hit[:, 0] &= above
+            rows, cols = np.nonzero(hit.reshape(n, -1))
+            chunk = np.empty((len(rows), 2), dtype=np.uint32)
+            chunk[:, 0] = rows + b * n
+            chunk[:, 1] = cols + b * n
+            chunks.append(chunk)
+        # row-major nonzero within a band and ascending bands: already sorted
+        return np.concatenate(chunks)
+
+    def neighbours(self, o: int) -> np.ndarray:
+        """Mask by ordinal of the cells that conflict with cell o, o itself cleared."""
+        n = n_bands(self.level)
+        b, s = divmod(int(o), n)
+        mask = self.table[b][:, (s - np.arange(n)) % n].ravel()
+        mask[o] = False
+        return mask
+
+    def degrees(self) -> np.ndarray:
+        """Neighbour count of every cell, by ordinal; it depends only on the band."""
+        bands = np.arange(n_bands(self.level))
+        per_band = self.table.sum(axis=(1, 2)) - self.table[bands, bands, 0]
+        return np.repeat(per_band, len(bands))
+
     def adjacency(self) -> dict[int, set[int]]:
-        if self._adj is None:
-            # CSR split: group both ends of every edge by node in one stable
-            # sort; with the sorted edge list each node's neighbours arrive in
-            # ascending order, which fixes the sets' iteration order
-            src = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-            dst = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            order = np.argsort(src, kind="stable")
-            bounds = np.cumsum(np.bincount(src, minlength=self.n_cells()))[:-1]
-            self._adj = {i: set(nbrs.tolist())
-                         for i, nbrs in enumerate(np.split(dst[order], bounds))}
-        return self._adj
+        """{ordinal: set of neighbouring ordinals}, each set filled in ascending order."""
+        return {o: set(np.flatnonzero(self.neighbours(o)).tolist())
+                for o in range(self.n_cells())}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConflictGraph)
                 and self.level == other.level and self.margin == other.margin
-                and np.array_equal(self.self_conflicts, other.self_conflicts)
-                and np.array_equal(self.edges, other.edges))
+                and np.array_equal(self.table, other.table))
 
 
 def _pair_scan(boxes, margin: float, include_diagonal: bool,
@@ -239,34 +275,36 @@ def _circulant_table(level: int, margin: float, bands) -> np.ndarray:
 
 def build_conflict_graph(level: int, margin: float = 0.0,
                          max_level: int = 7) -> ConflictGraph:
-    """Decide all cell pairs (and self-pairs) at a level; deterministic.
-
-    The decisions are read off the n x n x n sector-circulant table, and the
-    sorted edge list is materialised from it one band at a time.
-    """
+    """Decide all cell pairs (and self-pairs) at a level; deterministic."""
     if level > max_level:
         raise ResourceCapError(
             f"level {level} exceeds the configured maximum {max_level} "
             f"({cell_count(level)} cells)")
-    n = n_bands(level)
-    bands = np.arange(n)
-    table = _circulant_table(level, margin, bands)
-    self_bands = bands[table[bands, bands, 0]]
-    self_conflicts = (self_bands[:, None] * n + bands).ravel().astype(np.uint32)
-    circ = (bands[:, None] - bands[None, :]) % n    # circ[s1, s2] = (s1 - s2) mod n
-    above = bands[None, :] > bands[:, None]
-    chunks = []
-    for b in range(n):
-        # hit[s1, b2 - b, s2]: does cell (b, s1) conflict with (b2, s2), b2 >= b
-        hit = table[b, b:][:, circ].transpose(1, 0, 2)
-        hit[:, 0] &= above
-        rows, cols = np.nonzero(hit.reshape(n, -1))
-        chunk = np.empty((len(rows), 2), dtype=np.uint32)
-        chunk[:, 0] = rows + b * n
-        chunk[:, 1] = cols + b * n
-        chunks.append(chunk)
-    # row-major nonzero within a band and ascending bands: already sorted
-    return ConflictGraph(level, margin, self_conflicts, np.concatenate(chunks))
+    return ConflictGraph(level, margin,
+                         _circulant_table(level, margin, np.arange(n_bands(level))))
+
+
+def _table_violations(table: np.ndarray, x: np.ndarray, members: np.ndarray,
+                      n: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """(self-conflicting ordinals, sorted conflicting pairs) among members.
+
+    members holds (band, sector) rows in canonical order; x[i] is member i's
+    index on the table's band axes.  Lookups go in row tiles of <= _CHUNK.
+    """
+    sectors = members[:, 1]
+    ords = members[:, 0] * n + sectors
+    self_bad = ords[table[x, x, 0]].tolist()
+    pairs: list[tuple[int, int]] = []
+    k = len(ords)
+    step = max(1, _CHUNK // max(k, 1))
+    for r0 in range(0, k, step):
+        rows = np.arange(r0, min(r0 + step, k))
+        cols = np.arange(r0, k)
+        hit = table[x[rows, None], x[None, cols], (sectors[rows, None] - sectors[None, cols]) % n]
+        hit &= cols[None, :] > rows[:, None]
+        ii, jj = np.nonzero(hit)
+        pairs.extend(zip(ords[rows[ii]].tolist(), ords[cols[jj]].tolist()))
+    return self_bad, sorted(pairs)
 
 
 def selection_violations(selection: CellSet,
@@ -278,24 +316,10 @@ def selection_violations(selection: CellSet,
     """
     if len(selection) == 0:
         return [], []
-    n = n_bands(selection.level)
     members = np.asarray(selection.members, dtype=np.int64).reshape(-1, 2)
-    sectors = members[:, 1]
-    ords = members[:, 0] * n + sectors
     bands, x = np.unique(members[:, 0], return_inverse=True)
-    table = _circulant_table(selection.level, margin, bands)
-    self_bad = ords[table[x, x, 0]].tolist()
-    pairs: list[tuple[int, int]] = []
-    k = len(ords)
-    step = max(1, _CHUNK // k)
-    for r0 in range(0, k, step):
-        rows = np.arange(r0, min(r0 + step, k))
-        cols = np.arange(r0, k)
-        hit = table[x[rows, None], x[None, cols], (sectors[rows, None] - sectors[None, cols]) % n]
-        hit &= cols[None, :] > rows[:, None]
-        ii, jj = np.nonzero(hit)
-        pairs.extend(zip(ords[rows[ii]].tolist(), ords[cols[jj]].tolist()))
-    return self_bad, sorted(pairs)
+    return _table_violations(_circulant_table(selection.level, margin, bands), x, members,
+                             n_bands(selection.level))
 
 
 _MAGIC = b"OPFG"
@@ -305,8 +329,7 @@ _HEADER = struct.Struct("<4sHHdIQ32s")
 
 def save_graph(graph: ConflictGraph, path) -> None:
     """Write the binary cache: header with checksum, self-conflicts, edge list."""
-    selfs = np.sort(graph.self_conflicts.astype(np.uint32))
-    edges = graph.edges.astype(np.uint32)
+    selfs, edges = graph.self_conflicts, graph.edges
     body = selfs.astype("<u4").tobytes() + edges.astype("<u4").tobytes()
     digest = hashlib.sha256(body).digest()
     header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, graph.level, graph.margin,
@@ -330,6 +353,32 @@ def load_graph(path) -> ConflictGraph:
         raise CorruptCacheError(f"graph cache body is {len(body)} bytes, expected {expect}")
     if hashlib.sha256(body).digest() != digest:
         raise CorruptCacheError("graph cache checksum mismatch")
-    selfs = np.frombuffer(body[:4 * n_self], dtype="<u4").astype(np.uint32)
-    edges = np.frombuffer(body[4 * n_self:], dtype="<u4").astype(np.uint32).reshape(-1, 2)
-    return ConflictGraph(level, margin, selfs, edges)
+    selfs = np.frombuffer(body[:4 * n_self], dtype="<u4").astype(np.int64)
+    edges = np.frombuffer(body[4 * n_self:], dtype="<u4").astype(np.int64).reshape(-1, 2)
+    return ConflictGraph(level, margin, _table_from_edges(level, selfs, edges))
+
+
+def _table_from_edges(level: int, selfs: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The circulant table of a cached self-conflict list and edge list.
+
+    Each edge and self-conflict sets its table entry, and the table is then
+    made symmetric.  The lists are accepted only if they are exactly the
+    views of that table: in range, strictly ascending (so free of repeats)
+    and as long as the table implies.  A list that is not sector-circulant,
+    such as one missing an edge, implies more entries than it holds.
+    """
+    n, m = n_bands(level), cell_count(level)
+    a, b = edges[:, 0], edges[:, 1]
+    if (selfs >= m).any() or (b >= m).any() or (a >= b).any() \
+            or (np.diff(selfs) <= 0).any() or (np.diff(a * m + b) <= 0).any():
+        raise CorruptCacheError("graph cache lists ordinals out of range or out of order")
+    table = np.zeros((n, n, n), dtype=bool)
+    (b1, s1), (b2, s2) = np.divmod(a, n), np.divmod(b, n)
+    table[b1, b2, (s1 - s2) % n] = True
+    table[selfs // n, selfs // n, 0] = True
+    table |= table.transpose(1, 0, 2)[:, :, -np.arange(n) % n]
+    diagonal = int(np.trace(table[:, :, 0]))
+    if n * diagonal != len(selfs) or n * (int(table.sum()) - diagonal) != 2 * len(edges):
+        raise CorruptCacheError("graph cache is not sector-circulant: the table rebuilt from "
+                                "its edge list implies a different edge count")
+    return table

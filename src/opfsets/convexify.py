@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -198,8 +198,14 @@ def convex_hull(component: CellSet, arc_samples: int = 32,
 
 @dataclass(frozen=True)
 class ConvexDecomposition:
+    """Polygons with their pairwise distance matrix (inf on the diagonal)."""
+
     polygons: tuple
-    pairwise_min_distance: float
+    distances: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def pairwise_min_distance(self) -> float:
+        return float(self.distances.min(initial=math.inf))
 
     def __len__(self) -> int:
         return len(self.polygons)
@@ -357,7 +363,7 @@ def conv1(selection: CellSet, arc_samples: int = 32) -> ConvexDecomposition:
     """Connected components to convex hulls (stage 1)."""
     comps = connected_components(selection)
     polygons = tuple(convex_hull(c, arc_samples) for c in comps)
-    return ConvexDecomposition(polygons, float(_distance_matrix(polygons).min(initial=math.inf)))
+    return ConvexDecomposition(polygons, _distance_matrix(polygons))
 
 
 def conv2(decomp: ConvexDecomposition,
@@ -366,11 +372,12 @@ def conv2(decomp: ConvexDecomposition,
 
     Deterministic lowest-index-pair-first merge order; returns the cleaned
     decomposition and the number of merges performed (at most count - 1).
-    Each pair's distance is computed once: a merge drops row and column j of
-    the distance matrix and recomputes only the merged polygon's entries.
+    Each pair's distance is computed once: starting from the decomposition's
+    matrix, a merge drops row and column j and recomputes only the merged
+    polygon's entries.
     """
     polys = list(decomp.polygons)
-    dist = _distance_matrix(polys)
+    dist = decomp.distances
     merges = 0
     while True:
         hits = np.argwhere(np.triu(dist <= merge_tol, 1))
@@ -380,11 +387,12 @@ def conv2(decomp: ConvexDecomposition,
         union = np.vstack([polys[i].vertices, polys[j].vertices])
         polys[i] = convex_polygon_from_points(union)
         polys.pop(j)
+        # np.delete copies, so the input decomposition's matrix is never written
         dist = np.delete(np.delete(dist, j, axis=0), j, axis=1)
         # lower index first, the argument order _distance_matrix uses
         _set_distances(dist, polys, (sorted((i, b)) for b in range(len(polys)) if b != i))
         merges += 1
-    return ConvexDecomposition(tuple(polys), float(dist.min(initial=math.inf))), merges
+    return ConvexDecomposition(tuple(polys), dist), merges
 
 
 @dataclass(frozen=True)
@@ -407,7 +415,7 @@ def conv(selection: CellSet, arc_samples: int = 32,
          merge_tol: float = MERGE_TOL) -> ConvResult:
     """Full pipeline: conv2(conv1(selection)) with measure and OPF accounting."""
     if len(selection) == 0:
-        return ConvResult(ConvexDecomposition((), math.inf), 0.0, 0.0, 0, ())
+        return ConvResult(ConvexDecomposition((), _distance_matrix(())), 0.0, 0.0, 0, ())
     stage1 = conv1(selection, arc_samples)
     final, merges = conv2(stage1, merge_tol)
     return ConvResult(final, selection.measure(), final.total_area(), merges,

@@ -3,9 +3,10 @@
 All cells at a level have equal area, so maximizing measure is maximizing
 cardinality: an unweighted maximum-independent-set problem on the conflict
 graph.  Provided methods: the double-cap baseline, greedy construction,
-(1,2)-swap local search, and exact branch-and-bound for small levels.
-Every result is re-verified against the graph and compared with the
-published bounds on the largest orthogonal-pair-free measure fraction.
+(1,2)-swap local search, and exact branch-and-bound for small levels.  They
+read neighbour masks straight from the graph's circulant table.  Every
+result is re-verified against the graph and compared with the published
+bounds on the largest orthogonal-pair-free measure fraction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conflicts import ConflictGraph
+from .conflicts import ConflictGraph, _table_violations
 from .grid import CellSet, DyadicCell, cell_from_ordinal, n_bands
 
 PUBLISHED_UPPER_BOUNDS = (1.0 / 3.0, 0.313, 0.308, 0.30153, 0.297742)
@@ -59,11 +60,9 @@ def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list
     if selection.level != graph.level:
         raise ValueError(f"selection level {selection.level} != graph level {graph.level}")
     members = np.asarray(selection.members, dtype=np.int64).reshape(-1, 2)
-    inside = np.zeros(graph.n_cells(), dtype=bool)
-    inside[members[:, 0] * n_bands(selection.level) + members[:, 1]] = True
-    selfs = graph.self_conflicts[inside[graph.self_conflicts]].tolist()
-    pairs = graph.edges[inside[graph.edges].all(axis=1)].tolist()
-    return sorted([(o, o) for o in selfs] + [(a, b) for a, b in pairs])
+    selfs, pairs = _table_violations(graph.table, members[:, 0], members,
+                                     n_bands(graph.level))
+    return sorted([(o, o) for o in selfs] + pairs)
 
 
 @dataclass(frozen=True)
@@ -126,41 +125,40 @@ def write_leaderboard(results, path) -> None:
             w.writerow(r.csv_row())
 
 
-def _free_ordinals(graph: ConflictGraph) -> list[int]:
-    selfs = set(int(o) for o in graph.self_conflicts)
-    return [o for o in range(graph.n_cells()) if o not in selfs]
-
-
 def _cellset_from_ordinals(level: int, ords) -> CellSet:
     return CellSet.from_cells(level, [
-        (c.band, c.sector) for c in (cell_from_ordinal(level, o) for o in ords)])
+        (c.band, c.sector) for c in (cell_from_ordinal(level, int(o)) for o in ords)])
 
 
 def greedy_mis(graph: ConflictGraph, order: str = "min-degree",
                seed: int | None = None) -> SearchResult:
     """Maximal conflict-free selection; min-degree or seeded random order."""
-    adj = graph.adjacency()
-    free = _free_ordinals(graph)
-    candidates = set(free)
+    if order not in ("random", "min-degree"):
+        raise ValueError(f"unknown order {order!r}")
+    blocked = graph.self_conflicting()
+    free = np.flatnonzero(~blocked)
     chosen = []
     if order == "random":
         rng = np.random.default_rng(0 if seed is None else seed)
-        sequence = list(free)
+        sequence = free.tolist()
         rng.shuffle(sequence)
         for o in sequence:
-            if o in candidates:
+            if not blocked[o]:
                 chosen.append(o)
-                candidates.discard(o)
-                candidates -= adj[o]
-    elif order == "min-degree":
-        while candidates:
-            # degree within the remaining candidate set, ties to lowest ordinal
-            o = min(candidates, key=lambda v: (len(adj[v] & candidates), v))
-            chosen.append(o)
-            candidates.discard(o)
-            candidates -= adj[o]
+                blocked |= graph.neighbours(o)
     else:
-        raise ValueError(f"unknown order {order!r}")
+        # degree[v]: v's neighbours among the unblocked cells, kept up to date
+        # as cells get blocked; only read for unblocked cells
+        degree = graph.degrees() - sum(graph.neighbours(r) for r in graph.self_conflicts)
+        while not blocked.all():
+            # ties to the lowest ordinal
+            o = int(np.argmin(np.where(blocked, graph.n_cells(), degree)))
+            chosen.append(o)
+            newly = graph.neighbours(o) & ~blocked
+            newly[o] = True
+            blocked |= newly
+            for r in np.flatnonzero(newly):
+                degree -= graph.neighbours(r)
     return SearchResult(_cellset_from_ordinals(graph.level, chosen),
                         f"greedy-{order}", seed, iterations=len(free))
 
@@ -171,62 +169,64 @@ def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
     bad = selection_graph_violations(init, graph)
     if bad:
         raise InfeasibleSelectionError(bad)
-    adj = graph.adjacency()
-    selfs = set(int(o) for o in graph.self_conflicts)
-    current = {DyadicCell(init.level, b, s).ordinal for b, s in init.members}
+    free = ~graph.self_conflicting()
+    current = np.zeros(graph.n_cells(), dtype=bool)
+    # count[o]: how many cells of the current selection conflict with o
+    count = np.zeros(graph.n_cells(), dtype=np.int64)
     rng = np.random.default_rng(seed)
 
-    def conflict_count(o: int) -> int:
-        return len(adj[o] & current)
+    def toggle(o: int, sign: int) -> None:
+        current[o] = sign > 0
+        count[:] += sign * graph.neighbours(o)
 
     def fill() -> None:
-        # insert any cell with no conflicts against the current selection
-        for o in range(graph.n_cells()):
-            if o not in current and o not in selfs and not (adj[o] & current):
-                current.add(o)
+        # insert, in ascending order, any cell with no conflicts against the
+        # current selection; insertions only raise counts, so each cell is
+        # checked once more when its turn comes
+        for o in np.flatnonzero(free & ~current & (count == 0)):
+            if count[o] == 0:
+                toggle(o, 1)
 
+    for b, s in init.members:
+        toggle(DyadicCell(init.level, b, s).ordinal, 1)
     fill()
     steps = 0
     for _ in range(iters):
         steps += 1
-        if not current:
+        if not current.any():
             break
-        r = int(rng.choice(sorted(current)))
+        r = int(rng.choice(np.flatnonzero(current)))
         # candidates blocked only by r become insertable after its removal
-        cands = sorted(o for o in adj[r]
-                       if o not in selfs and o not in current
-                       and conflict_count(o) == 1)
-        swapped = False
-        for i in range(len(cands)):
-            for j in range(i + 1, len(cands)):
-                if cands[j] not in adj[cands[i]]:
-                    current.discard(r)
-                    current.add(cands[i])
-                    current.add(cands[j])
-                    fill()
-                    swapped = True
-                    break
-            if swapped:
+        cands = np.flatnonzero(graph.neighbours(r) & free & ~current & (count == 1))
+        for i, a in enumerate(cands):
+            later = cands[i + 1:]
+            compatible = later[~graph.neighbours(a)[later]]
+            if len(compatible):
+                toggle(r, -1)
+                toggle(a, 1)
+                toggle(compatible[0], 1)
+                fill()
                 break
-    return SearchResult(_cellset_from_ordinals(graph.level, sorted(current)),
+    return SearchResult(_cellset_from_ordinals(graph.level, np.flatnonzero(current)),
                         "local-search", seed, iterations=steps)
 
 
 def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000,
               max_cells: int = 64) -> SearchResult:
     """Branch-and-bound maximum conflict-free selection for small levels."""
-    free = _free_ordinals(graph)
+    free = np.flatnonzero(~graph.self_conflicting())
     if len(free) > max_cells:
         raise ExactSearchCapError(
             f"{len(free)} candidate cells exceed the exact-search cap {max_cells}")
-    adj = graph.adjacency()
-    start = greedy_mis(graph, "min-degree")
+    # conflicts among the candidate cells, indexed by position in free
+    conflict = np.array([graph.neighbours(o)[free] for o in free],
+                        dtype=bool).reshape(len(free), len(free))
     incumbent = [DyadicCell(graph.level, b, s).ordinal
-                 for b, s in start.selection.members]
+                 for b, s in greedy_mis(graph, "min-degree").selection.members]
     nodes = 0
     exhausted = False
 
-    def recurse(chosen: list[int], candidates: list[int]) -> None:
+    def recurse(chosen: list[int], candidates: np.ndarray) -> None:
         nonlocal incumbent, nodes, exhausted
         nodes += 1
         if nodes > node_budget:
@@ -234,19 +234,20 @@ def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000,
             return
         if len(chosen) + len(candidates) <= len(incumbent):
             return
-        if not candidates:
+        if not len(candidates):
             if len(chosen) > len(incumbent):
-                incumbent = list(chosen)
+                incumbent = free[chosen].tolist()
             return
-        # branch on the candidate with the most remaining conflicts
-        cset = set(candidates)
-        v = max(candidates, key=lambda o: (len(adj[o] & cset), -o))
-        rest = [o for o in candidates if o != v]
-        recurse(chosen + [v], [o for o in rest if o not in adj[v]])
+        # branch on the candidate with the most remaining conflicts; candidates
+        # stay ascending, so argmax breaks ties to the lowest ordinal
+        k = int(np.argmax(conflict[np.ix_(candidates, candidates)].sum(axis=1)))
+        v = int(candidates[k])
+        rest = np.delete(candidates, k)
+        recurse(chosen + [v], rest[~conflict[v, rest]])
         if not exhausted:
             recurse(chosen, rest)
 
-    recurse([], sorted(free))
+    recurse([], np.arange(len(free)))
     return SearchResult(_cellset_from_ordinals(graph.level, sorted(incumbent)),
                         "exact", None, nodes=nodes, optimal=not exhausted)
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from opfsets import conflicts
 from opfsets.cli import (EXIT_CERTIFICATION, EXIT_INFEASIBLE, EXIT_OK,
                          EXIT_RESOURCE, EXIT_USAGE, main)
 from opfsets.grid import CellSet, all_cells
@@ -55,6 +57,27 @@ def test_conflicts_cache_env_and_corruption(tmp_path, capsys, monkeypatch):
     assert main(["conflicts", "--level", "1"]) == EXIT_OK
     captured = capsys.readouterr()
     assert "rebuilding cache" in captured.err
+
+
+def test_conflicts_rebuilds_non_circulant_cache(tmp_path, capsys):
+    # drop one edge and rewrite the checksum: only the circulant check can tell
+    args = ["conflicts", "--level", "2", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    path = tmp_path / "level2_margin0.opfg"
+    raw = path.read_bytes()
+    size = conflicts._HEADER.size
+    fields = conflicts._HEADER.unpack(raw[:size])
+    body = raw[size:-8]
+    path.write_bytes(conflicts._HEADER.pack(*fields[:5], fields[5] - 1,
+                                            hashlib.sha256(body).digest()) + body)
+    assert main(args) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "rebuilding cache" in captured.err and "sector-circulant" in captured.err
+    assert "1328 edges" in captured.out
+    assert "cached graph" in captured.out
+    assert main(args) == EXIT_OK
+    assert "cached graph" not in capsys.readouterr().out
 
 
 def test_conflicts_resource_cap(capsys):

@@ -27,7 +27,8 @@ SAVED_GRAPH_SHA256 = {
 
 
 def reference_graph(level, margin=0.0):
-    """Brute-force build: every cell pair through the tiled pairwise kernel scan."""
+    """(self_conflicts, edges) of a brute-force build: every cell pair through
+    the tiled pairwise kernel scan."""
     n = n_bands(level)
     w = 2.0 ** (-level)
     bands = np.arange(n).repeat(n)
@@ -37,7 +38,7 @@ def reference_graph(level, margin=0.0):
     diagonal = with_self[:, 0] == with_self[:, 1]
     edges = with_self[~diagonal].astype(np.uint32)
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    return ConflictGraph(level, margin, with_self[diagonal, 0].astype(np.uint32), edges)
+    return with_self[diagonal, 0].astype(np.uint32), edges
 
 
 def brute_force_violations(selection, margin=0.0):
@@ -248,16 +249,67 @@ def test_graph_deterministic():
     a = build_conflict_graph(2)
     b = build_conflict_graph(2)
     assert a == b
+    assert a != build_conflict_graph(2, margin=0.05)
     assert isinstance(a, ConflictGraph)
+
+
+def _rewrite_lists(path, selfs, edges):
+    """Replace a saved cache's lists, with matching counts and checksum."""
+    edges = np.asarray(edges, "<u4").reshape(-1, 2)
+    body = np.asarray(selfs, "<u4").tobytes() + edges.tobytes()
+    header = conflicts._HEADER.unpack(path.read_bytes()[:conflicts._HEADER.size])
+    path.write_bytes(conflicts._HEADER.pack(*header[:4], len(selfs), len(edges),
+                                            hashlib.sha256(body).digest()) + body)
+
+
+def test_cache_not_circulant_rejected(tmp_path):
+    g = build_conflict_graph(2)
+    path = tmp_path / "g2.opfg"
+    save_graph(g, path)
+    # one edge missing: the table rebuilt from the rest still holds its rotations
+    dropped = np.delete(g.edges, 5, axis=0)
+    _rewrite_lists(path, g.self_conflicts, dropped)
+    with pytest.raises(CorruptCacheError, match="sector-circulant"):
+        load_graph(path)
+    # one edge missing and another repeated: the count matches, the order does not
+    _rewrite_lists(path, g.self_conflicts, np.insert(dropped, 0, g.edges[0], axis=0))
+    with pytest.raises(CorruptCacheError, match="out of order"):
+        load_graph(path)
+    # an ordinal beyond the level
+    _rewrite_lists(path, [], [[0, g.n_cells()]])
+    with pytest.raises(CorruptCacheError, match="out of range"):
+        load_graph(path)
+    # the original lists load back to the same graph
+    _rewrite_lists(path, g.self_conflicts, g.edges)
+    assert load_graph(path) == g
+    # a self-conflict list that does not cover whole bands
+    g1 = build_conflict_graph(1)
+    save_graph(g1, path)
+    _rewrite_lists(path, g1.self_conflicts[1:], g1.edges)
+    with pytest.raises(CorruptCacheError, match="sector-circulant"):
+        load_graph(path)
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.05])
 @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
 def test_table_graph_matches_pairwise_reference(level, margin):
     g = build_conflict_graph(level, margin)
-    ref = reference_graph(level, margin)
-    assert g == ref
+    ref_selfs, ref_edges = reference_graph(level, margin)
+    assert np.array_equal(g.self_conflicts, ref_selfs)
+    assert np.array_equal(g.edges, ref_edges)
     assert g.edges.dtype == g.self_conflicts.dtype == np.uint32
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.05])
+def test_table_symmetric_and_views_agree(margin):
+    # the search reads neighbour masks with the cell itself as the first
+    # argument, edges with the lower ordinal first: symmetry makes them agree
+    for level in range(6):
+        g = build_conflict_graph(level, margin)
+        n = n_bands(level)
+        assert np.array_equal(g.table, g.table.transpose(1, 0, 2)[:, :, -np.arange(n) % n])
+        degrees = np.bincount(g.edges.ravel(), minlength=g.n_cells())
+        assert np.array_equal(g.degrees(), degrees)
 
 
 @pytest.mark.parametrize("level", sorted(SAVED_GRAPH_SHA256))

@@ -144,8 +144,8 @@ def test_conv2_merges_touching_hulls():
     level = 3
     left = convex_hull(CellSet.from_cells(level, [(2, 1)]))
     right = convex_hull(CellSet.from_cells(level, [(2, 2)]))
-    decomp = ConvexDecomposition((left, right), polygon_distance(left, right))
-    assert decomp.pairwise_min_distance <= 1e-9
+    decomp = ConvexDecomposition((left, right), convexify._distance_matrix((left, right)))
+    assert decomp.pairwise_min_distance == polygon_distance(left, right) <= 1e-9
     merged, merges = conv2(decomp)
     assert merges == 1
     assert len(merged) == 1
@@ -168,9 +168,12 @@ def test_certify_flags_equator_straddling_polygon():
 
 
 def test_conv2_computes_each_pair_once(monkeypatch):
+    # a U of cells whose hull swallows a separate cell, plus a far cell
     level = 3
-    polys = tuple(convex_hull(CellSet.from_cells(level, [c]))
-                  for c in [(2, 1), (2, 2), (6, 9)])
+    u_shape = ([(b, 0) for b in range(2, 7)] + [(b, 4) for b in range(2, 7)]
+               + [(2, s) for s in range(1, 4)])
+    selection = CellSet.from_cells(level, u_shape + [(5, 2), (12, 10)])
+    assert len(connected_components(selection)) == 3
     calls = []
     seen = []  # holds every polygon passed, so no id is reused mid-test
     real = convexify.polygon_distance
@@ -181,16 +184,17 @@ def test_conv2_computes_each_pair_once(monkeypatch):
         return real(p1, p2)
 
     monkeypatch.setattr(convexify, "polygon_distance", recording)
-    merged, merges = conv2(ConvexDecomposition(polys, 0.0))
-    # three initial pairs, then the merged polygon against the far one
+    result = conv(selection)
+    # three pairs in conv1, then only the merged polygon against the far one
     assert len(calls) == 4
     # no pair is evaluated twice, in either order
     assert len(set(calls) | {(b, a) for a, b in calls}) == 2 * len(calls)
-    # values computed by the rescanning merge loop this replaced
-    assert merges == 1
-    assert [p.area() for p in merged.polygons] == [0.11153809205760012,
-                                                   0.05028633230358537]
-    assert merged.pairwise_min_distance == 1.8393689729169562
+    # values computed when conv1 and conv2 each built the distance matrix
+    assert result.merge_count == 1
+    assert [p.area() for p in result.decomposition.polygons] == [1.4212240826144864,
+                                                                 0.05101986354085852]
+    assert result.decomposition.pairwise_min_distance == 1.9546690339994526
+    assert result.opf_violations == ((0, 0),)
 
 
 def test_certify_two_rings_closed_form():

@@ -1,17 +1,150 @@
 import csv
+import hashlib
 import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
-from opfsets.conflicts import build_conflict_graph
-from opfsets.grid import CellSet, DyadicCell, all_cells, cell_from_ordinal
+from opfsets.conflicts import ConflictGraph, build_conflict_graph
+from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_from_ordinal,
+                          n_bands)
 from opfsets.search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION,
                             InfeasibleSelectionError, PUBLISHED_UPPER_BOUNDS,
                             SearchResult, double_cap_cellset, evaluate,
                             exact_mis, greedy_mis, local_search,
                             selection_graph_violations, write_leaderboard)
+
+# sha256 of the comma-joined ascending ordinals of each search result, and the
+# local-search iteration and exact-search node counts, as computed when the
+# search still ran on a dict of neighbour sets
+GREEDY_RANDOM_SHA256 = {  # (level, seed)
+    (2, 0): "05c71c8f5411f0e259249ed894af66b9dafa6c8923b03157b8ac2a04702e1b11",
+    (2, 1): "f37db8e0acb2598998dfa5682b7c84e13c854087ba584495793a57603edc8c7b",
+    (2, 2): "8b732ba6f7b0ff3ec4d66d6b53cd11c660c657b19bee972b0ff23bead6ec12dc",
+    (3, 0): "b844ae3f33ca7dd9f16ae742b1edd655b365b969e4fd80b87cfa74acf7b20770",
+    (3, 1): "1898bdb562fb721589b28ccc9c380721733e719378186b867dee83d5d2bb94a4",
+    (3, 2): "bf9062f49f81cbc3f3a8feb2e0685c44968be29c9da0d710621c295875bd53ac",
+    (4, 0): "305b697be7e7df60d95bcf876e0b0dcc4825da8081e53ad8f696d3928f18efab",
+    (4, 1): "c49aceaefcbfac78afc2e9366e4bdb77454f9bb62af1181dd171b5abc35c7ca1",
+    (4, 2): "3bf1f789e15dc52a741f6306bd7d9c2f7786cb962c85eb4031deeb8a17530e10",
+    (5, 0): "62772fe3cfbd325825393c4132eac3ff92579999899bc9492b5895ac317a638b",
+    (5, 1): "ade6390e945baffc67d4319e1dfb4075cf718fc8824cd63efbd8dd74dbe03a7d",
+    (5, 2): "8b847815dc02ef2a6811727dcdea4ce206802abd7bcf549a31737529aa4fb748",
+}
+GREEDY_MIN_DEGREE_SHA256 = {
+    2: "f37db8e0acb2598998dfa5682b7c84e13c854087ba584495793a57603edc8c7b",
+    3: "a4083b11f7f8760a51061d4a4d43254d3e0a96e2c2a384b9e1fd416abf22566e",
+    4: "cdbb02b93c3f12598c165395a2f6096dd40a22dd7cfcc7332d1433527b09ce51",
+}
+# local_search(iters=200, seed=0) from the greedy-random seed-0 selection
+LOCAL_SEARCH_PINS = {  # level: (sha256, iterations)
+    2: ("05c71c8f5411f0e259249ed894af66b9dafa6c8923b03157b8ac2a04702e1b11", 200),
+    3: ("b844ae3f33ca7dd9f16ae742b1edd655b365b969e4fd80b87cfa74acf7b20770", 200),
+    4: ("305b697be7e7df60d95bcf876e0b0dcc4825da8081e53ad8f696d3928f18efab", 200),
+    5: ("62772fe3cfbd325825393c4132eac3ff92579999899bc9492b5895ac317a638b", 200),
+}
+EXACT_PINS = {  # level: (sha256, nodes)
+    0: ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    1: ("dbd8e9774cf21e6a50e2771fd71691514e772ee5f7ad06a094a736c294c05040", 13),
+    2: ("f37db8e0acb2598998dfa5682b7c84e13c854087ba584495793a57603edc8c7b", 123),
+}
+
+
+def ordinals(selection):
+    return [DyadicCell(selection.level, b, s).ordinal for b, s in selection.members]
+
+
+def digest(selection):
+    return hashlib.sha256(",".join(map(str, ordinals(selection))).encode()).hexdigest()
+
+
+def reference_greedy(graph, order, seed=None):
+    """Greedy selection on the adjacency dict, as an ordinal list."""
+    adj = graph.adjacency()
+    selfs = set(int(o) for o in graph.self_conflicts)
+    free = [o for o in range(graph.n_cells()) if o not in selfs]
+    candidates = set(free)
+    chosen = []
+    if order == "random":
+        sequence = list(free)
+        np.random.default_rng(0 if seed is None else seed).shuffle(sequence)
+    while candidates:
+        if order == "random":
+            o = sequence.pop(0)
+            if o not in candidates:
+                continue
+        else:
+            o = min(candidates, key=lambda v: (len(adj[v] & candidates), v))
+        chosen.append(o)
+        candidates.discard(o)
+        candidates -= adj[o]
+    return sorted(chosen)
+
+
+def reference_local(graph, init, iters, seed):
+    """(1,2)-swap local search on the adjacency dict: (ordinals, iterations, swaps)."""
+    adj = graph.adjacency()
+    selfs = set(int(o) for o in graph.self_conflicts)
+    current = set(ordinals(init))
+    rng = np.random.default_rng(seed)
+
+    def fill():
+        for o in range(graph.n_cells()):
+            if o not in current and o not in selfs and not (adj[o] & current):
+                current.add(o)
+
+    fill()
+    steps = swaps = 0
+    for _ in range(iters):
+        steps += 1
+        if not current:
+            break
+        r = int(rng.choice(sorted(current)))
+        cands = sorted(o for o in adj[r] if o not in selfs and o not in current
+                       and len(adj[o] & current) == 1)
+        pair = next(((a, b) for a, b in itertools.combinations(cands, 2)
+                     if b not in adj[a]), None)
+        if pair:
+            current.discard(r)
+            current.update(pair)
+            fill()
+            swaps += 1
+    return sorted(current), steps, swaps
+
+
+def reference_exact(graph):
+    """Branch and bound on the adjacency dict: (ordinals, nodes)."""
+    adj = graph.adjacency()
+    selfs = set(int(o) for o in graph.self_conflicts)
+    best = reference_greedy(graph, "min-degree")
+    nodes = 0
+
+    def recurse(chosen, candidates):
+        nonlocal best, nodes
+        nodes += 1
+        if len(chosen) + len(candidates) <= len(best):
+            return
+        if not candidates:
+            best = sorted(chosen)
+            return
+        cset = set(candidates)
+        v = max(candidates, key=lambda o: (len(adj[o] & cset), -o))
+        rest = [o for o in candidates if o != v]
+        recurse(chosen + [v], [o for o in rest if o not in adj[v]])
+        recurse(chosen, rest)
+
+    recurse([], [o for o in range(graph.n_cells()) if o not in selfs])
+    return best, nodes
+
+
+def random_circulant_graph(level, density, seed):
+    """A symmetric sector-circulant relation that no sphere geometry produced."""
+    n = n_bands(level)
+    table = np.random.default_rng(seed).random((n, n, n)) < density
+    table |= table.transpose(1, 0, 2)[:, :, -np.arange(n) % n]
+    return ConflictGraph(level, 0.0, table)
 
 
 def test_published_bounds_ordering():
@@ -152,3 +285,50 @@ def test_ordinal_helpers_round_trip():
     for band, sector in result.selection.members:
         cell = DyadicCell(1, band, sector)
         assert cell_from_ordinal(1, cell.ordinal) == cell
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_search_outputs_pinned(level):
+    graph = build_conflict_graph(level)
+    for seed in range(3):
+        result = greedy_mis(graph, "random", seed=seed)
+        assert digest(result.selection) == GREEDY_RANDOM_SHA256[level, seed]
+    if level in GREEDY_MIN_DEGREE_SHA256:
+        result = greedy_mis(graph, "min-degree")
+        assert digest(result.selection) == GREEDY_MIN_DEGREE_SHA256[level]
+    start = greedy_mis(graph, "random", seed=0).selection
+    result = local_search(graph, start, iters=200, seed=0)
+    assert (digest(result.selection), result.iterations) == LOCAL_SEARCH_PINS[level]
+
+
+@pytest.mark.parametrize("level", sorted(EXACT_PINS))
+def test_exact_search_pinned(level):
+    result = exact_mis(build_conflict_graph(level))
+    assert (digest(result.selection), result.nodes) == EXACT_PINS[level]
+    assert result.optimal is True
+
+
+def test_search_matches_adjacency_reference():
+    # random circulant relations make local search swap, which the sphere's
+    # graphs never did from the pinned starts; some also self-conflict
+    graphs = [build_conflict_graph(level, margin)
+              for level in (1, 2, 3) for margin in (0.0, 0.05)]
+    graphs += [random_circulant_graph(level, density, seed)
+               for level, density, seed in ((1, 0.15, 0), (2, 0.05, 1), (2, 0.1, 2),
+                                            (3, 0.02, 3), (3, 0.04, 4))]
+    swaps = 0
+    for graph in graphs:
+        for order, seed in (("min-degree", None), ("random", 0), ("random", 7)):
+            result = greedy_mis(graph, order, seed=seed)
+            assert ordinals(result.selection) == reference_greedy(graph, order, seed)
+        # a third of a maximal selection, so fill() and swaps have room
+        start = CellSet.from_cells(graph.level, [
+            divmod(o, n_bands(graph.level)) for o in reference_greedy(graph, "random", 3)[::3]])
+        expect, steps, done = reference_local(graph, start, iters=60, seed=5)
+        result = local_search(graph, start, iters=60, seed=5)
+        assert (ordinals(result.selection), result.iterations) == (expect, steps)
+        swaps += done
+        if graph.n_cells() - len(graph.self_conflicts) <= 64:
+            result = exact_mis(graph)
+            assert (ordinals(result.selection), result.nodes) == reference_exact(graph)
+    assert swaps > 0
