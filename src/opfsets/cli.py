@@ -33,13 +33,14 @@ EXIT_CERTIFICATION = 5
 CACHE_ENV = "OPFSETS_CACHE_DIR"
 
 
-def _write_artifact(path: str, doc: dict) -> None:
+def _write_artifact(path: str, doc: dict, meta: dict | None = None) -> None:
+    """Write the deterministic artifact, and run metadata (plus meta) beside it."""
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
         f.write("\n")
     with open(path + ".meta.json", "w") as f:
         json.dump({"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                   "artifact": os.path.basename(path)}, f)
+                   "artifact": os.path.basename(path), **(meta or {})}, f)
         f.write("\n")
 
 
@@ -213,7 +214,7 @@ def cmd_scale(args) -> int:
     if args.out:
         doc = summary.to_json()
         doc["certification"] = {"violations": [list(v) for v in cert.violations]}
-        _write_artifact(args.out, doc)
+        _write_artifact(args.out, doc, {"pairs_evaluated": cert.pairs_evaluated})
     if not cert.ok:
         return EXIT_CERTIFICATION
     return EXIT_OK
@@ -342,13 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("scale", help="shrink a selection away from cell boundaries")
-    p.add_argument("--selection", required=True, help="CellSet JSON path")
+    p.add_argument("--selection", required=True,
+                   help="CellSet JSON path, or an `opfsets filter --out` report")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("convexify", help="components -> convex polygons pipeline")
-    p.add_argument("--selection", required=True, help="CellSet JSON path")
+    p.add_argument("--selection", required=True,
+                   help="CellSet JSON path, or an `opfsets filter --out` report")
     p.add_argument("--arc-samples", type=int, default=32)
     p.add_argument("--merge-tol", type=float, default=convexify.MERGE_TOL)
     p.add_argument("--out")

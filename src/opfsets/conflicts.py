@@ -218,37 +218,56 @@ class ConflictGraph:
                 and np.array_equal(self.table, other.table))
 
 
-def _pair_scan(boxes, margin: float, include_diagonal: bool,
-               tile: int = 1024):
-    """Yield (i, j) index pairs with i < j (or i <= j) whose dot ranges contain 0.
-
-    Tiled over both axes to bound peak memory at O(tile^2).
-    """
-    ulo, uhi, plo, phi_ = (np.asarray(a, dtype=float) for a in boxes)
-    m = len(ulo)
-    for r0 in range(0, m, tile):
-        r1 = min(r0 + tile, m)
-        rows = np.arange(r0, r1)
-        for c0 in range(r0, m, tile):
-            c1 = min(c0 + tile, m)
-            cols = np.arange(c0, c1)
-            lo, hi = dot_range_boxes_u(ulo[rows, None], uhi[rows, None],
-                                       plo[rows, None], phi_[rows, None],
-                                       ulo[None, cols], uhi[None, cols],
-                                       plo[None, cols], phi_[None, cols])
-            conflict = (lo - margin <= 0.0) & (hi + margin >= 0.0)
-            if include_diagonal:
-                conflict &= cols[None, :] >= rows[:, None]
-            else:
-                conflict &= cols[None, :] > rows[:, None]
-            ii, jj = np.nonzero(conflict)
-            if len(ii):
-                yield np.stack([rows[ii], cols[jj]], axis=1)
-
-
 # Table entries per kernel call: bounds the kernel's float temporaries to a
 # few tens of MB whatever the level.
 _CHUNK = 1 << 20
+
+# Consecutive boxes bounded together in the block pass of _pair_scan.
+_BLOCK = 8
+# Widens the block pass's margin: a block range contains its member ranges
+# exactly, but the kernel may round each by a few ulps.
+_BLOCK_SLACK = 1e-9
+
+
+def _pair_scan(boxes, margin: float) -> tuple[np.ndarray, int]:
+    """((k, 2) index pairs i <= j whose dot ranges contain 0, pairs evaluated).
+
+    Boxes are (ulo, uhi, plo, phi) arrays, azimuth in turns.  A block pass
+    bounds each run of _BLOCK consecutive boxes by one box and drops the block
+    pairs whose range misses [-margin, margin] by more than _BLOCK_SLACK; only
+    the element pairs of the surviving block pairs reach the kernel, so the
+    answer is the dense scan's.  The pairs come in no particular order.
+    """
+    ulo, uhi, plo, phi_ = (np.asarray(a, dtype=float) for a in boxes)
+    m = len(ulo)
+    if m == 0:
+        return np.empty((0, 2), dtype=np.int64), 0
+    starts = np.arange(0, m, _BLOCK)
+    blocks = (np.minimum.reduceat(ulo, starts), np.maximum.reduceat(uhi, starts),
+              np.minimum.reduceat(plo, starts), np.maximum.reduceat(phi_, starts))
+    nb, reach = len(starts), margin + _BLOCK_SLACK
+    offsets = np.arange(_BLOCK)
+    da, db = offsets.repeat(_BLOCK), np.tile(offsets, _BLOCK)
+    found, evaluated = [np.empty((0, 2), dtype=np.int64)], 0
+    step, pair_step = max(1, _CHUNK // nb), _CHUNK // _BLOCK**2
+    for r0 in range(0, nb, step):
+        rows, cols = np.arange(r0, min(r0 + step, nb)), np.arange(r0, nb)
+        lo, hi = dot_range_boxes_u(*(b[rows, None] for b in blocks),
+                                   *(b[None, cols] for b in blocks))
+        live = (lo - reach <= 0.0) & (hi + reach >= 0.0) & (cols[None, :] >= rows[:, None])
+        bi, bj = np.nonzero(live)
+        bi, bj = rows[bi], cols[bj]
+        for c0 in range(0, len(bi), pair_step):
+            i = (bi[c0:c0 + pair_step, None] * _BLOCK + da).ravel()
+            j = (bj[c0:c0 + pair_step, None] * _BLOCK + db).ravel()
+            keep = (j < m) & (j >= i)
+            i, j = i[keep], j[keep]
+            lo, hi = dot_range_boxes_u(ulo[i], uhi[i], plo[i], phi_[i],
+                                       ulo[j], uhi[j], plo[j], phi_[j])
+            hit = (lo - margin <= 0.0) & (hi + margin >= 0.0)
+            found.append(np.stack([i[hit], j[hit]], axis=1))
+            evaluated += len(i)
+    return np.concatenate(found), evaluated
 
 
 def _circulant_table(level: int, margin: float, bands) -> np.ndarray:

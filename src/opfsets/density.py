@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import CellSet, DyadicCell, cell_area, cell_bounds, locate_coords, n_bands
-from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, cap_area, to_polar
+from .grid import CellSet, DyadicCell, cell_area, cell_bounds, locate_coords_batch, n_bands
+from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, cap_area
 
 THEOREM_BETA = 1.0 / 64.0
 
@@ -65,14 +65,12 @@ class MembershipOracle:
                 inside |= points @ cap.center > math.cos(cap.radius)
             return inside
         if self.kind == "cell_set":
-            members = set(self.cell_set.members)
             level = self.cell_set.level
-            out = np.empty(len(points), dtype=bool)
-            for i, p in enumerate(points):
-                theta, phi = to_polar(p)
-                c = locate_coords(math.cos(theta), phi, level)
-                out[i] = (c.band, c.sector) in members
-            return out
+            n = n_bands(level)
+            members = np.asarray(self.cell_set.members, dtype=np.int64).reshape(-1, 2)
+            mask = np.zeros((n, n), dtype=bool)
+            mask[members[:, 0], members[:, 1]] = True
+            return mask[locate_coords_batch(*_polar_batch(points), level)]
         if self.kind == "polygon_set":
             out = np.zeros(len(points), dtype=bool)
             for poly in self.polygons:
@@ -82,17 +80,11 @@ class MembershipOracle:
             return out
         # sieve_fractal: survive iff no ancestor step down to levels 1..depth
         # takes the odd/odd child
-        out = np.empty(len(points), dtype=bool)
-        for i, p in enumerate(points):
-            theta, phi = to_polar(p)
-            u = math.cos(theta)
-            ok = True
-            for lvl in range(1, self.depth + 1):
-                c = locate_coords(u, phi, lvl)
-                if c.band % 2 == 1 and c.sector % 2 == 1:
-                    ok = False
-                    break
-            out[i] = ok
+        u, phi = _polar_batch(points)
+        out = np.ones(len(points), dtype=bool)
+        for lvl in range(1, self.depth + 1):
+            band, sector = locate_coords_batch(u, phi, lvl)
+            out &= (band % 2 == 0) | (sector % 2 == 0)
         return out
 
     def measure(self) -> float | None:
@@ -107,6 +99,18 @@ class MembershipOracle:
         if self.kind == "polygon_set":
             return sum(p.area() for p in self.polygons)
         return None
+
+
+def _polar_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos(theta), phi in [0, 2*pi)) of each point, as to_polar gives them.
+
+    cos(theta) is the clipped z itself: cos(acos(z)) would only add rounding.
+    np.arctan2 may differ from math.atan2 by an ulp, so a point within an ulp
+    of a sector edge may land in the neighbouring closed cell.
+    """
+    phi = np.mod(np.arctan2(points[:, 1], points[:, 0]), TWO_PI)
+    phi[phi >= TWO_PI] = 0.0
+    return np.clip(points[:, 2], -1.0, 1.0), phi
 
 
 def cap_oracle(center: np.ndarray, radius: float) -> MembershipOracle:

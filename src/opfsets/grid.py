@@ -102,6 +102,19 @@ def locate_coords(cos_theta: float, phi: float, level: int) -> DyadicCell:
     return DyadicCell(level, band, sector)
 
 
+def locate_coords_batch(cos_theta, phi, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(band, sector) arrays of locate_coords over arrays, with its tie rules."""
+    n = n_bands(level)
+    x = (1.0 - np.asarray(cos_theta, dtype=float)) * 2.0**level
+    band = np.floor(x)
+    band -= (band == x) & (band > 0)
+    y = np.mod(phi, TWO_PI) / (TWO_PI / n)
+    sector = np.floor(y)
+    sector -= (sector == y) & (sector > 0)
+    return (np.clip(band, 0, n - 1).astype(np.int64),
+            np.clip(sector, 0, n - 1).astype(np.int64))
+
+
 def locate_point(p: np.ndarray, level: int) -> DyadicCell:
     theta, phi = to_polar(p)
     return locate_coords(math.cos(theta), phi, level)
@@ -207,7 +220,16 @@ class CellSet:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CellSet":
-        return cls.from_cells(int(doc["level"]), doc["cells"])
+        """A CellSet document, or one whose "selected" member is (a filter report)."""
+        if isinstance(doc, dict) and isinstance(doc.get("selected"), dict):
+            doc = doc["selected"]
+        try:
+            level = int(doc["level"])
+            cells = [(int(b), int(s)) for b, s in doc["cells"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError('expected a CellSet {"level": k, "cells": [[band, sector], ...]} '
+                             'or a document whose "selected" member is one') from exc
+        return cls.from_cells(level, cells)
 
     def save(self, path) -> None:
         with open(path, "w") as f:

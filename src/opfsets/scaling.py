@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -253,31 +253,28 @@ class OpfCertification:
     n_regions: int
     margin: float
     violations: tuple  # (i, j) region indices, i == j for self-conflicts
+    # kernel evaluations of region pairs left after the block pass
+    pairs_evaluated: int = field(compare=False)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def verify_scaled_opf(regions, margin: float = 0.0,
-                      tile: int = 1024) -> OpfCertification:
+def verify_scaled_opf(regions, margin: float = 0.0) -> OpfCertification:
     """Check all region pairs (and self-pairs) for achievable inner product 0."""
-    from .conflicts import _pair_scan, dot_range_boxes_u
+    from .conflicts import _pair_scan
     from .sphere import TWO_PI
 
     regions = list(regions)
     live = [(i, r) for i, r in enumerate(regions) if not r.empty]
     if not live:
-        return OpfCertification(len(regions), margin, ())
+        return OpfCertification(len(regions), margin, (), 0)
     idx = np.array([i for i, _ in live])
     boxes = (np.array([math.cos(r.theta_hi) for _, r in live]),
              np.array([math.cos(r.theta_lo) for _, r in live]),
              np.array([r.phi_lo for _, r in live]) / TWO_PI,
              np.array([r.phi_hi for _, r in live]) / TWO_PI)
-    ulo, uhi, plo, phi = boxes
-    slo, shi = dot_range_boxes_u(ulo, uhi, plo, phi, ulo, uhi, plo, phi)
-    violations = [(int(idx[i]), int(idx[i]))
-                  for i in np.nonzero((slo - margin <= 0.0) & (shi + margin >= 0.0))[0]]
-    for chunk in _pair_scan(boxes, margin, include_diagonal=False, tile=tile):
-        violations.extend((int(idx[i]), int(idx[j])) for i, j in chunk)
-    return OpfCertification(len(regions), margin, tuple(sorted(violations)))
+    pairs, evaluated = _pair_scan(boxes, margin)
+    violations = sorted(zip(idx[pairs[:, 0]].tolist(), idx[pairs[:, 1]].tolist()))
+    return OpfCertification(len(regions), margin, tuple(violations), evaluated)

@@ -181,6 +181,27 @@ def test_scale_certification_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_scale_and_convexify_read_filter_report(tmp_path, capsys):
+    report = tmp_path / "filter.json"
+    assert main(["filter", "--oracle", "double-cap", "--level", "3",
+                 "--epsilon", "0.01", "--out", str(report)]) == EXIT_OK
+    out = tmp_path / "scale.json"
+    assert main(["scale", "--selection", str(report), "--epsilon", "0.01",
+                 "--out", str(out)]) == EXIT_OK
+    assert "0 violations" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["certification"] == {"violations": []}
+    # the work count goes to the sidecar, never into the primary artifact
+    meta = json.loads((tmp_path / "scale.json.meta.json").read_text())
+    assert 0 <= meta["pairs_evaluated"] <= 64 * 65 // 2
+    assert main(["convexify", "--selection", str(report)]) == EXIT_OK
+    assert "2 polygons" in capsys.readouterr().out
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"level": 3, "cells": [{"band": 0, "sector": 0}]}))
+    assert main(["scale", "--selection", str(bad), "--epsilon", "0.01"]) == EXIT_USAGE
+    assert '"selected"' in capsys.readouterr().err
+
+
 def test_scale_missing_selection(tmp_path, capsys):
     assert main(["scale", "--selection", str(tmp_path / "nope.json"),
                  "--epsilon", "0.01"]) == EXIT_USAGE

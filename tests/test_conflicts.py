@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from opfsets import conflicts
 from opfsets.conflicts import (ConflictGraph, CorruptCacheError, DotRange,
                                ResourceCapError, _pair_scan, build_conflict_graph,
-                               cells_conflict, dot_range_boxes, dot_range_cells,
-                               load_graph, save_graph, selection_violations)
-from opfsets.grid import (CellSet, DyadicCell, antipodal_cell, cell_bounds,
+                               cells_conflict, dot_range_boxes, dot_range_boxes_u,
+                               dot_range_cells, load_graph, save_graph,
+                               selection_violations)
+from opfsets.density import cap_union_oracle, select_dense_cells
+from opfsets.grid import (CellSet, DyadicCell, all_cells, antipodal_cell, cell_bounds,
                           cell_from_ordinal, n_bands)
-from opfsets.search import selection_graph_violations
-from opfsets.sphere import from_polar
+from opfsets.scaling import (choose_constants, largest_feasible_epsilon, scale_set,
+                             shrink_cell, verify_scaled_opf)
+from opfsets.search import double_cap_cellset, selection_graph_violations
+from opfsets.sphere import TWO_PI, Cap, from_polar
 
 # sha256 of save_graph output at margin 0, as written when graphs were still
 # built by the pairwise scan, so .opfg bytes stay fixed across the table build
@@ -26,19 +30,43 @@ SAVED_GRAPH_SHA256 = {
 }
 
 
+def sorted_pairs(pairs):
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def dense_pair_scan(boxes, margin, tile=1024):
+    """Lexicographically sorted (i, j) pairs, i <= j, whose dot ranges contain 0
+    within margin: every pair through the kernel, tiled over both axes."""
+    ulo, uhi, plo, phi = (np.asarray(a, dtype=float) for a in boxes)
+    m = len(ulo)
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for r0 in range(0, m, tile):
+        rows = np.arange(r0, min(r0 + tile, m))
+        for c0 in range(r0, m, tile):
+            cols = np.arange(c0, min(c0 + tile, m))
+            lo, hi = dot_range_boxes_u(ulo[rows, None], uhi[rows, None],
+                                       plo[rows, None], phi[rows, None],
+                                       ulo[None, cols], uhi[None, cols],
+                                       plo[None, cols], phi[None, cols])
+            conflict = (lo - margin <= 0.0) & (hi + margin >= 0.0)
+            conflict &= cols[None, :] >= rows[:, None]
+            ii, jj = np.nonzero(conflict)
+            found.append(np.stack([rows[ii], cols[jj]], axis=1))
+    return sorted_pairs(np.concatenate(found))
+
+
 def reference_graph(level, margin=0.0):
     """(self_conflicts, edges) of a brute-force build: every cell pair through
-    the tiled pairwise kernel scan."""
+    the dense pairwise kernel scan."""
     n = n_bands(level)
     w = 2.0 ** (-level)
     bands = np.arange(n).repeat(n)
     sectors = np.tile(np.arange(n), n)
     boxes = (1.0 - (bands + 1) * w, 1.0 - bands * w, sectors / n, (sectors + 1) / n)
-    with_self = np.concatenate(list(_pair_scan(boxes, margin, include_diagonal=True)))
+    with_self = dense_pair_scan(boxes, margin)
     diagonal = with_self[:, 0] == with_self[:, 1]
-    edges = with_self[~diagonal].astype(np.uint32)
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    return with_self[diagonal, 0].astype(np.uint32), edges
+    return (with_self[diagonal, 0].astype(np.uint32),
+            with_self[~diagonal].astype(np.uint32))
 
 
 def brute_force_violations(selection, margin=0.0):
@@ -298,6 +326,83 @@ def test_table_graph_matches_pairwise_reference(level, margin):
     assert np.array_equal(g.self_conflicts, ref_selfs)
     assert np.array_equal(g.edges, ref_edges)
     assert g.edges.dtype == g.self_conflicts.dtype == np.uint32
+
+
+def region_boxes(regions):
+    """(ulo, uhi, plo, phi) of the nonempty regions, azimuth in turns, as
+    verify_scaled_opf builds them."""
+    live = [r for r in regions if not r.empty]
+    return (np.array([math.cos(r.theta_hi) for r in live]),
+            np.array([math.cos(r.theta_lo) for r in live]),
+            np.array([r.phi_lo for r in live]) / TWO_PI,
+            np.array([r.phi_hi for r in live]) / TWO_PI)
+
+
+def random_boxes(rng, m):
+    """m boxes in random order: a fifth touch a pole, a fifth wrap past one
+    turn, a tenth have zero width in u and a tenth in azimuth."""
+    ulo = rng.uniform(-1.0, 1.0, m)
+    uhi = np.minimum(1.0, ulo + rng.uniform(0.0, 0.2, m))
+    plo = rng.uniform(0.0, 1.0, m)
+    phi = plo + rng.uniform(0.0, 0.1, m)
+    kind = rng.integers(0, 10, m)
+    uhi[kind == 0] = 1.0
+    ulo[kind == 1] = -1.0
+    plo[kind == 2] = rng.uniform(0.9, 1.0, np.count_nonzero(kind == 2))
+    phi[kind == 2] = plo[kind == 2] + 0.15
+    plo[kind == 3] = rng.uniform(0.95, 1.0, np.count_nonzero(kind == 3))
+    phi[kind == 3] = plo[kind == 3] + 0.3
+    uhi[kind == 4] = ulo[kind == 4]
+    phi[kind == 5] = plo[kind == 5]
+    return ulo, uhi, plo, phi
+
+
+def scaled_region_cases():
+    """(name, regions): rotated caps at level 5 and the level-3 sphere, unshrunk
+    (boxes in radians, so many decisions sit within ulps of zero) and scaled."""
+    rotated = np.array([1.0, 2.0, 2.0]) / 3.0
+    caps = cap_union_oracle([Cap(rotated, math.pi / 4.0), Cap(-rotated, math.pi / 4.0)])
+    rotcap = select_dense_cells(caps, 5, 0.01).selected
+    full3 = CellSet.from_cells(3, all_cells(3))
+    full_eps = 0.9 * largest_feasible_epsilon(full3.measure())
+    return [("rotcap-l5", scale_set(rotcap, choose_constants(0.01, rotcap.measure())).regions),
+            ("full-l3-unshrunk", [shrink_cell(c, 0.0) for c in full3.cells()]),
+            ("full-l3-scaled", scale_set(full3, choose_constants(full_eps,
+                                                                 full3.measure())).regions)]
+
+
+def check_pair_scan(boxes, margin):
+    """Compare _pair_scan with the dense scan, diagonal included; return the
+    dense pairs."""
+    want = dense_pair_scan(boxes, margin)
+    got, evaluated = _pair_scan(boxes, margin)
+    assert np.array_equal(sorted_pairs(got), want)
+    m = len(boxes[0])
+    assert len(want) <= evaluated <= m * (m + 1) // 2
+    return want
+
+
+def test_pair_scan_matches_dense():
+    for name, regions in scaled_region_cases():
+        live = np.array([i for i, r in enumerate(regions) if not r.empty])
+        for margin in (0.0, 0.05):
+            want = check_pair_scan(region_boxes(regions), margin)
+            assert margin == 0.0 or len(want), name
+            cert = verify_scaled_opf(regions, margin)
+            assert cert.violations == tuple(map(tuple, live[want].tolist())), (name, margin)
+    check_pair_scan(random_boxes(np.random.default_rng(11), 2003), 0.0)
+    single = tuple(np.array([v]) for v in (-0.1, 0.1, 0.2, 0.5))  # over a quarter turn wide
+    assert check_pair_scan(single, 0.0).tolist() == [[0, 0]]
+    assert len(check_pair_scan(tuple(np.empty(0) for _ in range(4)), 0.0)) == 0
+
+
+def test_block_pass_prunes_double_cap():
+    sel = double_cap_cellset(5)
+    regions = scale_set(sel, choose_constants(0.01, sel.measure())).regions
+    m = sum(not r.empty for r in regions)
+    cert = verify_scaled_opf(regions)
+    assert cert.ok and m > 1000
+    assert cert.pairs_evaluated < 0.01 * m * (m + 1) // 2
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.05])

@@ -11,8 +11,9 @@ from opfsets.density import (CoveringReport, DensityReport, MembershipOracle,
                              double_cap_oracle, estimate_cell_density,
                              polygon_set_oracle, sample_in_cell,
                              select_dense_cells, sieve_fractal_oracle)
-from opfsets.grid import CellSet, DyadicCell, cell_area, cell_bounds
-from opfsets.sphere import SPHERE_AREA, Cap, cap_area, from_polar
+from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_area, cell_bounds,
+                          locate_coords, locate_coords_batch, n_bands)
+from opfsets.sphere import SPHERE_AREA, Cap, cap_area, from_polar, sample_uniform_batch, to_polar
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -44,6 +45,65 @@ def test_contains_batch_matches_scalar():
     for o in oracles:
         batch = o.contains_batch(pts)
         assert all(bool(batch[i]) == o.contains(pts[i]) for i in range(len(pts)))
+
+
+def scalar_sieve_member(p, depth):
+    """Membership by the scalar chain: to_polar, then locate_coords per level."""
+    theta, phi = to_polar(p)
+    cells = (locate_coords(math.cos(theta), phi, lvl) for lvl in range(1, depth + 1))
+    return all(c.band % 2 == 0 or c.sector % 2 == 0 for c in cells)
+
+
+def points_at(u, phi):
+    s = np.sqrt(1.0 - u * u)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), u], axis=1)
+
+
+def test_vectorised_membership_matches_scalar_path():
+    rng = np.random.default_rng(9)
+    pts = np.concatenate([sample_uniform_batch(rng, 4000)]
+                         + [sample_in_cell(c, 8, rng) for c in all_cells(3)])
+    o = sieve_fractal_oracle(4)
+    assert o.contains_batch(pts).tolist() == [scalar_sieve_member(p, 4) for p in pts]
+    sel = CellSet.from_cells(3, [(b, s) for b, s in zip(rng.integers(0, 16, 60),
+                                                        rng.integers(0, 16, 60))])
+    located = [locate_coords(math.cos(t), f, 3) for t, f in map(to_polar, pts)]
+    assert cell_set_oracle(sel).contains_batch(pts).tolist() == [
+        (c.band, c.sector) in sel.members for c in located]
+    assert not cell_set_oracle(CellSet.from_cells(3, [])).contains_batch(pts).any()
+
+
+def test_vectorised_membership_band_edge_ties():
+    depth = 3
+    n = n_bands(depth)
+    # u exactly on every level-3 band edge off the poles (these include the
+    # coarser edges); azimuths at sector centres, far from any sector edge
+    u = np.repeat(1.0 - np.arange(1, n) * 2.0 ** (-depth), n)
+    phi = np.tile((np.arange(n) + 0.5) * (2.0 * math.pi / n), n - 1)
+    pts = points_at(u, phi)
+    assert np.array_equal(pts[:, 2], u)
+    # the documented rule: a point on a band edge belongs to the lower band index
+    want = [all(c.band % 2 == 0 or c.sector % 2 == 0
+                for c in (locate_coords(a, f, lvl) for lvl in range(1, depth + 1)))
+            for a, f in zip(u, phi)]
+    assert sieve_fractal_oracle(depth).contains_batch(pts).tolist() == want
+    band, _ = locate_coords_batch(u, phi, depth)
+    assert band.tolist() == np.repeat(np.arange(n - 1), n).tolist()
+
+
+def test_located_cells_contain_their_points():
+    rng = np.random.default_rng(10)
+    n = n_bands(4)
+    u = np.concatenate([rng.uniform(-1.0, 1.0, 2000), 1.0 - np.arange(n + 1) / 16.0])
+    phi = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 2000),
+                          rng.uniform(0.0, 2.0 * math.pi, n + 1)])
+    pts = points_at(u, phi)
+    p_u, p_phi = np.clip(pts[:, 2], -1.0, 1.0), np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
+    for level in range(5):
+        for b, s, a, f in zip(*locate_coords_batch(p_u, p_phi, level), p_u, p_phi):
+            (ulo, uhi), (plo, phi_hi) = cell_bounds(DyadicCell(level, int(b), int(s)))
+            assert ulo - 1e-12 <= a <= uhi + 1e-12
+            assert plo - 1e-12 <= f <= phi_hi + 1e-12
 
 
 def test_double_cap_analytic_densities_level2():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from opfsets.grid import (CellSet, DyadicCell, all_cells, antipodal_cell,
                           cell_area, cell_bounds, cell_count, cell_from_ordinal,
-                          locate_coords, locate_point, n_bands, neighbors,
-                          parent, refine, theta_bounds)
+                          locate_coords, locate_coords_batch, locate_point, n_bands,
+                          neighbors, parent, refine, theta_bounds)
 from opfsets.sphere import from_polar
 
 levels = st.integers(0, 6)
@@ -66,6 +66,24 @@ def test_locate_ties_go_low():
     # phi boundary at pi/2 belongs to the lower sector
     assert locate_coords(0.9, math.pi / 2.0, 1).sector in (0, 1)
     assert locate_coords(0.9, 0.0, 1).sector == 0
+
+
+def test_locate_coords_batch_matches_scalar():
+    rng = np.random.default_rng(5)
+    for level in range(6):
+        n = n_bands(level)
+        w = 2.0 ** (-level)
+        edges_u = 1.0 - np.arange(n + 1) * w
+        edges_phi = np.arange(n + 1) * (2.0 * math.pi / n)
+        u = np.concatenate([rng.uniform(-1.0, 1.0, 500), edges_u, rng.choice(edges_u, 50)])
+        phi = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 500),
+                              rng.choice(edges_phi, n + 1), rng.choice(edges_phi, 50)])
+        band, sector = locate_coords_batch(u, phi, level)
+        assert [(int(b), int(s)) for b, s in zip(band, sector)] == [
+            (c.band, c.sector) for c in (locate_coords(a, p, level) for a, p in zip(u, phi))]
+        # a u on a band edge goes to the band above it (the lower index)
+        on_edge, _ = locate_coords_batch(edges_u, np.full(n + 1, 0.1), level)
+        assert on_edge.tolist() == [0] + list(range(n))
 
 
 @given(cells(max_level=5))
