@@ -8,8 +8,8 @@ boundaries, and convexifies them into disjoint spherical polygons.
 
 from .conflicts import (ConflictGraph, CorruptCacheError, DotRange,
                         ResourceCapError, build_conflict_graph, cells_conflict,
-                        dot_range_boxes, dot_range_cells, load_graph,
-                        save_graph, selection_violations)
+                        dot_range_cells, load_graph, save_graph,
+                        selection_violations)
 from .convexify import (ConvResult, ConvexDecomposition, ConvexPolygon,
                         HullInfeasibleError, certify_opf_polygons, check_pasch,
                         check_triangle_lemma, connected_components, conv, conv1,
@@ -36,8 +36,8 @@ from .search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION,
                      write_leaderboard)
 from .sphere import (Cap, GeodesicSegment, InfeasibleShrinkError,
                      OutOfHemisphereError, cap_area, from_polar,
-                     geodesic_distance, gnomonic_project, gnomonic_unproject,
-                     lune_half_angle, sample_uniform, sample_uniform_batch,
+                     geodesic_distance, gnomonic_project_batch,
+                     gnomonic_unproject, lune_half_angle, sample_uniform_batch,
                      spherical_polygon_area, to_polar, unit_vector)
 
 __version__ = "0.1.0"

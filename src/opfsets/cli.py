@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import conflicts, convexify, density, scaling, search
-from .grid import CellSet, all_cells, cell_area, cell_count
+from .grid import CellSet, all_cells, cell_area, cell_count, write_json
 from .sphere import SPHERE_AREA
 
 EXIT_OK = 0
@@ -35,9 +36,7 @@ CACHE_ENV = "OPFSETS_CACHE_DIR"
 
 def _write_artifact(path: str, doc: dict, meta: dict | None = None) -> None:
     """Write the deterministic artifact, and run metadata (plus meta) beside it."""
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(path, doc)
     with open(path + ".meta.json", "w") as f:
         json.dump({"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                    "artifact": os.path.basename(path), **(meta or {})}, f)
@@ -118,11 +117,8 @@ def cmd_search(args) -> int:
             init = (search.double_cap_cellset(args.level) if args.init == "double-cap"
                     else CellSet.from_cells(args.level, []))
             result = search.local_search(graph, init, iters=args.iters, seed=args.seed)
-        elif args.method == "exact":
+        else:  # exact; argparse's choices admit no other method
             result = search.exact_mis(graph, node_budget=args.node_budget)
-        else:
-            print(f"error: unknown method {args.method!r}", file=sys.stderr)
-            return EXIT_USAGE
     except search.InfeasibleSelectionError as exc:
         print(f"error: infeasible initial selection: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -152,12 +148,16 @@ def _build_oracle(args) -> density.MembershipOracle:
         return density.double_cap_oracle(args.radius)
     if args.oracle == "cap":
         center = np.array([float(x) for x in args.center.split(",")])
-        return density.cap_oracle(center / np.linalg.norm(center), args.radius)
+        norm = np.linalg.norm(center)
+        if center.shape != (3,) or not 0.0 < norm < math.inf:
+            raise ValueError(f"--center {args.center!r}: want three finite "
+                             "components x,y,z with a nonzero norm")
+        return density.cap_oracle(center / norm, args.radius)
     if args.oracle == "cell-set":
+        if args.cells is None:
+            raise ValueError("--oracle cell-set needs --cells")
         return density.cell_set_oracle(CellSet.load(args.cells))
-    if args.oracle == "sieve":
-        return density.sieve_fractal_oracle(args.depth)
-    raise ValueError(f"unknown oracle {args.oracle!r}")
+    return density.sieve_fractal_oracle(args.depth)
 
 
 def cmd_filter(args) -> int:
@@ -344,14 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="shrink a selection away from cell boundaries")
     p.add_argument("--selection", required=True,
-                   help="CellSet JSON path, or an `opfsets filter --out` report")
+                   help="CellSet JSON path, or an `opfsets filter --out` or "
+                        "`opfsets search --out` artifact")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("convexify", help="components -> convex polygons pipeline")
     p.add_argument("--selection", required=True,
-                   help="CellSet JSON path, or an `opfsets filter --out` report")
+                   help="CellSet JSON path, or an `opfsets filter --out` or "
+                        "`opfsets search --out` artifact")
     p.add_argument("--arc-samples", type=int, default=32)
     p.add_argument("--merge-tol", type=float, default=convexify.MERGE_TOL)
     p.add_argument("--out")
@@ -367,35 +369,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _splice_config(argv: list, args) -> list:
+    """argv with the config entries as flags right after the command, so explicit
+    flags win; the command is the first token not part of a --config option."""
+    flags = []
+    for key, value in _read_config(args.config).items():
+        if key not in vars(args) or key in ("config", "command", "func"):
+            raise ValueError(f"unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        tokens = shlex.split(value)
+        flags += [f"{flag}={tokens[0]}"] if len(tokens) == 1 else [flag, *tokens]
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return argv[:i + 1] + flags + argv[i + 1:]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_splice_config(argv, args))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.config:
-        try:
-            overrides = _read_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        known = vars(args)
-        int_keys = {"level", "seed", "iters", "samples", "depth", "max_level",
-                    "node_budget"}
-        float_keys = {"margin", "epsilon", "radius", "merge_tol"}
-        given = argv if argv is not None else sys.argv[1:]
-        for key, value in overrides.items():
-            if key not in known:
-                print(f"error: unknown config key {key!r}", file=sys.stderr)
-                return EXIT_USAGE
-            # config supplies defaults; explicit flags win
-            if f"--{key.replace('_', '-')}" in given:
-                continue
-            if key in int_keys:
-                value = int(value)
-            elif key in float_keys:
-                value = float(value)
-            setattr(args, key, value)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:

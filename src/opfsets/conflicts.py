@@ -118,14 +118,6 @@ def dot_range_boxes_u(u1lo, u1hi, p1lo, p1hi, u2lo, u2hi, p2lo, p2hi):
     return np.clip(lo, -1.0, 1.0), np.clip(hi, -1.0, 1.0)
 
 
-def dot_range_boxes(t1lo, t1hi, p1lo, p1hi, t2lo, t2hi, p2lo, p2hi):
-    """Radian adapter: theta intervals in [0, pi], phi intervals in radians."""
-    return dot_range_boxes_u(np.cos(np.asarray(t1hi)), np.cos(np.asarray(t1lo)),
-                             np.asarray(p1lo) / TWO_PI, np.asarray(p1hi) / TWO_PI,
-                             np.cos(np.asarray(t2hi)), np.cos(np.asarray(t2lo)),
-                             np.asarray(p2lo) / TWO_PI, np.asarray(p2hi) / TWO_PI)
-
-
 def _cell_box_u(cell: DyadicCell) -> tuple[float, float, float, float]:
     """(ulo, uhi, phi_lo_turns, phi_hi_turns) with exact dyadic boundaries."""
     (cos_lo, cos_hi), _ = cell_bounds(cell)

@@ -13,14 +13,13 @@ per-edge sampling resolution grows.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .grid import CellSet, DyadicCell, cell_bounds, neighbors, theta_bounds
+from .grid import CellSet, DyadicCell, cell_bounds, neighbors, theta_bounds, write_json
 from .sphere import (GeodesicSegment, NORMALIZATION_TOL, PREDICATE_TOL,
                      from_polar, geodesic_distance, gnomonic_project_batch,
                      gnomonic_unproject, spherical_polygon_area, tangent_basis)
@@ -60,25 +59,22 @@ class ConvexPolygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edges(self):
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
-
     def contains(self, p: np.ndarray, tol: float = PREDICATE_TOL) -> bool:
-        if float(p @ self.hemisphere_center) <= 0.0:
-            return False
-        for a, b in self.edges():
-            if float(p @ np.cross(a, b)) < -tol:
-                return False
-        return True
+        return bool(self.contains_batch(np.reshape(p, (1, 3)), tol)[0])
+
+    def contains_batch(self, points: np.ndarray, tol: float = PREDICATE_TOL) -> np.ndarray:
+        """Rowwise closed containment of an (m, 3) array, edges widened by tol."""
+        a = self.vertices
+        inside = (points @ self.hemisphere_center) > 0.0
+        inside &= np.all(points @ np.cross(a, np.roll(a, -1, axis=0)).T >= -tol, axis=1)
+        return inside
 
     def area(self) -> float:
         return spherical_polygon_area(self.vertices)
 
     def boundary_samples(self, per_edge: int = 8) -> np.ndarray:
         pts = []
-        for a, b in self.edges():
+        for a, b in zip(self.vertices, np.roll(self.vertices, -1, axis=0)):
             seg = GeodesicSegment(a, b)
             for j in range(per_edge):
                 pts.append(seg.point_at(j / per_edge))
@@ -89,22 +85,6 @@ class ConvexPolygon:
             "vertices": [[float(f"{x:.17g}") for x in v] for v in self.vertices],
             "hemisphere_center": [float(f"{x:.17g}") for x in self.hemisphere_center],
         }
-
-
-def _prune_collinear(planar: np.ndarray, order: np.ndarray, tol: float = 1e-13) -> list:
-    kept = list(order)
-    changed = True
-    while changed and len(kept) > 3:
-        changed = False
-        for i in range(len(kept)):
-            a = planar[kept[i - 1]]
-            v = planar[kept[i]]
-            b = planar[kept[(i + 1) % len(kept)]]
-            if abs(_cross2(b - v, v - a)) <= tol * max(1.0, np.abs(b - a).max()):
-                kept.pop(i)
-                changed = True
-                break
-    return kept
 
 
 def convex_polygon_from_points(points: np.ndarray,
@@ -127,8 +107,7 @@ def convex_polygon_from_points(points: np.ndarray,
         hull = ConvexHull(planar)
     except QhullError as exc:
         raise HullInfeasibleError(f"degenerate point set: {exc}") from exc
-    order = _prune_collinear(planar, hull.vertices)
-    verts = pts[order]
+    verts = pts[hull.vertices]
     verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
     return ConvexPolygon(verts, center)
 
@@ -180,6 +159,8 @@ def convex_hull(component: CellSet, arc_samples: int = 32,
     """
     if len(component) == 0:
         raise ValueError("cannot hull an empty component")
+    if arc_samples < 1:
+        raise ValueError(f"arc_samples must be at least 1, got {arc_samples}")
     poly = convex_polygon_from_points(_component_boundary_points(component, arc_samples))
     if adaptive_tol is None:
         return poly
@@ -218,9 +199,7 @@ class ConvexDecomposition:
                 "pairwise_min_distance": self.pairwise_min_distance}
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+        write_json(path, self.to_json())
 
 
 def _edge_arrays(poly: ConvexPolygon):
@@ -230,15 +209,6 @@ def _edge_arrays(poly: ConvexPolygon):
     n = np.cross(a, b)
     norms = np.linalg.norm(n, axis=1, keepdims=True)
     return a, b, n / np.maximum(norms, NORMALIZATION_TOL)
-
-
-def _contains_batch(poly: ConvexPolygon, points: np.ndarray,
-                    tol: float = PREDICATE_TOL) -> np.ndarray:
-    a = poly.vertices
-    b = np.roll(a, -1, axis=0)
-    inside = (points @ poly.hemisphere_center) > 0.0
-    inside &= np.all(points @ np.cross(a, b).T >= -tol, axis=1)
-    return inside
 
 
 def _on_arcs(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -317,7 +287,7 @@ def polygon_distance(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
     e1 = _edge_arrays(p1)
     e2 = _edge_arrays(p2)
     for poly, other, arcs in ((p1, p2, e2), (p2, p1, e1)):
-        if _contains_batch(other, poly.vertices).any():
+        if other.contains_batch(poly.vertices).any():
             return 0.0
         dmin = min(dmin, float(_points_arcs_min(poly.vertices, *arcs).min()))
     if dmin > 0.0 and _arcs_cross(e1, e2):
@@ -424,7 +394,7 @@ def conv(selection: CellSet, arc_samples: int = 32,
 
 def _distance_to_polygon_batch(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
     d = _points_arcs_min(points, *_edge_arrays(poly))
-    d[_contains_batch(poly, points)] = 0.0
+    d[poly.contains_batch(points)] = 0.0
     return d
 
 
@@ -490,7 +460,7 @@ def check_triangle_lemma(decomp: ConvexDecomposition, trials: int = 1000,
         seg = GeodesicSegment(x, z)
         pts = np.stack([seg.point_at(j / segment_samples)
                         for j in range(segment_samples + 1)])
-        if not _contains_batch(poly, pts, tol=1e-7).all():
+        if not poly.contains_batch(pts, tol=1e-7).all():
             violations.append((t, "segment"))
     return PropertyReport(trials, tuple(violations))
 

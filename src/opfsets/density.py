@@ -10,15 +10,15 @@ general fallback is Monte Carlo with reported standard errors.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import CellSet, DyadicCell, cell_area, cell_bounds, locate_coords_batch, n_bands
-from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, cap_area
+from .grid import (CellSet, DyadicCell, cell_area, cell_bounds, locate_coords_batch,
+                   n_bands, write_json)
+from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, cap_area, sample_uniform_batch
 
 THEOREM_BETA = 1.0 / 64.0
 
@@ -27,8 +27,8 @@ THEOREM_BETA = 1.0 / 64.0
 class MembershipOracle:
     """Deterministic point-membership test for one of a few set families.
 
-    kinds: "cap" (union of geodesic discs), "double_cap" (polar discs of one
-    radius), "cell_set" (union of dyadic cells), "polygon_set" (union of
+    kinds: "cap" (union of disjoint geodesic discs, the double cap among
+    them), "cell_set" (union of dyadic cells), "polygon_set" (union of
     spherical convex polygons), "sieve_fractal" (depth-truncated fractal that
     keeps 3 of the 4 children of every cell, dropping the odd/odd child).
     """
@@ -40,7 +40,7 @@ class MembershipOracle:
     depth: int = 0
 
     def __post_init__(self):
-        kinds = {"cap", "double_cap", "cell_set", "polygon_set", "sieve_fractal"}
+        kinds = {"cap", "cell_set", "polygon_set", "sieve_fractal"}
         if self.kind not in kinds:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
         # touching caps are fine: PREDICATE_TOL absorbs the rounding of the
@@ -59,7 +59,7 @@ class MembershipOracle:
 
     def contains_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        if self.kind in ("cap", "double_cap"):
+        if self.kind == "cap":
             inside = np.zeros(len(points), dtype=bool)
             for cap in self.caps:
                 inside |= points @ cap.center > math.cos(cap.radius)
@@ -74,9 +74,7 @@ class MembershipOracle:
         if self.kind == "polygon_set":
             out = np.zeros(len(points), dtype=bool)
             for poly in self.polygons:
-                for i, p in enumerate(points):
-                    if not out[i]:
-                        out[i] = poly.contains(p)
+                out |= poly.contains_batch(points)
             return out
         # sieve_fractal: survive iff no ancestor step down to levels 1..depth
         # takes the odd/odd child
@@ -89,7 +87,7 @@ class MembershipOracle:
 
     def measure(self) -> float | None:
         """Exact measure of M in steradians when a closed form exists."""
-        if self.kind in ("cap", "double_cap"):
+        if self.kind == "cap":
             # __post_init__ rejects overlapping caps, so the areas add
             return sum(cap_area(c.radius) for c in self.caps)
         if self.kind == "cell_set":
@@ -120,7 +118,7 @@ def cap_union_oracle(caps) -> MembershipOracle:
     return MembershipOracle("cap", caps=tuple(caps))
 
 def double_cap_oracle(radius: float = math.pi / 4.0) -> MembershipOracle:
-    return MembershipOracle("double_cap", caps=(
+    return MembershipOracle("cap", caps=(
         Cap(np.array([0.0, 0.0, 1.0]), radius), Cap(np.array([0.0, 0.0, -1.0]), radius)))
 
 def cell_set_oracle(selection: CellSet) -> MembershipOracle:
@@ -213,7 +211,7 @@ def _cell_set_density(oracle_set: CellSet, cell: DyadicCell) -> float:
 
 def analytic_cell_density(oracle: MembershipOracle, cell: DyadicCell) -> float | None:
     """Exact density when the oracle kind admits a closed form, else None."""
-    if oracle.kind in ("cap", "double_cap"):
+    if oracle.kind == "cap":
         return min(1.0, sum(_cap_cell_density(c, cell) for c in oracle.caps))
     if oracle.kind == "cell_set":
         return _cell_set_density(oracle.cell_set, cell)
@@ -281,9 +279,7 @@ class DensityReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+        write_json(path, self.to_json())
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -354,7 +350,6 @@ def covering_report(oracle: MembershipOracle, selection: CellSet,
         mu_m, mu_m_err = exact_m, 0.0
     else:
         rng = np.random.default_rng([seed, 1])
-        from .sphere import sample_uniform_batch
         pts = sample_uniform_batch(rng, samples)
         hit = np.count_nonzero(oracle.contains_batch(pts)) / samples
         mu_m = SPHERE_AREA * hit

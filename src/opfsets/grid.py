@@ -172,6 +172,13 @@ def all_cells(level: int):
             yield DyadicCell(level, band, sector)
 
 
+def write_json(path, doc: dict) -> None:
+    """Write doc as an artifact: sorted keys, compact separators, one newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        f.write("\n")
+
+
 @dataclass(frozen=True)
 class CellSet:
     """A finite selection of cells at one level, in canonical band-major order."""
@@ -220,21 +227,21 @@ class CellSet:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CellSet":
-        """A CellSet document, or one whose "selected" member is (a filter report)."""
-        if isinstance(doc, dict) and isinstance(doc.get("selected"), dict):
-            doc = doc["selected"]
+        """A CellSet document, or one whose "selected" (a filter report) or
+        "selection" (a search result) member is one."""
+        for key in ("selected", "selection"):
+            if isinstance(doc, dict) and isinstance(doc.get(key), dict):
+                doc = doc[key]
         try:
             level = int(doc["level"])
             cells = [(int(b), int(s)) for b, s in doc["cells"]]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError('expected a CellSet {"level": k, "cells": [[band, sector], ...]} '
-                             'or a document whose "selected" member is one') from exc
+            raise ValueError('expected a CellSet {"level": k, "cells": [[band, sector], ...]} or '
+                             'a document whose "selected" or "selection" member is one') from exc
         return cls.from_cells(level, cells)
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "CellSet":

@@ -10,13 +10,12 @@ touched cell boundaries are eliminated while the measure loss stays bounded.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CellSet, DyadicCell, cell_area, cell_bounds, theta_bounds
+from .grid import CellSet, DyadicCell, cell_area, cell_bounds, theta_bounds, write_json
 from .sphere import InfeasibleShrinkError, SPHERE_AREA, cap_area, lune_half_angle
 
 N_ROOT = 3
@@ -227,9 +226,7 @@ class ScaleSummary:
                 }}
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+        write_json(path, self.to_json())
 
 
 def scale_set(selection: CellSet, constants: ScaleConstants) -> ScaleSummary:

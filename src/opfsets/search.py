@@ -12,14 +12,13 @@ bounds on the largest orthogonal-pair-free measure fraction.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conflicts import ConflictGraph, _table_violations
-from .grid import CellSet, DyadicCell, cell_from_ordinal, n_bands
+from .grid import CellSet, DyadicCell, cell_from_ordinal, n_bands, write_json
 
 PUBLISHED_UPPER_BOUNDS = (1.0 / 3.0, 0.313, 0.308, 0.30153, 0.297742)
 BEST_UPPER_BOUND = 0.297742
@@ -100,9 +99,7 @@ class SearchResult:
                 "exceeds_best_bound": self.exceeds_best_bound}
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+        write_json(path, self.to_json())
 
     def csv_row(self) -> list:
         return [self.selection.level, self.method,

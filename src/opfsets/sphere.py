@@ -44,10 +44,6 @@ def unit_vector(x: float, y: float, z: float) -> np.ndarray:
     return v / n
 
 
-def is_unit(v: np.ndarray, tol: float = NORMALIZATION_TOL) -> bool:
-    return abs(float(v @ v) - 1.0) <= 3.0 * tol
-
-
 def from_polar(theta: float, phi: float) -> np.ndarray:
     """Unit vector from colatitude theta in [0, pi] and azimuth phi."""
     st = math.sin(theta)
@@ -125,24 +121,13 @@ def tangent_basis(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def gnomonic_project(center: np.ndarray, p: np.ndarray,
-                     basis: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
-    """Central projection of p onto the tangent plane at center.
-
-    Maps great-circle arcs through the open hemisphere to straight planar
-    segments.  Requires d(center, p) < pi/2.
-    """
-    d = float(center @ p)
-    if d <= NORMALIZATION_TOL:
-        raise OutOfHemisphereError(
-            f"point at distance {geodesic_distance(center, p):.6f} >= pi/2 from projection center")
-    e1, e2 = tangent_basis(center) if basis is None else basis
-    return float(p @ e1) / d, float(p @ e2) / d
-
-
 def gnomonic_project_batch(center: np.ndarray, points: np.ndarray,
                            basis: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Vectorized gnomonic projection of an (n, 3) array; returns (n, 2)."""
+    """Central projection of an (n, 3) array onto the tangent plane at center.
+
+    Returns (n, 2).  Maps great-circle arcs through the open hemisphere to
+    straight planar segments; every point must be within pi/2 of center.
+    """
     d = points @ center
     if np.any(d <= NORMALIZATION_TOL):
         raise OutOfHemisphereError("some points are not strictly inside the open hemisphere")
@@ -207,52 +192,9 @@ def spherical_polygon_area(vertices) -> float:
     return angle_sum - (n - 2) * math.pi
 
 
-def sample_uniform(rng: np.random.Generator) -> np.ndarray:
-    """One point uniform on the sphere (uniform in cos(theta) and phi)."""
-    z = 1.0 - 2.0 * rng.random()
-    phi = TWO_PI * rng.random()
-    s = math.sqrt(max(0.0, 1.0 - z * z))
-    return np.array([s * math.cos(phi), s * math.sin(phi), z])
-
-
 def sample_uniform_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 3) array of points uniform on the sphere."""
     z = 1.0 - 2.0 * rng.random(n)
     phi = TWO_PI * rng.random(n)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-
-
-# --- geodesic arc utilities (used by polygon distance computations) ---
-
-def arc_normal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unit normal of the great circle through a and b (pole of the circle)."""
-    n = np.cross(a, b)
-    norm = np.linalg.norm(n)
-    if norm < NORMALIZATION_TOL:
-        raise ValueError("endpoints coincide or are antipodal; great circle not unique")
-    return n / norm
-
-
-def point_on_arc(p: np.ndarray, a: np.ndarray, b: np.ndarray, n: np.ndarray,
-                 tol: float = PREDICATE_TOL) -> bool:
-    """True if p (assumed on the great circle of n) lies on the minor arc a->b."""
-    return (float(np.cross(a, p) @ n) >= -tol) and (float(np.cross(p, b) @ n) >= -tol)
-
-
-def point_arc_distance_range(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """(min, max) geodesic distance from point p to the minor arc a->b."""
-    n = arc_normal(a, b)
-    s = float(p @ n)
-    da, db = geodesic_distance(p, a), geodesic_distance(p, b)
-    dmin, dmax = min(da, db), max(da, db)
-    foot = p - s * n
-    fn = np.linalg.norm(foot)
-    if fn > NORMALIZATION_TOL:
-        foot = foot / fn
-        if point_on_arc(foot, a, b, n):
-            dmin = min(dmin, math.asin(min(1.0, abs(s))))
-        anti = -foot
-        if point_on_arc(anti, a, b, n):
-            dmax = max(dmax, math.pi - math.asin(min(1.0, abs(s))))
-    return dmin, dmax

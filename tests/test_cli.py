@@ -248,10 +248,10 @@ def test_config_defaults_and_flag_priority(tmp_path, capsys):
     cfg.write_text("# comment\nmargin = 0.05\n")
     assert main(["--config", str(cfg), "conflicts", "--level", "1"]) == EXIT_OK
     assert "margin 0.05" in capsys.readouterr().out
-    # explicit flags beat config values
-    assert main(["--config", str(cfg), "conflicts", "--level", "1",
-                 "--margin", "0"]) == EXIT_OK
-    assert "margin 0:" in capsys.readouterr().out
+    # explicit flags beat config values, in either spelling
+    for explicit in (["--margin", "0"], ["--margin=0"]):
+        assert main(["--config", str(cfg), "conflicts", "--level", "1", *explicit]) == EXIT_OK
+        assert "margin 0:" in capsys.readouterr().out
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -262,3 +262,66 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("no equals sign here\n")
     assert main(["--config", str(cfg), "grid", "--level", "1"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_config_values_are_parsed_like_flags(tmp_path, capsys):
+    sel = tmp_path / "dc3.json"
+    double_cap_cellset(3).save(sel)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("arc_samples = 8\n")
+    assert main(["--config", str(cfg), "convexify", "--selection", str(sel)]) == EXIT_OK
+    assert "2 polygons" in capsys.readouterr().out
+
+
+def test_config_values_meet_choices(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("init = bogus\n")
+    assert main(["--config", str(cfg), "search", "--level", "1", "--method", "local",
+                 "--iters", "5"]) == EXIT_USAGE
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_config_multi_value_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep = 2 4\n")
+    assert main(["--config", str(cfg), "report"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "2, 0.250000000" in out and "4, 0.250000000" in out
+
+
+def test_config_splice_survives_command_named_values(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # the config file and the --out value are both named like commands
+    (tmp_path / "search").write_text("seed = 3\n")
+    for flag in (["--config", "search"], ["--config=search"]):
+        assert main([*flag, "search", "--level", "2", "--method", "greedy-random",
+                     "--out", "grid"]) == EXIT_OK
+        capsys.readouterr()
+        assert json.loads((tmp_path / "grid").read_text())["seed"] == 3
+
+
+def test_filter_rejects_bad_centers(capsys):
+    base = ["filter", "--oracle", "cap", "--level", "2", "--epsilon", "0.01"]
+    for center in ("0,0,0", "1,2", "1,2,3,4", "nan,0,1", "inf,0,0", "x,0,1"):
+        assert main(base + [f"--center={center}"]) == EXIT_USAGE, center
+        assert "error" in capsys.readouterr().err
+    assert main(["filter", "--oracle", "cell-set", "--level", "2",
+                 "--epsilon", "0.01"]) == EXIT_USAGE
+    assert "--cells" in capsys.readouterr().err
+
+
+def test_convexify_rejects_zero_arc_samples(tmp_path, capsys):
+    sel = tmp_path / "dc3.json"
+    double_cap_cellset(3).save(sel)
+    assert main(["convexify", "--selection", str(sel), "--arc-samples", "0"]) == EXIT_USAGE
+    assert "arc_samples" in capsys.readouterr().err
+
+
+def test_scale_and_convexify_read_search_artifact(tmp_path, capsys):
+    art = tmp_path / "s.json"
+    assert main(["search", "--level", "3", "--method", "baseline",
+                 "--out", str(art)]) == EXIT_OK
+    assert main(["scale", "--selection", str(art), "--epsilon", "0.02"]) == EXIT_OK
+    assert "0 violations" in capsys.readouterr().out
+    assert main(["convexify", "--selection", str(art)]) == EXIT_OK
+    assert "2 polygons" in capsys.readouterr().out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from opfsets import conflicts
 from opfsets.conflicts import (ConflictGraph, CorruptCacheError, DotRange,
                                ResourceCapError, _pair_scan, build_conflict_graph,
-                               cells_conflict, dot_range_boxes, dot_range_boxes_u,
+                               cells_conflict, dot_range_boxes_u,
                                dot_range_cells, load_graph, save_graph,
                                selection_violations)
 from opfsets.density import cap_union_oracle, select_dense_cells
@@ -190,13 +190,6 @@ def test_witness_points_inside_range():
             p = from_polar(math.acos(rng.uniform(l1, h1)), rng.uniform(pl1, ph1))
             q = from_polar(math.acos(rng.uniform(l2, h2)), rng.uniform(pl2, ph2))
             assert r.lo - 1e-12 <= float(p @ q) <= r.hi + 1e-12
-
-
-def test_dot_range_boxes_radian_adapter():
-    lo, hi = dot_range_boxes(0.0, math.pi / 2, 0.0, math.pi,
-                             math.pi / 2, math.pi, 0.0, math.pi)
-    assert float(lo) == -1.0  # antipodal pairs across the hemisphere split
-    assert float(hi) == 1.0   # shared equator boundary
 
 
 def test_level0_graph():

@@ -52,6 +52,8 @@ def test_octant_hull():
     center = tri.sum(axis=0) / math.sqrt(3)
     assert poly.contains(center / np.linalg.norm(center))
     assert not poly.contains(-center / np.linalg.norm(center))
+    inside = poly.contains_batch(np.stack([center, -center]) / np.linalg.norm(center))
+    assert inside.tolist() == [True, False]
 
 
 def test_hull_rejects_sphere_spanning_points():
@@ -112,6 +114,8 @@ def test_convex_hull_covers_component():
     assert poly.area() >= comp.measure() - 1e-6
     with pytest.raises(ValueError):
         convex_hull(CellSet.from_cells(3, []))
+    with pytest.raises(ValueError, match="arc_samples"):
+        convex_hull(comp, arc_samples=0)
     # adaptive refinement never shrinks the hull area materially
     refined = convex_hull(comp, adaptive_tol=1e-9)
     assert refined.area() >= poly.area() - 1e-12

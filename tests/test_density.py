@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from opfsets.convexify import conv, convex_polygon_from_points
 from opfsets.density import (CoveringReport, DensityReport, MembershipOracle,
                              THEOREM_BETA, analytic_cell_density, cap_oracle,
                              cap_union_oracle, cell_set_oracle, covering_report,
@@ -13,7 +14,9 @@ from opfsets.density import (CoveringReport, DensityReport, MembershipOracle,
                              select_dense_cells, sieve_fractal_oracle)
 from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_area, cell_bounds,
                           locate_coords, locate_coords_batch, n_bands)
-from opfsets.sphere import SPHERE_AREA, Cap, cap_area, from_polar, sample_uniform_batch, to_polar
+from opfsets.search import double_cap_cellset
+from opfsets.sphere import (PREDICATE_TOL, SPHERE_AREA, Cap, GeodesicSegment, cap_area,
+                            from_polar, sample_uniform_batch, to_polar)
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -45,6 +48,35 @@ def test_contains_batch_matches_scalar():
     for o in oracles:
         batch = o.contains_batch(pts)
         assert all(bool(batch[i]) == o.contains(pts[i]) for i in range(len(pts)))
+
+
+def scalar_polygon_member(poly, p):
+    """The closed per-edge containment test, one point and one edge at a time."""
+    if float(p @ poly.hemisphere_center) <= 0.0:
+        return False
+    v = poly.vertices
+    return all(float(p @ np.cross(v[i], v[(i + 1) % len(v)])) >= -PREDICATE_TOL
+               for i in range(len(v)))
+
+
+def test_polygon_set_membership_matches_polygons():
+    rng = np.random.default_rng(5)
+    # two quads sharing the meridian edge phi = 0.6, and the level-3 double cap
+    left, right = (convex_polygon_from_points(np.stack(
+        [from_polar(t, f) for t in (0.5, 0.9) for f in (lo, lo + 0.6)])) for lo in (0.0, 0.6))
+    polys = [left, right, *conv(double_cap_cellset(3)).decomposition.polygons]
+    shared = GeodesicSegment(from_polar(0.5, 0.6), from_polar(0.9, 0.6))
+    pts = np.concatenate([
+        sample_uniform_batch(rng, 3000),   # about half outside each quad's hemisphere
+        np.stack([shared.point_at(t) for t in rng.uniform(0.0, 1.0, 40)]),
+        np.concatenate([p.vertices for p in polys]),
+        np.stack([-p.hemisphere_center for p in polys])])
+    got = polygon_set_oracle(polys).contains_batch(pts)
+    assert got.tolist() == [any(p.contains(x) for p in polys) for x in pts]
+    assert got.tolist() == [any(scalar_polygon_member(p, x) for p in polys) for x in pts]
+    assert left.contains_batch(pts[3000:3040]).all() and right.contains_batch(pts[3000:3040]).all()
+    assert (pts @ left.hemisphere_center <= 0.0).sum() > 1000
+    assert 100 < got.sum() < len(pts) - 100
 
 
 def scalar_sieve_member(p, depth):

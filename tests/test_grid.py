@@ -178,6 +178,14 @@ def test_cellset_canonicalization_and_json(tmp_path):
     assert CellSet.load(path) == s
 
 
+def test_cellset_reads_filter_and_search_documents():
+    s = CellSet.from_cells(2, [(3, 1), (0, 0)])
+    assert CellSet.from_json({"selected": s.to_json(), "cells": []}) == s
+    assert CellSet.from_json({"selection": s.to_json(), "method": "baseline"}) == s
+    with pytest.raises(ValueError, match='"selection"'):
+        CellSet.from_json({"selection": [[0, 0]]})
+
+
 def test_cellset_rejects_level_mismatch():
     with pytest.raises(ValueError):
         CellSet.from_cells(2, [DyadicCell(3, 0, 0)])

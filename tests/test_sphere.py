@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfsets.sphere import (Cap, GeodesicSegment, InfeasibleShrinkError,
-                            OutOfHemisphereError, arc_normal, cap_area,
-                            from_polar, geodesic_distance, gnomonic_project,
-                            gnomonic_project_batch, gnomonic_unproject, is_unit,
-                            lune_half_angle, point_arc_distance_range,
-                            sample_uniform, sample_uniform_batch,
-                            spherical_polygon_area, tangent_basis, to_polar,
-                            unit_vector)
+                            OutOfHemisphereError, cap_area, from_polar,
+                            geodesic_distance, gnomonic_project_batch,
+                            gnomonic_unproject, lune_half_angle,
+                            sample_uniform_batch, spherical_polygon_area,
+                            tangent_basis, to_polar, unit_vector)
 
 angles = st.floats(0.0, math.pi, allow_nan=False)
 azimuths = st.floats(0.0, 2.0 * math.pi, exclude_max=True, allow_nan=False)
+
+
+def is_unit(v) -> bool:
+    return abs(float(v @ v) - 1.0) <= 3e-12
 
 
 def test_unit_vector_normalizes():
@@ -95,7 +97,7 @@ def test_tangent_basis_orientation():
 def test_gnomonic_round_trip(theta, phi):
     center = unit_vector(0, 0, 1)
     p = from_polar(theta, phi)
-    x, y = gnomonic_project(center, p)
+    x, y = gnomonic_project_batch(center, p[None])[0]
     q = gnomonic_unproject(center, x, y)
     # arccos resolution limits recovered distances to ~sqrt(eps)
     assert np.allclose(p, q, atol=1e-12)
@@ -105,7 +107,7 @@ def test_gnomonic_round_trip(theta, phi):
 def test_gnomonic_rejects_far_points():
     center = unit_vector(0, 0, 1)
     with pytest.raises(OutOfHemisphereError):
-        gnomonic_project(center, unit_vector(1, 0, 0))
+        gnomonic_project_batch(center, unit_vector(1, 0, 0)[None])
     with pytest.raises(OutOfHemisphereError):
         gnomonic_project_batch(center, np.array([[0.0, 0.0, -1.0]]))
 
@@ -114,10 +116,9 @@ def test_gnomonic_maps_arcs_to_lines():
     center = unit_vector(0, 0, 1)
     a, b = from_polar(0.8, 0.3), from_polar(0.6, 2.0)
     seg = GeodesicSegment(a, b)
-    pa = np.array(gnomonic_project(center, a))
-    pb = np.array(gnomonic_project(center, b))
+    pa, pb = gnomonic_project_batch(center, np.stack([a, b]))
     for t in (0.25, 0.5, 0.75):
-        pm = np.array(gnomonic_project(center, seg.point_at(t)))
+        pm = gnomonic_project_batch(center, seg.point_at(t)[None])[0]
         cross = (pb - pa)[0] * (pm - pa)[1] - (pb - pa)[1] * (pm - pa)[0]
         assert abs(cross) < 1e-9
 
@@ -151,29 +152,6 @@ def test_uniform_sampling_moments():
     # all three coordinates have mean 0 and variance 1/3
     assert np.abs(pts.mean(axis=0)).max() < 0.01
     assert np.abs((pts**2).mean(axis=0) - 1.0 / 3.0).max() < 0.01
-    single = sample_uniform(rng)
+    single = sample_uniform_batch(rng, 1)[0]
     assert is_unit(single)
 
-
-def test_point_arc_distance_range_matches_sampling():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        a, b = sample_uniform(rng), sample_uniform(rng)
-        if geodesic_distance(a, b) > 3.0:
-            continue
-        p = sample_uniform(rng)
-        seg = GeodesicSegment(a, b)
-        ds = [geodesic_distance(p, seg.point_at(t))
-              for t in np.linspace(0.0, 1.0, 400)]
-        lo, hi = point_arc_distance_range(p, a, b)
-        assert lo <= min(ds) + 1e-9
-        assert hi >= max(ds) - 1e-9
-        # 400-point sampling resolves the extremes to ~1e-3
-        assert abs(lo - min(ds)) < 1e-3
-        assert abs(hi - max(ds)) < 1e-3
-
-
-def test_arc_normal_degenerate():
-    a = unit_vector(1, 0, 0)
-    with pytest.raises(ValueError):
-        arc_normal(a, a)
