@@ -16,10 +16,10 @@ from .convexify import (ConvResult, ConvexDecomposition, ConvexPolygon,
                         conv2, convex_hull, convex_polygon_from_points,
                         hausdorff_distance, polygon_distance)
 from .density import (CoveringReport, DensityReport, MembershipOracle,
-                      analytic_cell_density, cap_oracle, cap_union_oracle,
+                      cap_oracle, cap_union_oracle, cell_densities,
                       cell_set_oracle, covering_report, double_cap_oracle,
-                      estimate_cell_density, polygon_set_oracle,
-                      select_dense_cells, sieve_fractal_oracle)
+                      polygon_set_oracle, select_dense_cells,
+                      sieve_fractal_oracle)
 from .grid import (CellSet, DyadicCell, all_cells, antipodal_cell, cell_area,
                    cell_bounds, cell_count, cell_from_ordinal, locate_coords,
                    locate_point, n_bands, neighbors, parent, refine,

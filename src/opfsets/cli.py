@@ -175,13 +175,11 @@ def cmd_filter(args) -> int:
         return EXIT_USAGE
     report = density.select_dense_cells(oracle, args.level, args.epsilon,
                                         samples=args.samples, seed=args.seed)
-    mu_m = oracle.measure()
     print(f"selected {len(report.selected)} cells at level {args.level}, "
           f"captured {_both(report.captured_measure)}")
-    if mu_m is not None:
-        target = (1.0 - args.epsilon) * mu_m
-        print(f"target (1-eps)*mu(M) = {_both(target)}: "
-              f"{'met' if report.captured_measure >= target else 'NOT met'}")
+    target = (1.0 - args.epsilon) * oracle.measure()
+    print(f"target (1-eps)*mu(M) = {_both(target)}: "
+          f"{'met' if report.captured_measure >= target else 'NOT met'}")
     if args.out:
         _write_artifact(args.out, report.to_json())
     if args.csv:
@@ -292,12 +290,17 @@ def _read_config(path: str) -> dict:
     return out
 
 
+def _top_parser() -> argparse.ArgumentParser:  # the options before the command
+    top = argparse.ArgumentParser(prog="opfsets", add_help=False)
+    top.add_argument("--config", help="plain key=value config file; flags win")
+    return top
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="opfsets",
+        prog="opfsets", parents=[_top_parser()],
         description="Construct, search, certify, and convexify orthogonal-pair-free "
                     "cell selections on the sphere.")
-    parser.add_argument("--config", help="plain key=value config file; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grid", help="grid summary at a level")
@@ -369,19 +372,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _splice_config(argv: list, args) -> list:
-    """argv with the config entries as flags right after the command, so explicit
-    flags win; the command is the first token not part of a --config option."""
+def _splice_config(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with the --config entries as flags right after the command, so that
+    explicit flags, which come later, win.  The command is the first token
+    that is neither a top-level option nor its value."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    path = _top_parser().parse_known_args(argv[:i])[0].config
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    if path is None or i >= len(argv) or argv[i] not in commands:
+        return argv  # nothing to splice, or argparse reports the bad command
+    keys = {a.dest for a in commands[argv[i]]._actions if a.option_strings} - {"help"}
     flags = []
-    for key, value in _read_config(args.config).items():
-        if key not in vars(args) or key in ("config", "command", "func"):
+    for key, value in _read_config(path).items():
+        if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
         tokens = shlex.split(value)
         flags += [f"{flag}={tokens[0]}"] if len(tokens) == 1 else [flag, *tokens]
-    i = 0
-    while argv[i].startswith("-"):
-        i += 1 if "=" in argv[i] else 2
     return argv[:i + 1] + flags + argv[i + 1:]
 
 
@@ -389,9 +398,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            args = parser.parse_args(_splice_config(argv, args))
+        args = parser.parse_args(_splice_config(parser, argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     except (OSError, ValueError) as exc:

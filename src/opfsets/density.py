@@ -2,25 +2,28 @@
 
 Given a membership oracle for a set M, keep the cells whose M-density
 mu(c intersect M)/mu(c) is at least 1 - epsilon, and account for how much of
-M the kept cells capture.  Cap-type oracles get exact analytic densities by
-one-dimensional integration of the azimuthal width along cos(theta); the
-general fallback is Monte Carlo with reported standard errors.
+M the kept cells capture.  `cell_densities` gives the densities of many cells
+in one array pass: cap unions get exact areas in closed form (lens areas
+between the cap and polar caps, split along the sector edges), the sieve
+fractal bit tests on the band and sector indices, cell sets block means of
+their membership mask.  Polygon sets, or any oracle on request, get Monte
+Carlo estimates with standard errors from per-cell seeded streams.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .grid import (CellSet, DyadicCell, cell_area, cell_bounds, locate_coords_batch,
-                   n_bands, write_json)
-from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, cap_area, sample_uniform_batch
+from .grid import (CellSet, DyadicCell, cell_area, cell_bounds, cell_bounds_batch,
+                   locate_coords_batch, n_bands, write_json)
+from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, cap_area
 
 THEOREM_BETA = 1.0 / 64.0
+_CHUNK = 1 << 20  # Monte Carlo points per contains_batch call
 
 
 @dataclass(frozen=True)
@@ -65,28 +68,20 @@ class MembershipOracle:
                 inside |= points @ cap.center > math.cos(cap.radius)
             return inside
         if self.kind == "cell_set":
-            level = self.cell_set.level
-            n = n_bands(level)
-            members = np.asarray(self.cell_set.members, dtype=np.int64).reshape(-1, 2)
-            mask = np.zeros((n, n), dtype=bool)
-            mask[members[:, 0], members[:, 1]] = True
-            return mask[locate_coords_batch(*_polar_batch(points), level)]
+            return _cell_mask(self.cell_set)[
+                locate_coords_batch(*_polar_batch(points), self.cell_set.level)]
         if self.kind == "polygon_set":
             out = np.zeros(len(points), dtype=bool)
             for poly in self.polygons:
                 out |= poly.contains_batch(points)
             return out
-        # sieve_fractal: survive iff no ancestor step down to levels 1..depth
-        # takes the odd/odd child
-        u, phi = _polar_batch(points)
-        out = np.ones(len(points), dtype=bool)
-        for lvl in range(1, self.depth + 1):
-            band, sector = locate_coords_batch(u, phi, lvl)
-            out &= (band % 2 == 0) | (sector % 2 == 0)
-        return out
+        # sieve_fractal: survive iff no step down to level depth takes the
+        # odd/odd child; the level-depth indices' binary digits are those steps
+        band, sector = locate_coords_batch(*_polar_batch(points), self.depth)
+        return (band & sector & ((1 << self.depth) - 1)) == 0
 
-    def measure(self) -> float | None:
-        """Exact measure of M in steradians when a closed form exists."""
+    def measure(self) -> float:
+        """Exact measure of M in steradians."""
         if self.kind == "cap":
             # __post_init__ rejects overlapping caps, so the areas add
             return sum(cap_area(c.radius) for c in self.caps)
@@ -94,9 +89,16 @@ class MembershipOracle:
             return self.cell_set.measure()
         if self.kind == "sieve_fractal":
             return SPHERE_AREA * 0.75**self.depth
-        if self.kind == "polygon_set":
-            return sum(p.area() for p in self.polygons)
-        return None
+        return sum(p.area() for p in self.polygons)
+
+
+def _cell_mask(cell_set: CellSet) -> np.ndarray:
+    """(n, n) boolean membership of the cells at the set's own level."""
+    n = n_bands(cell_set.level)
+    members = np.asarray(cell_set.members, dtype=np.int64).reshape(-1, 2)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[members[:, 0], members[:, 1]] = True
+    return mask
 
 
 def _polar_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,91 +135,69 @@ def sieve_fractal_oracle(depth: int) -> MembershipOracle:
     return MembershipOracle("sieve_fractal", depth=depth)
 
 
-def _arc_overlap(width_center: float, half_width: float,
-                 phi_lo: float, phi_hi: float) -> float:
-    """Length of [center - hw, center + hw] mod 2*pi inside [phi_lo, phi_hi]."""
-    if half_width <= 0.0:
-        return 0.0
-    if half_width >= math.pi:
-        return phi_hi - phi_lo
-    lo = (width_center - half_width) % TWO_PI
-    total = 0.0
-    # the arc may wrap; walk it as at most two plain intervals
-    segments = []
-    if lo + 2.0 * half_width <= TWO_PI:
-        segments.append((lo, lo + 2.0 * half_width))
-    else:
-        segments.append((lo, TWO_PI))
-        segments.append((0.0, lo + 2.0 * half_width - TWO_PI))
-    for slo, shi in segments:
-        total += max(0.0, min(shi, phi_hi) - max(slo, phi_lo))
-    return total
+def _lens_area(theta_c: float, radius: float, v: np.ndarray) -> np.ndarray:
+    """mu(cap ∩ {cos(theta) >= v}) for a cap at colatitude theta_c, theta_c + radius <= pi.
+
+    Where the circles meet at P, Gauss-Bonnet gives 2(pi - g) - 2 p cos(radius)
+    - 2 w v, with w, p and g the angles at the pole, the centre and P of the
+    triangle they span (w is the cap's half-width at height v).  Half-angle
+    formulas keep the angles accurate on thin triangles, unlike acos of ratios.
+    """
+    top, bottom = abs(theta_c - radius), theta_c + radius
+    theta = np.clip(np.arccos(v), top, bottom)
+    # sin(s - radius), sin(s - theta), sin(s - theta_c) and sin(s), s the half perimeter
+    half = (theta + theta_c - radius, theta_c + radius - theta, theta + radius - theta_c,
+            theta + theta_c + radius)
+    sa, sb, sc, ss = (np.maximum(np.sin(h / 2.0), 0.0) for h in half)
+    w = 2.0 * np.arctan2(np.sqrt(sb * sc), np.sqrt(ss * sa))
+    p = 2.0 * np.arctan2(np.sqrt(sa * sc), np.sqrt(ss * sb))
+    g = 2.0 * np.arctan2(np.sqrt(sa * sb), np.sqrt(ss * sc))
+    lens = 2.0 * (math.pi - g) - 2.0 * p * math.cos(radius) - 2.0 * w * v
+    above = TWO_PI * (1.0 - v) if theta_c < radius else 0.0  # the cap holds the north pole
+    return np.where(theta <= top, above, np.where(theta >= bottom, cap_area(radius), lens))
 
 
-def _cap_cell_density(cap: Cap, cell: DyadicCell) -> float:
-    """Exact mu(cap intersect cell)/mu(cell) by 1-D integration over cos(theta)."""
-    (ulo, uhi), (plo, phi) = cell_bounds(cell)
-    uc = float(cap.center[2])
-    cr = math.cos(cap.radius)
-    width = (uhi - ulo) * (phi - plo)
-    if abs(uc) >= 1.0 - 1e-14:
-        # pole-centered: membership depends on cos(theta) alone
-        if uc > 0:
-            overlap = max(0.0, min(uhi, 1.0) - max(ulo, cr))
-        else:
-            overlap = max(0.0, min(uhi, -cr) - max(ulo, -1.0))
-        return overlap * (phi - plo) / width
-    phic = math.atan2(float(cap.center[1]), float(cap.center[0])) % TWO_PI
-    sc = math.sqrt(max(0.0, 1.0 - uc * uc))
+def _cap_area(center: np.ndarray, radius: float, ulo, uhi, plo, phi) -> np.ndarray:
+    """mu(cap ∩ cell) for cells [ulo, uhi] x [plo, phi] in (cos(theta), phi).
 
-    def integrand(u: float) -> float:
-        su = math.sqrt(max(0.0, 1.0 - u * u))
-        denom = su * sc
-        if denom < 1e-15:
-            return (phi - plo) if u * uc > cr else 0.0
-        k = (cr - u * uc) / denom
-        if k >= 1.0:
-            return 0.0
-        if k <= -1.0:
-            return phi - plo
-        return _arc_overlap(phic, math.acos(k), plo, phi)
+    With w(u) the cap's half-width at height u, the cap covers clip(t, -w, w)
+    of the azimuths from its meridian to offset t (+2w per whole turn), so the
+    cell area is a signed sum over its corners (v, t) of that integrated over
+    [v, 1].  For |t| <= pi this is the integral of w less that of w - |t| over
+    {w > |t|}, one u-interval (the meridian's arc in a cap of radius <= pi/2);
+    integrals of w are half lens areas.  Wider caps go through their
+    complement, caps around the south pole through z -> -z.
+    """
+    x, y, z = (float(a) for a in center)
+    sc, cr = math.hypot(x, y), math.cos(radius)
+    if abs(z) >= 1.0 - 1e-14:  # pole-centred: membership depends on cos(theta) alone
+        if z > 0:
+            return np.maximum(0.0, np.minimum(uhi, 1.0) - np.maximum(ulo, cr)) * (phi - plo)
+        return np.maximum(0.0, np.minimum(uhi, -cr) - np.maximum(ulo, -1.0)) * (phi - plo)
+    if radius > math.pi / 2.0:
+        rest = _cap_area(-center, math.pi - radius, ulo, uhi, plo, phi)
+        return (uhi - ulo) * (phi - plo) - rest
+    theta_c, phi_c = math.atan2(sc, z), math.atan2(y, x)
+    if theta_c + radius > math.pi:
+        theta_c, z, ulo, uhi = math.pi - theta_c, -z, -uhi, -ulo
 
-    value, _ = quad(integrand, ulo, uhi, limit=200)
-    return value / width
+    def corner(v, t):
+        turns = np.round(t / TWO_PI)
+        t = t - TWO_PI * turns
+        tau = np.abs(t)
+        # the meridian at offset tau is inside the cap where r cos(theta - beta) > cr
+        m = sc * np.cos(tau)
+        r, beta = np.hypot(m, z), np.arctan2(m, z)
+        alpha = np.arctan2(np.sqrt(np.maximum((r - cr) * (r + cr), 0.0)), cr)
+        lo = np.maximum(v, np.cos(np.clip(beta + alpha, 0.0, math.pi)))
+        hi = np.maximum(v, np.cos(np.clip(beta - alpha, 0.0, math.pi)))
+        whole = _lens_area(theta_c, radius, v)
+        part = 0.5 * (whole - _lens_area(theta_c, radius, lo)
+                      + _lens_area(theta_c, radius, hi)) + tau * (hi - lo)
+        return np.sign(t) * part + turns * whole
 
-
-def _sieve_cell_density(depth: int, cell: DyadicCell) -> float:
-    # parity of the refinement step from level j-1 to level j, read off the
-    # binary digits of the cell's own indices
-    for j in range(1, min(cell.level, depth) + 1):
-        db = (cell.band >> (cell.level - j)) & 1
-        ds = (cell.sector >> (cell.level - j)) & 1
-        if db == 1 and ds == 1:
-            return 0.0
-    return 0.75 ** max(0, depth - cell.level)
-
-
-def _cell_set_density(oracle_set: CellSet, cell: DyadicCell) -> float:
-    k = oracle_set.level
-    members = set(oracle_set.members)
-    if cell.level >= k:
-        shift = cell.level - k
-        return 1.0 if (cell.band >> shift, cell.sector >> shift) in members else 0.0
-    shift = k - cell.level
-    hits = sum(1 for b, s in members
-               if b >> shift == cell.band and s >> shift == cell.sector)
-    return hits / float(4 ** shift)
-
-
-def analytic_cell_density(oracle: MembershipOracle, cell: DyadicCell) -> float | None:
-    """Exact density when the oracle kind admits a closed form, else None."""
-    if oracle.kind == "cap":
-        return min(1.0, sum(_cap_cell_density(c, cell) for c in oracle.caps))
-    if oracle.kind == "cell_set":
-        return _cell_set_density(oracle.cell_set, cell)
-    if oracle.kind == "sieve_fractal":
-        return _sieve_cell_density(oracle.depth, cell)
-    return None
+    tlo, thi = plo - phi_c, phi - phi_c
+    return corner(ulo, thi) - corner(ulo, tlo) - corner(uhi, thi) + corner(uhi, tlo)
 
 
 def sample_in_cell(cell: DyadicCell, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -229,29 +209,60 @@ def sample_in_cell(cell: DyadicCell, n: int, rng: np.random.Generator) -> np.nda
     return np.stack([s * np.cos(p), s * np.sin(p), u], axis=1)
 
 
-def _cell_rng(seed: int, cell: DyadicCell) -> np.random.Generator:
-    # per-cell stream so parallel estimation order cannot change results
-    return np.random.default_rng([seed, cell.level, cell.ordinal])
+def cell_densities(oracle: MembershipOracle, level: int, cells, samples: int = 1000,
+                   seed: int = 0, method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+    """(density, standard error) arrays for cells given as (band, sector) pairs.
 
-
-def estimate_cell_density(oracle: MembershipOracle, cell: DyadicCell,
-                          samples: int = 1000, seed: int = 0,
-                          method: str = "auto") -> tuple[float, float]:
-    """(density, standard error); analytic value with zero error when available."""
+    "auto" is exact (error 0) for caps, cell sets and the sieve fractal and
+    Monte Carlo with `samples` points per cell for polygon sets; "analytic"
+    and "monte_carlo" force one of the two.
+    """
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
     if method not in ("auto", "analytic", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "monte_carlo":
-        exact = analytic_cell_density(oracle, cell)
-        if exact is not None:
-            return exact, 0.0
-        if method == "analytic":
-            raise ValueError(f"no analytic density for oracle kind {oracle.kind!r}")
-    points = sample_in_cell(cell, samples, _cell_rng(seed, cell))
-    hits = float(np.count_nonzero(oracle.contains_batch(points)))
-    p = hits / samples
-    return p, math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+    cells, n = np.asarray(cells, dtype=np.int64).reshape(-1, 2), n_bands(level)
+    if ((cells < 0) | (cells >= n)).any():
+        raise ValueError(f"cell index out of range [0, {n}) at level {level}")
+    band, sector = cells.T
+    if method == "monte_carlo" or (method == "auto" and oracle.kind == "polygon_set"):
+        hits, step = np.empty(len(cells)), max(1, _CHUNK // samples)
+        for i in range(0, len(cells), step):
+            # each cell has its own stream, so no other cell can change its estimate
+            points = [sample_in_cell(DyadicCell(level, b, s), samples,
+                                     np.random.default_rng([seed, level, b * n + s]))
+                      for b, s in cells[i:i + step].tolist()]
+            inside = oracle.contains_batch(np.concatenate(points))
+            hits[i:i + step] = np.count_nonzero(inside.reshape(-1, samples), axis=1)
+        p = hits / samples
+        return p, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / samples) / samples)
+    if oracle.kind == "cap":
+        (ulo, uhi), (plo, phi) = cell_bounds_batch(level, band, sector)
+        total, width = np.zeros(len(band)), (uhi - ulo) * (phi - plo)
+        for cap in oracle.caps:
+            total = total + _cap_area(cap.center, cap.radius, ulo, uhi, plo, phi) / width
+        density = np.clip(total, 0.0, 1.0)
+    elif oracle.kind == "cell_set":
+        # block means of the membership mask at the coarser of the two levels
+        k = oracle.cell_set.level
+        size, down = 1 << max(0, k - level), max(0, level - k)
+        m = n_bands(k) // size
+        blocks = _cell_mask(oracle.cell_set).reshape(m, size, m, size).mean(axis=(1, 3))
+        density = blocks[band >> down, sector >> down]
+    elif oracle.kind == "sieve_fractal":
+        # the binary digits of the indices are the children taken at levels
+        # 1..level; a cell is lost once a step takes the odd/odd child
+        steps = min(level, oracle.depth)
+        lost = band & sector & (((1 << steps) - 1) << (level - steps))
+        density = np.where(lost != 0, 0.0, 0.75 ** max(0, oracle.depth - level))
+    else:
+        raise ValueError(f"no analytic density for oracle kind {oracle.kind!r}")
+    return density, np.zeros(len(band))
+
+
+def _running_sum(x: np.ndarray) -> float:
+    """Left-to-right sum, as a loop adds; np.sum's pairwise order changes the last bits."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
 @dataclass(frozen=True)
@@ -283,10 +294,7 @@ class DensityReport:
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["band", "sector", "density", "stderr"])
-            for row in self.densities:
-                w.writerow(list(row))
+            csv.writer(f).writerows([("band", "sector", "density", "stderr"), *self.densities])
 
 
 def select_dense_cells(oracle: MembershipOracle, level: int, epsilon: float,
@@ -301,20 +309,12 @@ def select_dense_cells(oracle: MembershipOracle, level: int, epsilon: float,
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     n = n_bands(level)
-    kept = []
-    records = []
-    captured = 0.0
-    area = cell_area(level)
-    for band in range(n):
-        for sector in range(n):
-            cell = DyadicCell(level, band, sector)
-            d, e = estimate_cell_density(oracle, cell, samples, seed, method)
-            if d >= 1.0 - epsilon:
-                kept.append((band, sector))
-                records.append((band, sector, d, e))
-                captured += d * area
-    return DensityReport(level, epsilon, CellSet.from_cells(level, kept),
-                         tuple(records), captured,
+    cells = np.stack(np.divmod(np.arange(n * n), n), axis=1)  # band-major
+    d, e = cell_densities(oracle, level, cells, samples, seed, method)
+    keep = d >= 1.0 - epsilon
+    records = tuple(zip(*cells[keep].T.tolist(), d[keep].tolist(), e[keep].tolist()))
+    return DensityReport(level, epsilon, CellSet.from_cells(level, cells[keep].tolist()), records,
+                         _running_sum(d[keep] * cell_area(level)),
                          within_theorem_range=epsilon < THEOREM_BETA)
 
 
@@ -338,29 +338,16 @@ class CoveringReport:
 
 def covering_report(oracle: MembershipOracle, selection: CellSet,
                     samples: int = 200_000, seed: int = 0) -> CoveringReport:
-    """Estimate mu(M), mu(union of cells), mu(M ∩ union) and both gaps.
+    """mu(M), mu(union of cells), mu(M ∩ union) and both gaps.
 
-    mu(union) is exact (equal-area cells); mu(M) is exact when the oracle has
-    a closed-form measure; the intersection uses analytic per-cell densities
-    when available and Monte Carlo otherwise.
+    mu(M) and mu(union) are exact; the intersection adds the cells' densities,
+    which are exact unless the oracle is a polygon set.  Then `samples` Monte
+    Carlo points are spread over the cells (at least 100 per cell).
     """
-    mu_union = selection.measure()
-    exact_m = oracle.measure()
-    if exact_m is not None:
-        mu_m, mu_m_err = exact_m, 0.0
-    else:
-        rng = np.random.default_rng([seed, 1])
-        pts = sample_uniform_batch(rng, samples)
-        hit = np.count_nonzero(oracle.contains_batch(pts)) / samples
-        mu_m = SPHERE_AREA * hit
-        mu_m_err = SPHERE_AREA * math.sqrt(max(hit * (1 - hit), 1.0 / samples) / samples)
     area = cell_area(selection.level)
-    inter = 0.0
-    var = 0.0
     per_cell = max(100, samples // max(1, len(selection)))
-    for cell in selection.cells():
-        d, e = estimate_cell_density(oracle, cell, per_cell, seed)
-        inter += d * area
-        var += (e * area) ** 2
-    return CoveringReport(mu_m, mu_m_err, mu_union, inter, math.sqrt(var),
+    d, e = cell_densities(oracle, selection.level, selection.members, per_cell, seed)
+    inter = _running_sum(d * area)
+    mu_m, mu_union = oracle.measure(), selection.measure()
+    return CoveringReport(mu_m, 0.0, mu_union, inter, math.sqrt(_running_sum((e * area) ** 2)),
                           inter - mu_m, mu_union - mu_m)

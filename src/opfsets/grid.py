@@ -72,11 +72,14 @@ def cell_bounds(cell: DyadicCell) -> tuple[tuple[float, float], tuple[float, flo
     The cos(theta) interval is closed; the phi interval is half-open in
     [phi_lo, phi_hi).
     """
-    w = 2.0 ** (-cell.level)
-    cos_hi = 1.0 - cell.band * w
-    cos_lo = 1.0 - (cell.band + 1) * w
-    dphi = TWO_PI / n_bands(cell.level)
-    return (cos_lo, cos_hi), (cell.sector * dphi, (cell.sector + 1) * dphi)
+    return cell_bounds_batch(cell.level, cell.band, cell.sector)
+
+
+def cell_bounds_batch(level: int, band, sector):
+    """cell_bounds from indices; band and sector may be integer arrays."""
+    w = 2.0 ** (-level)
+    dphi = TWO_PI / n_bands(level)
+    return (1.0 - (band + 1) * w, 1.0 - band * w), (sector * dphi, (sector + 1) * dphi)
 
 
 def theta_bounds(cell: DyadicCell) -> tuple[float, float]:

@@ -19,8 +19,7 @@ from opfsets.conflicts import (build_conflict_graph, dot_range_cells,
                                save_graph, selection_violations)
 from opfsets.convexify import (check_pasch, check_triangle_lemma, conv, conv2,
                                convex_polygon_from_points, hausdorff_distance)
-from opfsets.density import (analytic_cell_density, double_cap_oracle,
-                             estimate_cell_density, select_dense_cells)
+from opfsets.density import cell_densities, double_cap_oracle, select_dense_cells
 from opfsets.grid import (CellSet, DyadicCell, cell_area, cell_bounds,
                           cell_count, locate_point, n_bands, parent)
 from opfsets.scaling import (choose_constants, scale_set,
@@ -187,14 +186,10 @@ def test_criterion_06_density_filter(capsys):
     ok &= report.captured_measure > target
     # Monte Carlo cross-check of the captured measure within 3 sigma
     area = cell_area(5)
-    mc = 0.0
-    var = 0.0
-    for band, sector, _, _ in report.densities:
-        d, e = estimate_cell_density(oracle, DyadicCell(5, band, sector),
-                                     samples=500, seed=6, method="monte_carlo")
-        mc += d * area
-        var += (e * area) ** 2
-    sigma = math.sqrt(var)
+    d, e = cell_densities(oracle, 5, [(band, sector) for band, sector, _, _ in report.densities],
+                          samples=500, seed=6, method="monte_carlo")
+    mc = float(d.sum()) * area
+    sigma = math.sqrt(float(((e * area) ** 2).sum()))
     ok &= abs(mc - report.captured_measure) <= 3.0 * sigma
     elapsed = time.monotonic() - t0
     ok &= elapsed < 120.0

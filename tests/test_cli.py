@@ -254,6 +254,19 @@ def test_config_defaults_and_flag_priority(tmp_path, capsys):
         assert "margin 0:" in capsys.readouterr().out
 
 
+def test_config_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("level = 2\n")
+    assert main(["--config", str(cfg), "search", "--method", "exact"]) == EXIT_OK
+    assert "method exact: 16 cells" in capsys.readouterr().out
+    assert main([f"--config={cfg}", "search", "--method", "exact", "--level", "1"]) == EXIT_OK
+    assert "method exact: 2 cells" in capsys.readouterr().out
+    # a key of another command is unknown to this one
+    cfg.write_text("level = 2\nepsilon = 0.01\n")
+    assert main(["--config", str(cfg), "search", "--method", "exact"]) == EXIT_USAGE
+    assert "unknown config key 'epsilon'" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("turbo=yes\n")

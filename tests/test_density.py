@@ -1,16 +1,20 @@
 import csv
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq, minimize_scalar
 
+from opfsets import density
 from opfsets.convexify import conv, convex_polygon_from_points
 from opfsets.density import (CoveringReport, DensityReport, MembershipOracle,
-                             THEOREM_BETA, analytic_cell_density, cap_oracle,
-                             cap_union_oracle, cell_set_oracle, covering_report,
-                             double_cap_oracle, estimate_cell_density,
-                             polygon_set_oracle, sample_in_cell,
+                             THEOREM_BETA, cap_oracle, cap_union_oracle,
+                             cell_densities, cell_set_oracle, covering_report,
+                             double_cap_oracle, polygon_set_oracle, sample_in_cell,
                              select_dense_cells, sieve_fractal_oracle)
 from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_area, cell_bounds,
                           locate_coords, locate_coords_batch, n_bands)
@@ -138,56 +142,203 @@ def test_located_cells_contain_their_points():
             assert plo - 1e-12 <= f <= phi_hi + 1e-12
 
 
+def all_band_sector(level):
+    n = n_bands(level)
+    return np.stack(np.divmod(np.arange(n * n), n), axis=1)
+
+
 def test_double_cap_analytic_densities_level2():
     o = double_cap_oracle()
-    # band 0: cos(theta) in [0.75, 1], fully inside the north cap
-    assert analytic_cell_density(o, DyadicCell(2, 0, 0)) == pytest.approx(1.0, abs=1e-12)
-    # band 1: cos(theta) in [0.5, 0.75], partial overlap above sqrt(2)/2
+    # band 0: cos(theta) in [0.75, 1], fully inside the north cap; band 1:
+    # [0.5, 0.75], partial overlap above sqrt(2)/2; band 3: equatorial, empty;
+    # band 6: the antipode of band 1
+    d, e = cell_densities(o, 2, [(0, 0), (1, 3), (3, 0), (6, 1)])
     want = (0.75 - SQ2) / 0.25
-    assert analytic_cell_density(o, DyadicCell(2, 1, 3)) == pytest.approx(want, abs=1e-12)
-    # equatorial band: empty intersection
-    assert analytic_cell_density(o, DyadicCell(2, 3, 0)) == 0.0
-    # antipodal symmetry
-    assert analytic_cell_density(o, DyadicCell(2, 6, 1)) == pytest.approx(want, abs=1e-12)
+    assert d == pytest.approx([1.0, want, 0.0, want], abs=1e-12)
+    assert d[2] == 0.0 and not e.any()
 
 
 def test_offcenter_cap_analytic_matches_monte_carlo():
     center = np.array([1.0, 1.0, 0.5])
     o = cap_oracle(center / np.linalg.norm(center), 0.7)
     rng = np.random.default_rng(4)
-    for _ in range(6):
-        cell = DyadicCell(3, int(rng.integers(16)), int(rng.integers(16)))
-        exact = analytic_cell_density(o, cell)
-        mc, err = estimate_cell_density(o, cell, samples=4000, seed=1,
-                                        method="monte_carlo")
-        assert abs(mc - exact) < max(4.0 * err, 0.02)
+    cells = [(int(rng.integers(16)), int(rng.integers(16))) for _ in range(6)]
+    exact, _ = cell_densities(o, 3, cells)
+    mc, err = cell_densities(o, 3, cells, samples=4000, seed=1, method="monte_carlo")
+    assert np.all(np.abs(mc - exact) < np.maximum(4.0 * err, 0.02))
+
+
+def reference_cap_densities(cap, level):
+    """(n, n) densities of one cap by kink-aware quadrature of its width.
+
+    w(u) is the cap's azimuthal half-width at height u.  The covered length of
+    a cell's azimuth range has kinks where the cap's boundary crosses the
+    cell's two meridians or the cap's own meridian plane (its extreme
+    latitudes, also where it swallows a pole); each crossing is a root of the
+    dot product along that meridian, bracketed by its maximum.
+    """
+    c, cr = cap.center, math.cos(cap.radius)
+    uc, sc, phic = c[2], math.hypot(c[0], c[1]), math.atan2(c[1], c[0])
+
+    def width(u):
+        su = math.sqrt(max(0.0, 1.0 - u * u))
+        if su * sc == 0.0:
+            return math.pi if u * uc > cr else 0.0
+        return math.acos(min(1.0, max(-1.0, (cr - u * uc) / (su * sc))))
+
+    def crossings(phim):
+        def g(t):
+            return ((c[0] * math.cos(phim) + c[1] * math.sin(phim)) * math.sin(t)
+                    + uc * math.cos(t) - cr)
+        top = minimize_scalar(lambda t: -g(t), bounds=(0.0, math.pi), method="bounded",
+                              options={"xatol": 1e-13}).x
+        return [math.cos(brentq(g, a, b, xtol=1e-15, rtol=1e-15))
+                for a, b in ((0.0, top), (top, math.pi)) if g(a) * g(b) < 0.0]
+
+    n = n_bands(level)
+    edges = [crossings(s * 2.0 * math.pi / n) for s in range(n + 1)]
+    axial = crossings(phic) + crossings(phic + math.pi)
+    out = np.zeros((n, n))
+    for b in range(n):
+        for s in range(n):
+            (ulo, uhi), (plo, phi) = cell_bounds(DyadicCell(level, b, s))
+
+            def covered(u):
+                w = width(u)
+                return sum(max(0.0, min(phic + w + k, phi) - max(phic - w + k, plo))
+                           for k in (0.0, 2.0 * math.pi))
+
+            kinks = sorted(u for u in edges[s] + edges[s + 1] + axial if ulo < u < uhi)
+            value, _ = quad(covered, ulo, uhi, points=kinks or None, epsabs=1e-15,
+                            epsrel=1e-13, limit=500)
+            out[b, s] = value / ((uhi - ulo) * (phi - plo))
+    return out
+
+
+ROTATED_AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
+
+
+def reference_caps():
+    caps = {
+        "rotated": Cap(ROTATED_AXIS, math.pi / 4),
+        "rotated_antipode": Cap(-ROTATED_AXIS, math.pi / 4),
+        "axis122_r0.7": Cap(ROTATED_AXIS, 0.7),
+        "north_pole": Cap(np.array([0.0, 0.0, 1.0]), 0.9),
+        "south_pole_wide": Cap(np.array([0.0, 0.0, -1.0]), 2.2),
+        "near_north_pole": Cap(from_polar(1e-3, 0.3), math.pi / 3),
+        "near_south_pole": Cap(from_polar(math.pi - 1e-3, 2.0), 1.0),
+        "equatorial": Cap(from_polar(math.pi / 2, 1.0), 0.6),
+        "r0.01": Cap(from_polar(1.0, 2.0), 0.01),
+        "r_half_pi": Cap(from_polar(0.7, 4.0), math.pi / 2),
+        "equatorial_hemisphere": Cap(from_polar(math.pi / 2, 0.2), math.pi / 2),
+        "r2.5": Cap(from_polar(2.0, 0.5), 2.5),
+        "r_pi": Cap(from_polar(1.2, 1.2), math.pi)}
+    rng = np.random.default_rng(11)
+    for i, (v, r) in enumerate(zip(rng.normal(size=(4, 3)), rng.uniform(0.05, 3.0, 4))):
+        caps[f"random{i}"] = Cap(v / np.linalg.norm(v), r)
+    return caps
+
+
+@pytest.mark.parametrize("name", reference_caps())
+def test_cap_densities_match_kink_aware_reference(name):
+    cap = reference_caps()[name]
+    o = cap_oracle(cap.center, cap.radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for level in range(5):
+            d, e = cell_densities(o, level, all_band_sector(level))
+            ref = reference_cap_densities(cap, level).ravel()
+            assert np.abs(d - ref).max() <= 1e-10, level
+            assert not e.any()
+
+
+def test_rotated_cap_cell_matches_high_precision_integral():
+    # a 30-digit mpmath integral split at the kinks gives this value; one
+    # quad per cell without the kinks returned 1.0
+    o = cap_union_oracle([Cap(ROTATED_AXIS, math.pi / 4), Cap(-ROTATED_AXIS, math.pi / 4)])
+    d, _ = cell_densities(o, 4, [(14, 7)])
+    assert d[0] == pytest.approx(0.9999988436834502, abs=1e-12)
+
+
+def test_rotated_cap_filter_raises_no_warning():
+    o = cap_union_oracle([Cap(ROTATED_AXIS, math.pi / 4), Cap(-ROTATED_AXIS, math.pi / 4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = select_dense_cells(o, 6, 0.01)
+    assert len(report.selected) == 4562
+
+
+def test_double_cap_filter_artifacts_pinned(tmp_path):
+    # sha256 of the `opfsets filter --oracle double-cap --level 4 --epsilon
+    # 0.01` report and CSV, as one quad per cell and a running sum gave them
+    report = select_dense_cells(double_cap_oracle(), 4, 0.01)
+    report.save(tmp_path / "f.json")
+    report.save_csv(tmp_path / "f.csv")
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("f.json", "f.csv")}
+    assert digest == {
+        "f.json": "ad9a851072d9e2f46ce6bce3bcdaa0215d26a244126e231ccfbba00297e7ddbf",
+        "f.csv": "491e5fdd226c603636a402490ffacce757fdc0464c2b23df74d85c868a4bd8a2"}
+
+
+def test_monte_carlo_densities_pinned_and_chunk_free(monkeypatch):
+    o = sieve_fractal_oracle(3)
+    d, e = cell_densities(o, 3, all_band_sector(3), samples=1000, seed=0,
+                          method="monte_carlo")
+    assert hashlib.sha256(d.tobytes() + e.tobytes()).hexdigest() == (
+        "1f0f134f2c54ea9d071c2a43250d870c8de4b4825d1c1358aa86801d01f90997")
+    # one cell per contains_batch call gives the same bits
+    monkeypatch.setattr(density, "_CHUNK", 1)
+    d1, e1 = cell_densities(o, 3, all_band_sector(3), samples=1000, seed=0,
+                            method="monte_carlo")
+    assert d1.tobytes() == d.tobytes() and e1.tobytes() == e.tobytes()
+
+
+def scalar_sieve_density(depth, level, band, sector):
+    """Walk the refinement steps 1..min(level, depth) one binary digit at a time."""
+    for j in range(1, min(level, depth) + 1):
+        if (band >> (level - j)) & 1 and (sector >> (level - j)) & 1:
+            return 0.0
+    return 0.75 ** max(0, depth - level)
 
 
 def test_sieve_densities_and_measure():
     o = sieve_fractal_oracle(2)
     assert o.measure() == pytest.approx(SPHERE_AREA * 0.5625, abs=1e-12)
-    # the odd/odd child is dropped at the first refinement
-    assert analytic_cell_density(o, DyadicCell(1, 1, 1)) == 0.0
-    # surviving level-1 cells keep 3/4 of their area at depth 2
-    assert analytic_cell_density(o, DyadicCell(1, 0, 0)) == 0.75
+    # the odd/odd child is dropped at the first refinement; surviving level-1
+    # cells keep 3/4 of their area at depth 2
+    assert cell_densities(o, 1, [(1, 1), (0, 0)])[0].tolist() == [0.0, 0.75]
     # at a level at or past the depth, densities are 0 or 1
-    d = analytic_cell_density(o, DyadicCell(2, 3, 3))
-    assert d in (0.0, 1.0)
+    assert cell_densities(o, 2, [(3, 3)])[0][0] in (0.0, 1.0)
     # densities integrate back to the measure at every level
     for level in (1, 2, 3):
-        n = 2 ** (level + 1)
-        total = sum(analytic_cell_density(o, DyadicCell(level, b, s))
-                    for b in range(n) for s in range(n)) * cell_area(level)
-        assert abs(total - o.measure()) < 1e-10
+        d, _ = cell_densities(o, level, all_band_sector(level))
+        assert abs(d.sum() * cell_area(level) - o.measure()) < 1e-10
+    for depth in range(5):
+        for level in range(6):
+            d, _ = cell_densities(sieve_fractal_oracle(depth), level, all_band_sector(level))
+            assert d.tolist() == [scalar_sieve_density(depth, level, b, s)
+                                  for b, s in all_band_sector(level).tolist()]
 
 
 def test_cell_set_densities_across_levels():
     o = cell_set_oracle(CellSet.from_cells(2, [(0, 0)]))
-    assert analytic_cell_density(o, DyadicCell(3, 0, 0)) == 1.0
-    assert analytic_cell_density(o, DyadicCell(3, 0, 2)) == 0.0
-    assert analytic_cell_density(o, DyadicCell(2, 0, 0)) == 1.0
-    assert analytic_cell_density(o, DyadicCell(1, 0, 0)) == 0.25
-    assert analytic_cell_density(o, DyadicCell(1, 1, 0)) == 0.0
+    assert cell_densities(o, 3, [(0, 0), (0, 2)])[0].tolist() == [1.0, 0.0]
+    assert cell_densities(o, 2, [(0, 0)])[0].tolist() == [1.0]
+    assert cell_densities(o, 1, [(0, 0), (1, 0)])[0].tolist() == [0.25, 0.0]
+    rng = np.random.default_rng(12)
+    sel = CellSet.from_cells(3, rng.integers(0, 16, size=(40, 2)).tolist())
+    members = set(sel.members)
+    for level in range(6):
+        d, _ = cell_densities(cell_set_oracle(sel), level, all_band_sector(level))
+        if level >= 3:
+            want = [float((b >> (level - 3), s >> (level - 3)) in members)
+                    for b, s in all_band_sector(level).tolist()]
+        else:
+            shift = 3 - level
+            want = [sum(bb >> shift == b and ss >> shift == s for bb, ss in members)
+                    / 4.0 ** shift for b, s in all_band_sector(level).tolist()]
+        assert d.tolist() == want
 
 
 def test_sample_in_cell_stays_inside():
@@ -204,20 +355,22 @@ def test_sample_in_cell_stays_inside():
 
 def test_estimate_validation_and_determinism():
     o = double_cap_oracle()
-    cell = DyadicCell(2, 1, 0)
     with pytest.raises(ValueError):
-        estimate_cell_density(o, cell, samples=10)
+        cell_densities(o, 2, [(1, 0)], samples=10)
     with pytest.raises(ValueError):
-        estimate_cell_density(o, cell, method="psychic")
+        cell_densities(o, 2, [(1, 0)], method="psychic")
+    with pytest.raises(ValueError):
+        cell_densities(o, 2, [(8, 0)])
     # analytic path reports zero error
-    d, e = estimate_cell_density(o, cell)
-    assert e == 0.0
-    # per-cell streams make repeated estimates identical
-    a = estimate_cell_density(o, cell, samples=500, seed=3, method="monte_carlo")
-    b = estimate_cell_density(o, cell, samples=500, seed=3, method="monte_carlo")
-    assert a == b
+    d, e = cell_densities(o, 2, [(1, 0)])
+    assert e[0] == 0.0
+    # per-cell streams: an estimate does not depend on the other cells asked for
+    a, ae = cell_densities(o, 2, [(1, 0)], samples=500, seed=3, method="monte_carlo")
+    b, be = cell_densities(o, 2, [(0, 0), (1, 0)], samples=500, seed=3, method="monte_carlo")
+    assert (a[0], ae[0]) == (b[1], be[1])
     with pytest.raises(ValueError):
-        estimate_cell_density(polygon_set_oracle(()), cell, method="analytic")
+        cell_densities(polygon_set_oracle(()), 2, [(1, 0)], method="analytic")
+    assert cell_densities(o, 2, [])[0].shape == (0,)
 
 
 def test_select_dense_cells_double_cap():
@@ -263,6 +416,20 @@ def test_covering_report_double_cap():
     assert report.captured_gap <= 0.0
 
 
+def test_covering_report_polygons_and_empty_selection():
+    sel = double_cap_cellset(3)
+    polys = conv(sel).decomposition.polygons
+    o = polygon_set_oracle(polys)
+    report = covering_report(o, sel, samples=20_000)
+    assert report.mu_m == pytest.approx(sum(p.area() for p in polys), abs=1e-12)
+    # the hulls cover the cells up to their sampled latitude edges
+    assert report.mu_intersection_stderr > 0.0
+    gap = abs(report.mu_intersection - report.mu_union)
+    assert gap < 4.0 * report.mu_intersection_stderr + 1e-3
+    empty = covering_report(double_cap_oracle(), CellSet.from_cells(3, []))
+    assert (empty.mu_union, empty.mu_intersection, empty.mu_intersection_stderr) == (0.0, 0.0, 0.0)
+
+
 def test_cap_union_measure_additivity():
     o = cap_union_oracle([c for c in double_cap_oracle().caps])
     assert o.measure() == pytest.approx(2 * cap_area(math.pi / 4), abs=1e-15)
@@ -271,7 +438,7 @@ def test_cap_union_measure_additivity():
 def test_overlapping_caps_rejected():
     z = np.array([0.0, 0.0, 1.0])
     # identical caps would count their common area twice in measure() and
-    # in analytic_cell_density
+    # in cell_densities
     with pytest.raises(ValueError, match="overlap"):
         cap_union_oracle([Cap(z, 0.5), Cap(z, 0.5)])
     with pytest.raises(ValueError, match="overlap"):
