@@ -21,8 +21,8 @@ def main() -> int:
     parser.add_argument("--epsilons", type=float, nargs="*",
                         default=[0.005, 0.01, 0.02])
     parser.add_argument("--certify", action="store_true",
-                        help="run the pairwise orthogonal-pair check (a block "
-                             "bounding-box pass first, then the candidate pairs)")
+                        help="run the pairwise orthogonal-pair check (a bounding-box "
+                             "tree first, then the candidate pairs)")
     args = parser.parse_args()
 
     sel = double_cap_cellset(args.level)

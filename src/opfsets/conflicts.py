@@ -214,52 +214,70 @@ class ConflictGraph:
 # few tens of MB whatever the level.
 _CHUNK = 1 << 20
 
-# Consecutive boxes bounded together in the block pass of _pair_scan.
-_BLOCK = 8
-# Widens the block pass's margin: a block range contains its member ranges
+# Widens the tree's margin: a node range contains its members' ranges
 # exactly, but the kernel may round each by a few ulps.
 _BLOCK_SLACK = 1e-9
+# Bits per axis of the Morton key of a box centre: enough to tell apart the
+# 2^(k+1) bands and sectors of every level k up to 15.
+_MORTON_BITS = 16
+
+
+def _morton_order(ulo, uhi, plo, phi_) -> np.ndarray:
+    """Permutation sorting boxes by the Z-order key of their centres, taken in
+    (u, azimuth turns mod 1), both axes scaled to [0, 1)."""
+    scale = 1 << _MORTON_BITS
+    axes = ((ulo + uhi) / 4.0 + 0.5, np.mod((plo + phi_) / 2.0, 1.0))
+    qu, qa = (np.minimum(a * scale, scale - 1).astype(np.int64) for a in axes)
+    key = np.zeros(len(ulo), dtype=np.int64)
+    for b in range(_MORTON_BITS):
+        key |= ((qu >> b) & 1) << (2 * b + 1) | ((qa >> b) & 1) << (2 * b)
+    return np.argsort(key, kind="stable")
+
+
+def _ranges_meet(boxes, i: np.ndarray, j: np.ndarray, margin: float) -> np.ndarray:
+    """Mask of the pairs (i[t], j[t]) whose dot range meets [-margin, margin],
+    in kernel calls of <= _CHUNK pairs."""
+    meet = np.empty(len(i), dtype=bool)
+    for c0 in range(0, len(i), _CHUNK):
+        a, b = i[c0:c0 + _CHUNK], j[c0:c0 + _CHUNK]
+        lo, hi = dot_range_boxes_u(*(x[a] for x in boxes), *(x[b] for x in boxes))
+        meet[c0:c0 + _CHUNK] = (lo - margin <= 0.0) & (hi + margin >= 0.0)
+    return meet
 
 
 def _pair_scan(boxes, margin: float) -> tuple[np.ndarray, int]:
     """((k, 2) index pairs i <= j whose dot ranges contain 0, pairs evaluated).
 
-    Boxes are (ulo, uhi, plo, phi) arrays, azimuth in turns.  A block pass
-    bounds each run of _BLOCK consecutive boxes by one box and drops the block
-    pairs whose range misses [-margin, margin] by more than _BLOCK_SLACK; only
-    the element pairs of the surviving block pairs reach the kernel, so the
-    answer is the dense scan's.  The pairs come in no particular order.
+    Boxes are (ulo, uhi, plo, phi) arrays, azimuth in turns.  They are sorted
+    in Morton order, and level k of a binary tree bounds each run of 2^k
+    consecutive sorted boxes by one box.  Descending from the root, a node
+    pair is dropped when its range misses [-margin, margin] by more than
+    _BLOCK_SLACK, and each surviving pair expands to its child pairs.  The
+    leaf pairs left reach the kernel as (smaller, larger) input index, so the
+    answer is the dense scan's, and they are the pairs evaluated.  The pairs
+    come in no particular order.
     """
-    ulo, uhi, plo, phi_ = (np.asarray(a, dtype=float) for a in boxes)
-    m = len(ulo)
+    boxes = tuple(np.asarray(a, dtype=float) for a in boxes)
+    m = len(boxes[0])
     if m == 0:
         return np.empty((0, 2), dtype=np.int64), 0
-    starts = np.arange(0, m, _BLOCK)
-    blocks = (np.minimum.reduceat(ulo, starts), np.maximum.reduceat(uhi, starts),
-              np.minimum.reduceat(plo, starts), np.maximum.reduceat(phi_, starts))
-    nb, reach = len(starts), margin + _BLOCK_SLACK
-    offsets = np.arange(_BLOCK)
-    da, db = offsets.repeat(_BLOCK), np.tile(offsets, _BLOCK)
-    found, evaluated = [np.empty((0, 2), dtype=np.int64)], 0
-    step, pair_step = max(1, _CHUNK // nb), _CHUNK // _BLOCK**2
-    for r0 in range(0, nb, step):
-        rows, cols = np.arange(r0, min(r0 + step, nb)), np.arange(r0, nb)
-        lo, hi = dot_range_boxes_u(*(b[rows, None] for b in blocks),
-                                   *(b[None, cols] for b in blocks))
-        live = (lo - reach <= 0.0) & (hi + reach >= 0.0) & (cols[None, :] >= rows[:, None])
-        bi, bj = np.nonzero(live)
-        bi, bj = rows[bi], cols[bj]
-        for c0 in range(0, len(bi), pair_step):
-            i = (bi[c0:c0 + pair_step, None] * _BLOCK + da).ravel()
-            j = (bj[c0:c0 + pair_step, None] * _BLOCK + db).ravel()
-            keep = (j < m) & (j >= i)
-            i, j = i[keep], j[keep]
-            lo, hi = dot_range_boxes_u(ulo[i], uhi[i], plo[i], phi_[i],
-                                       ulo[j], uhi[j], plo[j], phi_[j])
-            hit = (lo - margin <= 0.0) & (hi + margin >= 0.0)
-            found.append(np.stack([i[hit], j[hit]], axis=1))
-            evaluated += len(i)
-    return np.concatenate(found), evaluated
+    order = _morton_order(*boxes)
+    levels = [tuple(x[order] for x in boxes)]
+    while len(levels[-1][0]) > 1:
+        ulo, uhi, plo, phi_ = levels[-1]
+        starts = np.arange(0, len(ulo), 2)
+        levels.append((np.minimum.reduceat(ulo, starts), np.maximum.reduceat(uhi, starts),
+                       np.minimum.reduceat(plo, starts), np.maximum.reduceat(phi_, starts)))
+    i = j = np.zeros(1, dtype=np.int64)
+    for k in range(len(levels) - 1, 0, -1):
+        live = _ranges_meet(levels[k], i, j, margin + _BLOCK_SLACK)
+        i = (2 * i[live, None] + [0, 0, 1, 1]).ravel()
+        j = (2 * j[live, None] + [0, 1, 0, 1]).ravel()
+        keep = (i <= j) & (j < len(levels[k - 1][0]))
+        i, j = i[keep], j[keep]
+    i, j = np.minimum(order[i], order[j]), np.maximum(order[i], order[j])
+    hit = _ranges_meet(boxes, i, j, margin)
+    return np.stack([i[hit], j[hit]], axis=1), len(i)
 
 
 def _circulant_table(level: int, margin: float, bands) -> np.ndarray:

@@ -323,7 +323,6 @@ class CoveringReport:
     """Two-sided covering diagnostics against a target set M."""
 
     mu_m: float
-    mu_m_stderr: float
     mu_union: float
     mu_intersection: float
     mu_intersection_stderr: float
@@ -332,7 +331,7 @@ class CoveringReport:
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in (
-            "mu_m", "mu_m_stderr", "mu_union", "mu_intersection",
+            "mu_m", "mu_union", "mu_intersection",
             "mu_intersection_stderr", "captured_gap", "excess_gap")}
 
 
@@ -349,5 +348,5 @@ def covering_report(oracle: MembershipOracle, selection: CellSet,
     d, e = cell_densities(oracle, selection.level, selection.members, per_cell, seed)
     inter = _running_sum(d * area)
     mu_m, mu_union = oracle.measure(), selection.measure()
-    return CoveringReport(mu_m, 0.0, mu_union, inter, math.sqrt(_running_sum((e * area) ** 2)),
+    return CoveringReport(mu_m, mu_union, inter, math.sqrt(_running_sum((e * area) ** 2)),
                           inter - mu_m, mu_union - mu_m)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conflicts import _pair_scan
 from .grid import CellSet, DyadicCell, cell_area, cell_bounds, theta_bounds, write_json
-from .sphere import InfeasibleShrinkError, SPHERE_AREA, cap_area, lune_half_angle
+from .sphere import InfeasibleShrinkError, SPHERE_AREA, TWO_PI, lune_half_angle
 
 N_ROOT = 3
 SQRT_PI = math.sqrt(math.pi)
@@ -250,7 +251,7 @@ class OpfCertification:
     n_regions: int
     margin: float
     violations: tuple  # (i, j) region indices, i == j for self-conflicts
-    # kernel evaluations of region pairs left after the block pass
+    # kernel evaluations of the region pairs that reach the tree's leaves
     pairs_evaluated: int = field(compare=False)
 
     @property
@@ -260,9 +261,6 @@ class OpfCertification:
 
 def verify_scaled_opf(regions, margin: float = 0.0) -> OpfCertification:
     """Check all region pairs (and self-pairs) for achievable inner product 0."""
-    from .conflicts import _pair_scan
-    from .sphere import TWO_PI
-
     regions = list(regions)
     live = [(i, r) for i, r in enumerate(regions) if not r.empty]
     if not live:

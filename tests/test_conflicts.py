@@ -350,15 +350,20 @@ def random_boxes(rng, m):
     return ulo, uhi, plo, phi
 
 
+def rotcap_regions(level):
+    """Scaled regions of the dense cells of two antipodal pi/4 caps about (1, 2, 2)/3."""
+    rotated = np.array([1.0, 2.0, 2.0]) / 3.0
+    caps = cap_union_oracle([Cap(rotated, math.pi / 4.0), Cap(-rotated, math.pi / 4.0)])
+    rotcap = select_dense_cells(caps, level, 0.01).selected
+    return scale_set(rotcap, choose_constants(0.01, rotcap.measure())).regions
+
+
 def scaled_region_cases():
     """(name, regions): rotated caps at level 5 and the level-3 sphere, unshrunk
     (boxes in radians, so many decisions sit within ulps of zero) and scaled."""
-    rotated = np.array([1.0, 2.0, 2.0]) / 3.0
-    caps = cap_union_oracle([Cap(rotated, math.pi / 4.0), Cap(-rotated, math.pi / 4.0)])
-    rotcap = select_dense_cells(caps, 5, 0.01).selected
     full3 = CellSet.from_cells(3, all_cells(3))
     full_eps = 0.9 * largest_feasible_epsilon(full3.measure())
-    return [("rotcap-l5", scale_set(rotcap, choose_constants(0.01, rotcap.measure())).regions),
+    return [("rotcap-l5", rotcap_regions(5)),
             ("full-l3-unshrunk", [shrink_cell(c, 0.0) for c in full3.cells()]),
             ("full-l3-scaled", scale_set(full3, choose_constants(full_eps,
                                                                  full3.measure())).regions)]
@@ -396,6 +401,35 @@ def test_block_pass_prunes_double_cap():
     cert = verify_scaled_opf(regions)
     assert cert.ok and m > 1000
     assert cert.pairs_evaluated < 0.01 * m * (m + 1) // 2
+
+
+def test_tree_prunes_rotated_caps():
+    # off-pole caps, not only the pole-centred double cap of the test above
+    regions = rotcap_regions(5)
+    m = sum(not r.empty for r in regions)
+    cert = verify_scaled_opf(regions)
+    assert cert.ok and m > 1000
+    assert cert.pairs_evaluated < 0.01 * m * (m + 1) // 2
+
+
+def test_pair_scan_independent_of_input_order():
+    rng = np.random.default_rng(23)
+    for boxes, margin in ((region_boxes(rotcap_regions(5)), 0.05),
+                          (random_boxes(rng, 600), 0.0)):
+        want = sorted_pairs(_pair_scan(boxes, margin)[0])
+        assert len(want)
+        perm = rng.permutation(len(boxes[0]))
+        got = perm[_pair_scan(tuple(b[perm] for b in boxes), margin)[0]]
+        assert np.array_equal(sorted_pairs(np.sort(got, axis=1)), want)
+
+
+def test_pair_scan_chunked_matches_default(monkeypatch):
+    # every tree level and the leaves then take several kernel calls
+    boxes = random_boxes(np.random.default_rng(29), 200)
+    pairs, evaluated = _pair_scan(boxes, 0.0)
+    monkeypatch.setattr(conflicts, "_CHUNK", 64)
+    got, got_evaluated = _pair_scan(boxes, 0.0)
+    assert np.array_equal(got, pairs) and got_evaluated == evaluated
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.05])

@@ -54,13 +54,17 @@ def test_contains_batch_matches_scalar():
         assert all(bool(batch[i]) == o.contains(pts[i]) for i in range(len(pts)))
 
 
-def scalar_polygon_member(poly, p):
+def edge_normals(poly):
+    """np.cross of each edge's endpoints, in vertex order."""
+    v = poly.vertices
+    return [np.cross(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+
+
+def scalar_polygon_member(poly, normals, p):
     """The closed per-edge containment test, one point and one edge at a time."""
     if float(p @ poly.hemisphere_center) <= 0.0:
         return False
-    v = poly.vertices
-    return all(float(p @ np.cross(v[i], v[(i + 1) % len(v)])) >= -PREDICATE_TOL
-               for i in range(len(v)))
+    return all(float(p @ nrm) >= -PREDICATE_TOL for nrm in normals)
 
 
 def test_polygon_set_membership_matches_polygons():
@@ -77,7 +81,9 @@ def test_polygon_set_membership_matches_polygons():
         np.stack([-p.hemisphere_center for p in polys])])
     got = polygon_set_oracle(polys).contains_batch(pts)
     assert got.tolist() == [any(p.contains(x) for p in polys) for x in pts]
-    assert got.tolist() == [any(scalar_polygon_member(p, x) for p in polys) for x in pts]
+    normals = [edge_normals(p) for p in polys]
+    assert got.tolist() == [any(scalar_polygon_member(p, nrm, x) for p, nrm in zip(polys, normals))
+                            for x in pts]
     assert left.contains_batch(pts[3000:3040]).all() and right.contains_batch(pts[3000:3040]).all()
     assert (pts @ left.hemisphere_center <= 0.0).sum() > 1000
     assert 100 < got.sum() < len(pts) - 100
@@ -409,7 +415,7 @@ def test_covering_report_double_cap():
                              samples=20_000)
     assert isinstance(report, CoveringReport)
     assert report.mu_m == pytest.approx(o.measure(), abs=1e-12)
-    assert report.mu_m_stderr == 0.0
+    assert "mu_m_stderr" not in report.to_json()
     # selected cells sit inside M, so intersection equals the union measure
     assert report.mu_intersection == pytest.approx(report.mu_union, abs=1e-9)
     assert report.excess_gap == pytest.approx(report.mu_union - report.mu_m, abs=1e-12)
