@@ -15,18 +15,25 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import ConvexHull, QhullError
 
-from .grid import CellSet, DyadicCell, cell_bounds, neighbors, theta_bounds, write_json
+from .grid import CellSet, cell_bounds_batch, n_bands, write_json
 from .sphere import (GeodesicSegment, NORMALIZATION_TOL, PREDICATE_TOL,
-                     from_polar, geodesic_distance, gnomonic_project_batch,
+                     geodesic_distance, gnomonic_project_batch,
                      gnomonic_unproject, spherical_polygon_area, tangent_basis)
 
 HEMISPHERE_MARGIN = 1e-9
 MERGE_TOL = 1e-9
+# angle slack of the endpoint prunes: a pair they drop is past every exact
+# test by more than the rounding of arccos near 0 (~1e-8) and the on-arc tolerance
 FOOT_SLACK = 1e-6
+# dot-product margin by which a bounding-cap shortcut must clear its limit,
+# far above the rounding of the cap radii (~1e-8 near 0) and of any dot
+CAP_MARGIN = 1e-6
 
 
 def _cross2(u, v) -> float:
@@ -70,7 +77,48 @@ class ConvexPolygon:
         return inside
 
     def area(self) -> float:
+        """Girard area, computed once per polygon."""
+        return self._girard_area
+
+    @cached_property
+    def _girard_area(self) -> float:
         return spherical_polygon_area(self.vertices)
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, ends, unit normals) of all edges; normals point to the interior side."""
+        a = self.vertices
+        b = np.roll(a, -1, axis=0)
+        n = np.cross(a, b)
+        norms = np.linalg.norm(n, axis=1, keepdims=True)
+        return a, b, n / np.maximum(norms, NORMALIZATION_TOL)
+
+    @cached_property
+    def bounding_cap(self) -> tuple[np.ndarray, float]:
+        """(unit centre, R): the cap about hemisphere_center out to the farthest vertex.
+
+        R < pi/2, so the cap is convex and holds the polygon with its vertices.
+        """
+        c = self.hemisphere_center / np.linalg.norm(self.hemisphere_center)
+        return c, float(np.arccos(np.clip((self.vertices @ c).min(), -1.0, 1.0)))
+
+    @cached_property
+    def reach(self) -> float:
+        """R + w: no point that contains_batch or an on-arc test on an edge
+        accepts lies farther than this from the cap centre.
+
+        contains_batch admits a point sin(d) = tol / |a x b| past an edge and,
+        near a vertex of interior angle theta, 1 / sin(theta/2) times that,
+        with sin(theta/2)^2 = (1 + n_prev . n) / 2 for the unit edge normals;
+        w is the asin of the worst case, pi/2 once that reaches 1.  An on-arc
+        test admits asin(tol) <= w past an arc end (README, Guarantees).
+        """
+        a, b, unit = self.edges
+        norms = np.linalg.norm(np.cross(a, b), axis=1)
+        turn = float(np.einsum("ei,ei->e", np.roll(unit, 1, axis=0), unit).min())
+        widen = PREDICATE_TOL / max(norms.min() * math.sqrt(max(0.0, 1.0 + turn) / 2.0),
+                                    PREDICATE_TOL)
+        return self.bounding_cap[1] + math.asin(widen)
 
     def boundary_samples(self, per_edge: int = 8) -> np.ndarray:
         pts = []
@@ -113,39 +161,67 @@ def convex_polygon_from_points(points: np.ndarray,
 
 
 def _component_boundary_points(component: CellSet, arc_samples: int) -> np.ndarray:
-    """Cell corners plus sampled latitude arcs (small circles need sampling)."""
-    pts = []
-    for cell in component.cells():
-        tlo, thi = theta_bounds(cell)
-        _, (plo, phi) = cell_bounds(cell)
-        for theta in (tlo, thi):
-            if theta == 0.0 or theta == math.pi:
-                pts.append(from_polar(theta, plo))
-                continue
-            for j in range(arc_samples + 1):
-                pts.append(from_polar(theta, plo + (phi - plo) * j / arc_samples))
-    return np.asarray(pts)
+    """Cell corners plus sampled latitude arcs (small circles need sampling).
+
+    Per cell in member order: its top then its bottom latitude arc, as
+    arc_samples + 1 points from phi_lo to phi_hi, or one point at a pole.
+    Sines and cosines come from math on each distinct angle and multiply as
+    in from_polar, so every point is from_polar's bit for bit.
+    """
+    cells = np.asarray(component.members, dtype=np.int64).reshape(-1, 2)
+    bands, band_of = np.unique(cells[:, 0], return_inverse=True)
+    sectors, sector_of = np.unique(cells[:, 1], return_inverse=True)
+    (cos_lo, cos_hi), _ = cell_bounds_batch(component.level, bands, 0)
+    _, (plo, phi) = cell_bounds_batch(component.level, 0, sectors)
+    j = np.arange(arc_samples + 1)
+    phis = plo[:, None] + (phi - plo)[:, None] * j / arc_samples      # (sectors, J)
+    theta = [(math.acos(min(1.0, hi)), math.acos(max(-1.0, lo)))
+             for lo, hi in zip(cos_lo.tolist(), cos_hi.tolist())]     # (bands, 2)
+
+    def mapped(fn, x):
+        return np.array([[fn(v) for v in row] for row in np.asarray(x).tolist()])
+
+    st = mapped(math.sin, theta)[band_of][:, :, None]
+    pts = np.empty((len(cells), 2, len(j), 3))
+    pts[..., 0] = st * mapped(math.cos, phis)[sector_of][:, None, :]
+    pts[..., 1] = st * mapped(math.sin, phis)[sector_of][:, None, :]
+    pts[..., 2] = mapped(math.cos, theta)[band_of][:, :, None]
+    pole = np.isin(theta, (0.0, math.pi))[band_of][:, :, None]
+    return pts[~pole | (j == 0)]
 
 
 def connected_components(selection: CellSet) -> list[CellSet]:
-    """Partition under closure adjacency; deterministic lowest-cell-first order."""
-    remaining = set(selection.members)
-    components = []
-    while remaining:
-        seed = min(remaining)
-        stack = [seed]
-        remaining.discard(seed)
-        comp = [seed]
-        while stack:
-            b, s = stack.pop()
-            for nb in neighbors(DyadicCell(selection.level, b, s)):
-                key = (nb.band, nb.sector)
-                if key in remaining:
-                    remaining.discard(key)
-                    comp.append(key)
-                    stack.append(key)
-        components.append(CellSet.from_cells(selection.level, comp))
-    return sorted(components, key=lambda c: c.members[0])
+    """Partition under closure adjacency; deterministic lowest-cell-first order.
+
+    Cells meet across edges and corners, across the azimuthal wraparound,
+    and at a pole, where all cells of the top (or bottom) band meet.
+    """
+    # imported here: scipy.sparse.csgraph adds ~0.1 s to every `import opfsets`
+    from scipy.sparse.csgraph import connected_components as graph_components
+
+    if len(selection) == 0:
+        return []
+    cells = np.asarray(selection.members, dtype=np.int64)
+    n = n_bands(selection.level)
+    index = np.full((n + 1, n), -1)             # row n: an empty guard band
+    index[cells[:, 0], cells[:, 1]] = np.arange(len(cells))
+    src, dst = [], []
+    for db, ds in ((0, 1), (1, -1), (1, 0), (1, 1)):  # the other four are their reverses
+        nb = index[cells[:, 0] + db, (cells[:, 1] + ds) % n]
+        src.append(np.flatnonzero(nb >= 0))
+        dst.append(nb[nb >= 0])
+    for pole_band in (0, n - 1):                # each pole cell to the first one
+        at_pole = np.flatnonzero(cells[:, 0] == pole_band)
+        src.append(at_pole)
+        dst.append(np.repeat(at_pole[:1], len(at_pole)))
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    count, labels = graph_components(
+        coo_matrix((np.ones(len(src)), (src, dst)), shape=(len(cells), len(cells))),
+        directed=False)
+    order = np.argsort(labels, kind="stable")   # members ascend within each component
+    groups = np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    groups.sort(key=lambda g: g[0])
+    return [CellSet(selection.level, tuple(map(tuple, cells[g].tolist()))) for g in groups]
 
 
 def convex_hull(component: CellSet, arc_samples: int = 32,
@@ -202,15 +278,6 @@ class ConvexDecomposition:
         write_json(path, self.to_json())
 
 
-def _edge_arrays(poly: ConvexPolygon):
-    """(starts, ends, unit normals) of all edges; normals point to the interior side."""
-    a = poly.vertices
-    b = np.roll(a, -1, axis=0)
-    n = np.cross(a, b)
-    norms = np.linalg.norm(n, axis=1, keepdims=True)
-    return a, b, n / np.maximum(norms, NORMALIZATION_TOL)
-
-
 def _on_arcs(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Rowwise: does point x lie on the minor arc a -> b with unit normal n?"""
     tol = PREDICATE_TOL
@@ -218,53 +285,93 @@ def _on_arcs(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.n
         & (np.einsum("ki,ki->k", np.cross(x, b), n) >= -tol)
 
 
+def _feet_on_arcs(points: np.ndarray, s: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  n: np.ndarray) -> np.ndarray:
+    """Rowwise: does the foot of points on the circle of a -> b, at signed sine s, lie on the arc?"""
+    feet = points - s[:, None] * n
+    fn = np.linalg.norm(feet, axis=1)
+    feet = feet / np.maximum(fn, NORMALIZATION_TOL)[:, None]
+    return (fn > NORMALIZATION_TOL) & _on_arcs(feet, a, b, n)
+
+
+def _arc_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.arccos(np.clip(np.einsum("ei,ei->e", a, b), -1.0, 1.0))
+
+
 def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
                      n: np.ndarray, tile: int = 512) -> np.ndarray:
-    """Per-point minimum geodesic distance to a set of minor arcs.
+    """Per-point minimum geodesic distance to the minor arcs of a polygon.
 
-    points (m, 3); a, b, n (e, 3).  Endpoint distances are a dense matrix
-    pass; the foot-of-perpendicular correction runs only on the (point, arc)
+    points (m, 3); a, b, n (e, 3) with b = roll(a, -1), so the end dots are
+    a roll of the start dots.  Endpoint distances are a dense matrix pass;
+    the foot-of-perpendicular correction runs only on the (point, arc)
     pairs whose circle distance could actually improve the endpoint value
     and whose foot can lie on the arc.  A point whose foot lies on the arc is
     within circle distance + arc length of an endpoint; FOOT_SLACK covers the
     rounding of arccos near 0 (~1e-8) and the on-arc tolerance.
     """
     out = np.empty(len(points))
-    length = np.arccos(np.clip(np.einsum("ei,ei->e", a, b), -1.0, 1.0))
+    length = _arc_lengths(a, b)
     for r0 in range(0, len(points), tile):
         p = points[r0:r0 + tile]                       # (t, 3)
-        near = np.minimum(np.arccos(np.clip(p @ a.T, -1.0, 1.0)),
-                          np.arccos(np.clip(p @ b.T, -1.0, 1.0)))  # (t, e)
+        start = np.arccos(np.clip(p @ a.T, -1.0, 1.0))  # (t, e)
+        near = np.minimum(start, np.roll(start, -1, axis=1))
         pmin = near.min(axis=1)
         s = p @ n.T                                    # signed sine of circle distance
         circ = np.arcsin(np.minimum(1.0, np.abs(s)))
         ii, ee = np.nonzero((circ < pmin[:, None]) & (near <= circ + length + FOOT_SLACK))
-        if len(ii):
-            feet = p[ii] - s[ii, ee, None] * n[ee]
-            fn = np.linalg.norm(feet, axis=1)
-            feet = feet / np.maximum(fn, NORMALIZATION_TOL)[:, None]
-            on = (fn > NORMALIZATION_TOL) & _on_arcs(feet, a[ee], b[ee], n[ee])
-            np.minimum.at(pmin, ii[on], circ[ii[on], ee[on]])
+        on = _feet_on_arcs(p[ii], s[ii, ee], a[ee], b[ee], n[ee])
+        np.minimum.at(pmin, ii[on], circ[ii[on], ee[on]])
         out[r0:r0 + tile] = pmin
     return out
 
 
-def _arcs_cross(arcs1, arcs2) -> bool:
-    """Does some arc of arcs1 meet some arc of arcs2?
+def _foot_min(points: np.ndarray, arcs, g: np.ndarray, dmin: float) -> float:
+    """min(dmin, the least point-to-arc foot distance below it).
+
+    g = points @ a.T holds the start dots of the arcs, its roll the end
+    dots.  A foot on an arc lies within len/2 of one of its endpoints, so
+    only pairs with an endpoint dot >= cos(dmin + len/2 + FOOT_SLACK) can
+    go below dmin.  On those, the tests and values are _points_arcs_min's.
+    """
+    a, b, n = arcs
+    length = _arc_lengths(a, b)
+    limit = np.cos(np.minimum(math.pi, dmin + length / 2.0 + FOOT_SLACK))
+    ii, ee = np.nonzero((g >= limit) | np.roll(g >= np.roll(limit, 1), -1, axis=1))
+    if len(ii) == 0:
+        return dmin
+    pmin = np.arccos(np.clip(g.max(axis=1), -1.0, 1.0))[ii]
+    near = np.arccos(np.clip(np.maximum(g[ii, ee], g[ii, (ee + 1) % len(a)]), -1.0, 1.0))
+    s = (points @ n.T)[ii, ee]
+    circ = np.arcsin(np.minimum(1.0, np.abs(s)))
+    keep = np.flatnonzero((circ < pmin) & (near <= circ + length[ee] + FOOT_SLACK))
+    ii, ee, s, circ = ii[keep], ee[keep], s[keep], circ[keep]
+    on = _feet_on_arcs(points[ii], s, a[ee], b[ee], n[ee])
+    return min(dmin, float(circ[on].min(initial=math.inf)))
+
+
+def _arcs_cross(arcs1, arcs2, g: np.ndarray) -> bool:
+    """Does some arc of arcs1 meet some arc of arcs2?  g = a1 @ a2.T.
 
     Two minor arcs that do not cross are nearest at an endpoint of one of
     them, which the point-to-arc pass already covers, so a crossing is the
     only arc-arc event that can lower the minimum distance.  Crossing arcs
     have an endpoint pair no farther apart than the sum of their lengths,
-    which prunes almost every pair of short arcs before the vector work.
+    which prunes almost every pair of short arcs before the vector work; the
+    four endpoint dots of an arc pair are g and its rolls.
     """
     a1, b1, n1 = arcs1
     a2, b2, n2 = arcs2
-    l1 = np.arccos(np.clip(np.einsum("ei,ei->e", a1, b1), -1.0, 1.0))
-    l2 = np.arccos(np.clip(np.einsum("ei,ei->e", a2, b2), -1.0, 1.0))
-    minend = np.arccos(np.clip(np.maximum.reduce([x @ y.T for x in (a1, b1)
-                                                  for y in (a2, b2)]), -1.0, 1.0))
-    ii, jj = np.nonzero(minend <= l1[:, None] + l2[None, :] + PREDICATE_TOL)
+    l1 = _arc_lengths(a1, b1)
+    l2 = _arc_lengths(a2, b2)
+    near = g >= math.cos(min(math.pi, l1.max() + l2.max() + PREDICATE_TOL + FOOT_SLACK))
+    near |= np.roll(near, -1, axis=0)             # then (i, j) stands for all four
+    near |= np.roll(near, -1, axis=1)             # endpoint pairs of arcs i and j
+    ii, jj = np.nonzero(near)
+    i1, j1 = (ii + 1) % len(a1), (jj + 1) % len(a2)
+    maxend = np.maximum.reduce([g[ii, jj], g[ii, j1], g[i1, jj], g[i1, j1]])
+    keep = np.arccos(np.clip(maxend, -1.0, 1.0)) <= l1[ii] + l2[jj] + PREDICATE_TOL
+    ii, jj = ii[keep], jj[keep]
     if len(ii) == 0:
         return False
     A1, B1, N1 = a1[ii], b1[ii], n1[ii]
@@ -277,22 +384,46 @@ def _arcs_cross(arcs1, arcs2) -> bool:
                for x in (cr, -cr))
 
 
+def _caps_apart(p1: ConvexPolygon, p2: ConvexPolygon) -> bool:
+    """Are the centres farther apart than reach1 + reach2, by CAP_MARGIN in dot?
+
+    Then no vertex of either polygon is inside the other and no arcs cross.
+    """
+    gap = float(p1.bounding_cap[0] @ p2.bounding_cap[0])
+    return gap < math.cos(min(math.pi, p1.reach + p2.reach)) - CAP_MARGIN
+
+
 def polygon_distance(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
     """Min geodesic distance between closures; 0 iff they intersect.
 
     Candidates: vertex-vertex pairs, vertex-arc feet, a vertex inside the
-    other polygon, and arc crossings.
+    other polygon, and arc crossings.  All endpoint dots come from one
+    vertex Gram matrix g = V1 V2^T and its rolls (arc k runs from vertex k
+    to k + 1); the containment and crossing tests run only when the
+    bounding caps, widened by each polygon's reach, meet.
     """
-    dmin = float(np.arccos(np.clip(p1.vertices @ p2.vertices.T, -1.0, 1.0).max()))
-    e1 = _edge_arrays(p1)
-    e2 = _edge_arrays(p2)
-    for poly, other, arcs in ((p1, p2, e2), (p2, p1, e1)):
-        if other.contains_batch(poly.vertices).any():
-            return 0.0
-        dmin = min(dmin, float(_points_arcs_min(poly.vertices, *arcs).min()))
-    if dmin > 0.0 and _arcs_cross(e1, e2):
+    apart = _caps_apart(p1, p2)
+    if not apart and any(other.contains_batch(poly.vertices).any()
+                         for poly, other in ((p1, p2), (p2, p1))):
+        return 0.0
+    g = p1.vertices @ p2.vertices.T
+    dmin = float(np.arccos(np.clip(g.max(), -1.0, 1.0)))
+    dmin = _foot_min(p1.vertices, p2.edges, g, dmin)
+    dmin = _foot_min(p2.vertices, p1.edges, g.T, dmin)
+    if dmin > 0.0 and not apart and _arcs_cross(p1.edges, p2.edges, g):
         return 0.0
     return dmin
+
+
+def _caps_decide_sign(p1: ConvexPolygon, p2: ConvexPolygon) -> bool:
+    """Do the bounding caps give every vertex dot one strict sign, by CAP_MARGIN?
+
+    Vertex angles lie within delta -+ (R1 + R2) of the centre angle delta.
+    """
+    (c1, r1), (c2, r2) = p1.bounding_cap, p2.bounding_cap
+    delta = float(np.arccos(np.clip(c1 @ c2, -1.0, 1.0)))
+    return (math.cos(min(math.pi, delta + r1 + r2)) >= CAP_MARGIN
+            or (delta >= r1 + r2 and math.cos(delta - r1 - r2) <= -CAP_MARGIN))
 
 
 def certify_opf_polygons(polygons) -> tuple:
@@ -304,12 +435,15 @@ def certify_opf_polygons(polygons) -> tuple:
     a nonnegative (not all zero) combination of the entries of G.  If all
     entries share one strict sign, no orthogonal pair exists.  If the signs
     are mixed, P_i x P_j is connected and p . q takes both signs on it, so it
-    takes the value 0 somewhere.
+    takes the value 0 somewhere.  A pair whose bounding caps already fix
+    every sign, by a margin no rounding reaches, skips G.
     """
     polys = list(polygons)
     violations = []
     for i in range(len(polys)):
         for j in range(i, len(polys)):
+            if _caps_decide_sign(polys[i], polys[j]):
+                continue
             gram = polys[i].vertices @ polys[j].vertices.T
             if gram.min() <= 0.0 <= gram.max():
                 violations.append((i, j))
@@ -393,7 +527,7 @@ def conv(selection: CellSet, arc_samples: int = 32,
 
 
 def _distance_to_polygon_batch(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
-    d = _points_arcs_min(points, *_edge_arrays(poly))
+    d = _points_arcs_min(points, *poly.edges)
     d[poly.contains_batch(points)] = 0.0
     return d
 

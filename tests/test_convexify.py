@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -10,9 +12,10 @@ from opfsets.convexify import (ConvexDecomposition, ConvexPolygon,
                                conv1, conv2, convex_hull,
                                convex_polygon_from_points, certify_opf_polygons,
                                hausdorff_distance, polygon_distance)
-from opfsets.grid import CellSet, cell_area
+from opfsets.grid import (CellSet, DyadicCell, cell_area, cell_bounds, neighbors,
+                          theta_bounds)
 from opfsets.search import double_cap_cellset
-from opfsets.sphere import from_polar, unit_vector
+from opfsets.sphere import PREDICATE_TOL, from_polar, unit_vector
 
 
 def ring_polygon(axis: np.ndarray, alpha: float, n: int = 4,
@@ -286,3 +289,295 @@ def test_polygon_json_and_samples():
     samples = poly.boundary_samples(per_edge=4)
     assert samples.shape == (16, 3)
     assert np.allclose(np.linalg.norm(samples, axis=1), 1.0, atol=1e-12)
+
+
+# --- dense references: polygon_distance, its point-to-arc pass and crossing
+# test before the Gram matrix and the bounding caps, kept to pin the new code
+
+def dense_points_arcs_min(points, a, b, n, tile=512):
+    out = np.empty(len(points))
+    length = np.arccos(np.clip(np.einsum("ei,ei->e", a, b), -1.0, 1.0))
+    for r0 in range(0, len(points), tile):
+        p = points[r0:r0 + tile]
+        near = np.minimum(np.arccos(np.clip(p @ a.T, -1.0, 1.0)),
+                          np.arccos(np.clip(p @ b.T, -1.0, 1.0)))
+        pmin = near.min(axis=1)
+        s = p @ n.T
+        circ = np.arcsin(np.minimum(1.0, np.abs(s)))
+        ii, ee = np.nonzero((circ < pmin[:, None])
+                            & (near <= circ + length + convexify.FOOT_SLACK))
+        if len(ii):
+            feet = p[ii] - s[ii, ee, None] * n[ee]
+            fn = np.linalg.norm(feet, axis=1)
+            feet = feet / np.maximum(fn, 1e-12)[:, None]
+            on = (fn > 1e-12) & convexify._on_arcs(feet, a[ee], b[ee], n[ee])
+            np.minimum.at(pmin, ii[on], circ[ii[on], ee[on]])
+        out[r0:r0 + tile] = pmin
+    return out
+
+
+def dense_arcs_cross(arcs1, arcs2):
+    a1, b1, n1 = arcs1
+    a2, b2, n2 = arcs2
+    l1 = np.arccos(np.clip(np.einsum("ei,ei->e", a1, b1), -1.0, 1.0))
+    l2 = np.arccos(np.clip(np.einsum("ei,ei->e", a2, b2), -1.0, 1.0))
+    minend = np.arccos(np.clip(np.maximum.reduce([x @ y.T for x in (a1, b1)
+                                                  for y in (a2, b2)]), -1.0, 1.0))
+    ii, jj = np.nonzero(minend <= l1[:, None] + l2[None, :] + PREDICATE_TOL)
+    if len(ii) == 0:
+        return False
+    A1, B1, N1 = a1[ii], b1[ii], n1[ii]
+    A2, B2, N2 = a2[jj], b2[jj], n2[jj]
+    cr = np.cross(N1, N2)
+    ncr = np.linalg.norm(cr, axis=1)
+    generic = ncr > 1e-12
+    cr = cr / np.maximum(ncr, 1e-12)[:, None]
+    on = convexify._on_arcs
+    return any((generic & on(x, A1, B1, N1) & on(x, A2, B2, N2)).any() for x in (cr, -cr))
+
+
+def dense_edge_arrays(poly):
+    a = poly.vertices
+    b = np.roll(a, -1, axis=0)
+    n = np.cross(a, b)
+    return a, b, n / np.maximum(np.linalg.norm(n, axis=1, keepdims=True), 1e-12)
+
+
+def dense_polygon_distance(p1, p2):
+    dmin = float(np.arccos(np.clip(p1.vertices @ p2.vertices.T, -1.0, 1.0).max()))
+    e1 = dense_edge_arrays(p1)
+    e2 = dense_edge_arrays(p2)
+    for poly, other, arcs in ((p1, p2, e2), (p2, p1, e1)):
+        if other.contains_batch(poly.vertices).any():
+            return 0.0
+        dmin = min(dmin, float(dense_points_arcs_min(poly.vertices, *arcs).min()))
+    if dmin > 0.0 and dense_arcs_cross(e1, e2):
+        return 0.0
+    return dmin
+
+
+def _random_axis(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def _axis_at(rng, axis, angle):
+    """A unit vector at the given angle from axis, in a random direction."""
+    t = np.cross(axis, _random_axis(rng))
+    t /= np.linalg.norm(t)
+    return math.cos(angle) * axis + math.sin(angle) * t
+
+
+def _distance_cases(seed, count):
+    """Seeded polygon pairs: far rings, near-touching, overlapping, nested,
+    crossing (same circle, turned) and random hulls."""
+    rng = np.random.default_rng(seed)
+    kinds = ("far", "touch", "overlap", "nested", "crossing", "hull")
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        if kind == "hull":
+            yield kind, _random_polygon(rng), _random_polygon(rng)
+            continue
+        n1, n2 = (int(x) for x in rng.integers(3, 41, size=2))
+        r1, r2 = rng.uniform(0.02, 0.7, size=2)
+        o1, o2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        c1 = _random_axis(rng)
+        if kind == "far":
+            gap = rng.uniform(r1 + r2, math.pi - 0.01)
+        elif kind == "touch":
+            # circumcircles within 1e-3 of touching; inscribed edges may still meet
+            gap = r1 * math.cos(math.pi / n1) + r2 + rng.uniform(-1e-3, 1e-3)
+        elif kind == "overlap":
+            gap = rng.uniform(0.0, r1 + r2)
+        elif kind == "nested":
+            gap, r2 = 0.0, r1 * rng.uniform(0.05, 0.6) * math.cos(math.pi / n1)
+        else:
+            gap, r2, n2 = 0.0, r1, n1
+            o2 = o1 + math.pi / n1 * rng.uniform(0.2, 1.8)
+        c2 = _axis_at(rng, c1, gap) if gap > 0.0 else c1
+        yield kind, ring_polygon(c1, r1, n1, o1), ring_polygon(c2, r2, n2, o2)
+
+
+def test_polygon_distance_bit_identical_to_dense():
+    zeros = apart = 0
+    seen = set()
+    for kind, p1, p2 in _distance_cases(seed=2024, count=2100):
+        got = polygon_distance(p1, p2)
+        assert got == dense_polygon_distance(p1, p2), kind
+        zeros += got == 0.0
+        apart += convexify._caps_apart(p1, p2)
+        seen.add((kind, got == 0.0))
+    # both outcomes occur for the near-touching pairs, and both cap branches run
+    assert {("touch", True), ("touch", False), ("crossing", True), ("nested", True),
+            ("far", False)} <= seen
+    assert 200 <= zeros and 300 <= apart <= 2100 - 300
+
+
+def test_double_cap_distance_bit_identical_to_dense():
+    for level in (3, 4):
+        p1, p2 = conv1(double_cap_cellset(level)).polygons
+        assert convexify._caps_apart(p1, p2)
+        assert polygon_distance(p1, p2) == dense_polygon_distance(p1, p2)
+
+
+def test_points_arcs_min_bit_identical_to_dense():
+    rng = np.random.default_rng(5)
+    for _, p1, p2 in _distance_cases(seed=6, count=60):
+        pts = np.vstack([p1.vertices, p1.boundary_samples(per_edge=int(rng.integers(1, 40)))])
+        assert np.array_equal(convexify._points_arcs_min(pts, *p2.edges),
+                              dense_points_arcs_min(pts, *dense_edge_arrays(p2)))
+    big = conv1(double_cap_cellset(3)).polygons[0]   # 512 vertices, several tiles
+    pts = big.boundary_samples(per_edge=3)
+    assert np.array_equal(convexify._points_arcs_min(pts, *big.edges),
+                          dense_points_arcs_min(pts, *dense_edge_arrays(big)))
+
+
+def _axis_at_direction(p, towards, angle, turn):
+    """The point angle away from p, heading turn radians off the way to towards."""
+    t = towards - (towards @ p) * p
+    t /= np.linalg.norm(t)
+    u = np.cross(p, t)
+    d = math.cos(turn) * t + math.sin(turn) * u
+    return math.cos(angle) * p + math.sin(angle) * d
+
+
+def test_reach_covers_widened_acute_vertex():
+    # past the apex of a thin triangle, contains_batch admits points up to
+    # tol / (|a x b| sin(theta/2)) away: farther than tol / min |a x b|
+    apex, theta, side = from_polar(0.6, 0.0), 1e-3, 0.5
+    north = np.array([0.0, 0.0, 1.0])
+    base = [_axis_at_direction(apex, north, side, sign * theta / 2) for sign in (1, -1)]
+    tri = convex_polygon_from_points(np.stack([apex, *base]))
+    a, b, _ = tri.edges
+    norms = np.linalg.norm(np.cross(a, b), axis=1)
+    centre, radius = tri.bounding_cap
+    assert radius == pytest.approx(math.acos(apex @ centre), abs=1e-12)
+    apex_side = np.linalg.norm(np.cross(apex, base[0]))
+    reach_past_apex = PREDICATE_TOL / (apex_side * math.sin(theta / 2))
+    beyond = _axis_at_direction(apex, north, -0.9 * reach_past_apex, 0.0)
+    assert tri.contains(beyond)
+    past = math.acos(np.clip(beyond @ centre, -1.0, 1.0))
+    assert past > radius + math.asin(PREDICATE_TOL / norms.min())
+    assert past <= tri.reach
+
+
+def full_gram_certify(polygons):
+    polys = list(polygons)
+    return tuple((i, j) for i in range(len(polys)) for j in range(i, len(polys))
+                 if (polys[i].vertices @ polys[j].vertices.T).min() <= 0.0
+                 <= (polys[i].vertices @ polys[j].vertices.T).max())
+
+
+def test_certify_cap_shortcut_matches_full_gram():
+    rng = np.random.default_rng(77)
+    decided = 0
+    for _ in range(300):
+        # caps within 1e-3 of a decision limit: 2 R1 = pi/2 for the self pair,
+        # delta -+ (R1 + R2) = pi/2 for the cross pair
+        r1 = math.pi / 4 + rng.uniform(-5e-4, 5e-4)
+        r2 = rng.uniform(0.05, 0.7)
+        side = rng.choice([-1.0, 1.0])
+        delta = math.pi / 2 + side * (r1 + r2) + rng.uniform(-1e-3, 1e-3)
+        c1 = _random_axis(rng)
+        polys = [ring_polygon(c1, r1, int(rng.integers(3, 41)), rng.uniform(0, 7)),
+                 ring_polygon(_axis_at(rng, c1, delta), r2, int(rng.integers(3, 41)),
+                              rng.uniform(0, 7)),
+                 _random_polygon(rng)]
+        assert certify_opf_polygons(polys) == full_gram_certify(polys)
+        for i in range(3):
+            for j in range(i, 3):
+                if convexify._caps_decide_sign(polys[i], polys[j]):
+                    decided += 1
+                    gram = polys[i].vertices @ polys[j].vertices.T
+                    assert gram.min() > 0.0 or gram.max() < 0.0
+    assert 300 <= decided <= 6 * 300 - 300
+
+
+def test_double_cap_certified_by_caps_alone():
+    polys = conv1(double_cap_cellset(4)).polygons
+    assert all(convexify._caps_decide_sign(polys[i], polys[j])
+               for i, j in ((0, 0), (0, 1), (1, 1)))
+    assert certify_opf_polygons(polys) == full_gram_certify(polys) == ()
+
+
+def loop_boundary_points(component, arc_samples):
+    pts = []
+    for cell in component.cells():
+        tlo, thi = theta_bounds(cell)
+        _, (plo, phi) = cell_bounds(cell)
+        for theta in (tlo, thi):
+            if theta == 0.0 or theta == math.pi:
+                pts.append(from_polar(theta, plo))
+                continue
+            for j in range(arc_samples + 1):
+                pts.append(from_polar(theta, plo + (phi - plo) * j / arc_samples))
+    return np.asarray(pts)
+
+
+def loop_components(selection):
+    remaining = set(selection.members)
+    components = []
+    while remaining:
+        seed = min(remaining)
+        stack, comp = [seed], [seed]
+        remaining.discard(seed)
+        while stack:
+            b, s = stack.pop()
+            for nb in neighbors(DyadicCell(selection.level, b, s)):
+                key = (nb.band, nb.sector)
+                if key in remaining:
+                    remaining.discard(key)
+                    comp.append(key)
+                    stack.append(key)
+        components.append(CellSet.from_cells(selection.level, comp))
+    return sorted(components, key=lambda c: c.members[0])
+
+
+def _random_selections(seed, count):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        level = int(rng.integers(0, 5))
+        n = 2 ** (level + 1)
+        keep = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+        if k % 3 == 0:
+            keep[[0, -1]] |= rng.random((2, n)) < 0.5     # populate the pole bands
+        yield CellSet.from_cells(level, [tuple(c) for c in np.argwhere(keep)])
+
+
+def test_components_and_boundary_points_match_loops():
+    cases = 0
+    for sel in _random_selections(seed=9, count=120):
+        comps = connected_components(sel)
+        assert comps == loop_components(sel)
+        for comp in comps:
+            for samples in (1, 8, 32):
+                assert np.array_equal(convexify._component_boundary_points(comp, samples),
+                                      loop_boundary_points(comp, samples))
+                cases += 1
+    assert cases > 1000
+    assert connected_components(CellSet.from_cells(2, [])) == []
+    # level 0: two bands, both at a pole
+    assert len(connected_components(CellSet.from_cells(0, [(0, 0), (1, 1)]))) == 1
+
+
+# sha256 of the write_json bytes of conv(double_cap_cellset(level)).to_json(),
+# computed with the dense polygon_distance and the loop hull inputs
+CONV_SHA256 = {
+    3: "77fd69acca8beec896370646d1d4a694681dc80e9773001e90d65dd9367a50af",
+    4: "4b39301b2c85156028c2b40116e28fe22845b1337882f758ec5594060e45979b",
+    5: "c690a4a2da74d2537843d7ff573e4a032c3ffb1cd35fd02642cb3c017f16f498",
+}
+
+
+@pytest.mark.parametrize("level", sorted(CONV_SHA256))
+def test_conv_double_cap_json_pinned(level):
+    doc = json.dumps(conv(double_cap_cellset(level)).to_json(), sort_keys=True,
+                     separators=(",", ":")) + "\n"
+    assert hashlib.sha256(doc.encode()).hexdigest() == CONV_SHA256[level]
+
+
+def test_conv_double_cap_level6_pinned():
+    result = conv(double_cap_cellset(6))
+    assert len(result.decomposition) == 2
+    assert result.decomposition.pairwise_min_distance == 1.604005555607237
+    assert result.merge_count == 0 and result.opf_violations == ()
