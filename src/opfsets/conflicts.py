@@ -345,7 +345,7 @@ def selection_violations(selection: CellSet,
     """
     if len(selection) == 0:
         return [], []
-    members = np.asarray(selection.members, dtype=np.int64).reshape(-1, 2)
+    members = selection.array()
     bands, x = np.unique(members[:, 0], return_inverse=True)
     return _table_violations(_circulant_table(selection.level, margin, bands), x, members,
                              n_bands(selection.level))

@@ -168,7 +168,7 @@ def _component_boundary_points(component: CellSet, arc_samples: int) -> np.ndarr
     Sines and cosines come from math on each distinct angle and multiply as
     in from_polar, so every point is from_polar's bit for bit.
     """
-    cells = np.asarray(component.members, dtype=np.int64).reshape(-1, 2)
+    cells = component.array()
     bands, band_of = np.unique(cells[:, 0], return_inverse=True)
     sectors, sector_of = np.unique(cells[:, 1], return_inverse=True)
     (cos_lo, cos_hi), _ = cell_bounds_batch(component.level, bands, 0)
@@ -201,7 +201,7 @@ def connected_components(selection: CellSet) -> list[CellSet]:
 
     if len(selection) == 0:
         return []
-    cells = np.asarray(selection.members, dtype=np.int64)
+    cells = selection.array()
     n = n_bands(selection.level)
     index = np.full((n + 1, n), -1)             # row n: an empty guard band
     index[cells[:, 0], cells[:, 1]] = np.arange(len(cells))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (CellSet, DyadicCell, cell_area, cell_bounds, cell_bounds_batch,
-                   locate_coords_batch, n_bands, write_json)
+from .grid import (CellSet, DyadicCell, _running_sum, cell_area, cell_bounds,
+                   cell_bounds_batch, locate_coords_batch, n_bands, write_json)
 from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, cap_area
 
 THEOREM_BETA = 1.0 / 64.0
@@ -95,7 +95,7 @@ class MembershipOracle:
 def _cell_mask(cell_set: CellSet) -> np.ndarray:
     """(n, n) boolean membership of the cells at the set's own level."""
     n = n_bands(cell_set.level)
-    members = np.asarray(cell_set.members, dtype=np.int64).reshape(-1, 2)
+    members = cell_set.array()
     mask = np.zeros((n, n), dtype=bool)
     mask[members[:, 0], members[:, 1]] = True
     return mask
@@ -260,11 +260,6 @@ def cell_densities(oracle: MembershipOracle, level: int, cells, samples: int = 1
     return density, np.zeros(len(band))
 
 
-def _running_sum(x: np.ndarray) -> float:
-    """Left-to-right sum, as a loop adds; np.sum's pairwise order changes the last bits."""
-    return float(np.cumsum(x)[-1]) if len(x) else 0.0
-
-
 @dataclass(frozen=True)
 class DensityReport:
     """Outcome of dense-cell selection at one level and threshold."""
@@ -313,7 +308,7 @@ def select_dense_cells(oracle: MembershipOracle, level: int, epsilon: float,
     d, e = cell_densities(oracle, level, cells, samples, seed, method)
     keep = d >= 1.0 - epsilon
     records = tuple(zip(*cells[keep].T.tolist(), d[keep].tolist(), e[keep].tolist()))
-    return DensityReport(level, epsilon, CellSet.from_cells(level, cells[keep].tolist()), records,
+    return DensityReport(level, epsilon, CellSet.from_cells(level, cells[keep]), records,
                          _running_sum(d[keep] * cell_area(level)),
                          within_theorem_range=epsilon < THEOREM_BETA)
 

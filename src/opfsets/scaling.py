@@ -6,6 +6,10 @@ both bounding meridians inward by the lune half-angle that guarantees the
 same clearance.  Every point of the shrunk box is then at geodesic distance
 at least r1 from the parent cell's boundary, so orthogonal pairs that only
 touched cell boundaries are eliminated while the measure loss stays bounded.
+
+The shrunk colatitudes and the lune half-angle depend on the band alone, so
+they are computed once per band; the meridian rotation is then applied to
+every sector of the band in one array pass.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conflicts import _pair_scan
-from .grid import CellSet, DyadicCell, cell_area, cell_bounds, theta_bounds, write_json
+from .grid import (CellSet, DyadicCell, _running_sum, cell_area, cell_bounds_batch,
+                   theta_bounds, write_json)
 from .sphere import InfeasibleShrinkError, SPHERE_AREA, TWO_PI, lune_half_angle
 
 N_ROOT = 3
@@ -153,29 +158,59 @@ class ScaledRegion:
 _EMPTY = (1.0, 0.0)  # inverted interval marker
 
 
-def shrink_cell(cell: DyadicCell, shrink: float) -> ScaledRegion:
-    """Inward offset of a cell by a geodesic distance; empty result on inversion."""
-    if shrink < 0.0:
-        raise ValueError(f"shrink must be nonnegative, got {shrink}")
-    tlo, thi = theta_bounds(cell)
+def _band_shrink(level: int, band: int, shrink: float) -> tuple[float, float, float]:
+    """(theta_lo, theta_hi, omega) shared by every cell of a band.
+
+    Both colatitude bounds move inward by shrink (inverted if they cross);
+    both meridians then rotate inward by omega, the lune half-angle at the
+    tightened colatitude closest to a pole.  omega is 0 where nothing
+    rotates and inf where no rotation gives the clearance.
+    """
+    tlo, thi = theta_bounds(DyadicCell(level, band, 0))
     ntlo, nthi = tlo + shrink, thi - shrink
-    (_, __), (plo, phi) = cell_bounds(cell)
     if ntlo >= nthi:
-        return ScaledRegion(cell, shrink, *_EMPTY, plo, phi)
+        return (*_EMPTY, 0.0)
     if shrink == 0.0:
-        return ScaledRegion(cell, 0.0, tlo, thi, plo, phi)
-    # worst colatitude = the tightened endpoint closest to a pole
+        return tlo, thi, 0.0
     theta_worst = ntlo if math.sin(ntlo) <= math.sin(nthi) else nthi
     if not 0.0 < theta_worst < math.pi:
-        return ScaledRegion(cell, shrink, ntlo, nthi, *_EMPTY)
+        return ntlo, nthi, math.inf
     try:
-        omega = lune_half_angle(shrink, theta_worst)
+        return ntlo, nthi, lune_half_angle(shrink, theta_worst)
     except InfeasibleShrinkError:
-        return ScaledRegion(cell, shrink, ntlo, nthi, *_EMPTY)
-    nplo, nphi = plo + omega, phi - omega
-    if nplo >= nphi:
-        return ScaledRegion(cell, shrink, ntlo, nthi, *_EMPTY)
-    return ScaledRegion(cell, shrink, ntlo, nthi, nplo, nphi)
+        return ntlo, nthi, math.inf
+
+
+def _shrink_cells(level: int, cells: np.ndarray,
+                  shrink: float) -> tuple[tuple, np.ndarray]:
+    """(ScaledRegion per (band, sector) row, array of their measures).
+
+    The shrink rule and the cosines run once per distinct band in scalar
+    math; sectors take them with float +, - and *, so every bound and
+    measure equals the per-cell computation bit for bit.
+    """
+    if shrink < 0.0:
+        raise ValueError(f"shrink must be nonnegative, got {shrink}")
+    bands, band_of = np.unique(cells[:, 0], return_inverse=True)
+    rule = [_band_shrink(level, b, shrink) for b in bands.tolist()]
+    tlo, thi, omega, cos_lo, cos_hi = np.array(
+        [(*r, math.cos(r[0]), math.cos(r[1])) for r in rule]).reshape(-1, 5)[band_of].T
+    _, (plo, phi) = cell_bounds_batch(level, 0, cells[:, 1])
+    plo, phi = plo + omega, phi - omega
+    inverted = plo >= phi
+    plo[inverted], phi[inverted] = _EMPTY
+    empty = (tlo >= thi) | inverted
+    measures = np.where(empty, 0.0, (cos_lo - cos_hi) * (phi - plo))
+    columns = (x.tolist() for x in (cells[:, 0], cells[:, 1], tlo, thi, plo, phi))
+    regions = tuple(ScaledRegion(DyadicCell(level, b, s), shrink, t0, t1, p0, p1)
+                    for b, s, t0, t1, p0, p1 in zip(*columns))
+    return regions, measures
+
+
+def shrink_cell(cell: DyadicCell, shrink: float) -> ScaledRegion:
+    """Inward offset of a cell by a geodesic distance; empty result on inversion."""
+    (region,), _ = _shrink_cells(cell.level, np.array([[cell.band, cell.sector]]), shrink)
+    return region
 
 
 def remove_polar_caps(selection: CellSet, delta: float) -> CellSet:
@@ -185,13 +220,9 @@ def remove_polar_caps(selection: CellSet, delta: float) -> CellSet:
     if delta == 0.0:
         return selection
     cd = math.cos(delta)
-    kept = []
-    for band, sector in selection.members:
-        (ulo, uhi), _ = cell_bounds(DyadicCell(selection.level, band, sector))
-        if uhi > cd or ulo < -cd:
-            continue
-        kept.append((band, sector))
-    return CellSet.from_cells(selection.level, kept)
+    cells = selection.array()
+    (ulo, uhi), _ = cell_bounds_batch(selection.level, cells[:, 0], 0)
+    return CellSet.from_cells(selection.level, cells[(uhi <= cd) & (ulo >= -cd)])
 
 
 def scaled_measure_lower_bound(cell: DyadicCell, constants: ScaleConstants) -> float:
@@ -234,10 +265,13 @@ def scale_set(selection: CellSet, constants: ScaleConstants) -> ScaleSummary:
     """Polar-cap removal followed by per-cell shrink, with measure accounting."""
     kept = remove_polar_caps(selection, constants.delta)
     removed = len(selection) - len(kept)
-    shrink = constants.shrink(selection.level)
-    regions = tuple(shrink_cell(c, shrink) for c in kept.cells())
-    total = sum(r.measure() for r in regions)
-    bound_total = sum(scaled_measure_lower_bound(c, constants) for c in kept.cells())
+    regions, measures = _shrink_cells(kept.level, kept.array(),
+                                      constants.shrink(selection.level))
+    total = _running_sum(measures)
+    # every cell has the same bound; add it once per kept cell, as a loop would
+    bound = (scaled_measure_lower_bound(DyadicCell(kept.level, *kept.members[0]), constants)
+             if len(kept) else 0.0)
+    bound_total = _running_sum(np.full(len(kept), bound))
     target = (1.0 - constants.epsilon) * selection.measure()
     return ScaleSummary(constants, regions, kept, removed,
                         removed * cell_area(selection.level), total, bound_total,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conflicts import ConflictGraph, _table_violations
-from .grid import CellSet, DyadicCell, cell_from_ordinal, n_bands, write_json
+from .grid import CellSet, DyadicCell, cell_bounds_batch, n_bands, write_json
 
 PUBLISHED_UPPER_BOUNDS = (1.0 / 3.0, 0.313, 0.308, 0.30153, 0.297742)
 BEST_UPPER_BOUND = 0.297742
@@ -43,22 +43,18 @@ def double_cap_cellset(level: int) -> CellSet:
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     n = n_bands(level)
-    w = 2.0 ** (-level)
     threshold = math.sqrt(2.0) / 2.0
-    cells = []
-    for band in range(n):
-        if 1.0 - (band + 1) * w > threshold:          # north cap
-            cells.extend((band, s) for s in range(n))
-        elif 1.0 - band * w < -threshold:             # south cap
-            cells.extend((band, s) for s in range(n))
-    return CellSet.from_cells(level, cells)
+    (cos_lo, cos_hi), _ = cell_bounds_batch(level, np.arange(n), 0)
+    bands = np.flatnonzero((cos_lo > threshold) | (cos_hi < -threshold))  # north | south
+    return CellSet.from_cells(level, np.stack(
+        [np.repeat(bands, n), np.tile(np.arange(n), len(bands))], axis=1))
 
 
 def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list:
     """(ordinal, ordinal) violations of a selection against a built graph."""
     if selection.level != graph.level:
         raise ValueError(f"selection level {selection.level} != graph level {graph.level}")
-    members = np.asarray(selection.members, dtype=np.int64).reshape(-1, 2)
+    members = selection.array()
     selfs, pairs = _table_violations(graph.table, members[:, 0], members,
                                      n_bands(graph.level))
     return sorted([(o, o) for o in selfs] + pairs)
@@ -123,8 +119,8 @@ def write_leaderboard(results, path) -> None:
 
 
 def _cellset_from_ordinals(level: int, ords) -> CellSet:
-    return CellSet.from_cells(level, [
-        (c.band, c.sector) for c in (cell_from_ordinal(level, int(o)) for o in ords)])
+    return CellSet.from_cells(level, np.stack(
+        np.divmod(np.asarray(ords, dtype=np.int64), n_bands(level)), axis=-1))
 
 
 def greedy_mis(graph: ConflictGraph, order: str = "min-degree",
@@ -245,7 +241,7 @@ def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000,
             recurse(chosen, rest)
 
     recurse([], np.arange(len(free)))
-    return SearchResult(_cellset_from_ordinals(graph.level, sorted(incumbent)),
+    return SearchResult(_cellset_from_ordinals(graph.level, incumbent),
                         "exact", None, nodes=nodes, optimal=not exhausted)
 
 

@@ -193,6 +193,50 @@ def test_cellset_rejects_level_mismatch():
         CellSet.from_cells(1, [(5, 0)])
 
 
+def test_cellset_from_cells_accepts_every_cell_form():
+    pairs = [(3, 1), (0, 7), (3, 0), (7, 7)]
+    expected = CellSet(2, ((0, 7), (3, 0), (3, 1), (7, 7)))
+    forms = {
+        "pairs": pairs,
+        "lists": [list(p) for p in pairs],
+        "numpy scalars": [(np.int64(b), np.int32(s)) for b, s in pairs],
+        "array": np.array(pairs),
+        "int32 array": np.array(pairs, dtype=np.int32),
+        "DyadicCells": (DyadicCell(2, b, s) for b, s in pairs),
+        "duplicates": pairs + pairs[::-1] + [pairs[0]],
+    }
+    for name, cells in forms.items():
+        s = CellSet.from_cells(2, cells)
+        assert s == expected, name
+        assert all(type(x) is int for m in s.members for x in m), name
+    for empty in ([], np.empty((0, 2), dtype=np.int64), np.array([]), iter(())):
+        assert CellSet.from_cells(2, empty) == CellSet(2, ())
+    assert expected.array().tolist() == [list(m) for m in expected.members]
+    assert expected.array().dtype == np.int64
+    assert CellSet(2, ()).array().shape == (0, 2)
+    assert CellSet.from_cells(2, expected.array()) == expected
+
+
+def test_cellset_from_cells_errors_name_the_first_bad_cell():
+    for cells in ([(0, 0), (8, 1), (9, 9)], [(1, 1), (0, -1), (-1, 0)],
+                  np.array([[1, 2], [2, 8], [8, 2]]), [(np.int64(2), np.int64(9))],
+                  [(1, 1), (3, 2**70), (-1, 0)]):
+        first = next((int(b), int(s)) for b, s in cells if not (0 <= b < 8 and 0 <= s < 8))
+        with pytest.raises(ValueError) as expected:
+            DyadicCell(2, *first)
+        with pytest.raises(ValueError) as got:
+            CellSet.from_cells(2, cells)
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match="does not match set level 2"):
+        CellSet.from_cells(2, [DyadicCell(2, 0, 0), DyadicCell(3, 0, 0)])
+    with pytest.raises(ValueError, match="pairs"):
+        CellSet.from_cells(2, [(1, 2, 3), (4, 5, 6)])
+    with pytest.raises(ValueError, match="int64"):
+        CellSet.from_cells(31, [(2**32 - 1, 2**32 - 1), (0, 0)])
+    assert CellSet.from_cells(30, [(2**31 - 1, 2**31 - 1), (0, 0)]).members[-1] == (
+        2**31 - 1, 2**31 - 1)
+
+
 def test_all_cells_enumeration():
     cs = list(all_cells(1))
     assert len(cs) == 16

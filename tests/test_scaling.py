@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from opfsets.grid import CellSet, DyadicCell, all_cells, cell_area, cell_bounds
+from opfsets.density import cap_union_oracle, select_dense_cells
+from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_area, cell_bounds,
+                          theta_bounds)
 from opfsets.scaling import (InfeasibleEpsilonError, N_ROOT, ScaleConstants,
-                             ScaledRegion, choose_constants, is_feasible,
+                             ScaledRegion, ScaleSummary, choose_constants, is_feasible,
                              largest_feasible_epsilon, remove_polar_caps,
                              scale_set, scaled_measure_lower_bound, shrink_cell,
                              verify_scaled_opf)
 from opfsets.search import double_cap_cellset
-from opfsets.sphere import geodesic_distance
+from opfsets.sphere import Cap, InfeasibleShrinkError, geodesic_distance, lune_half_angle
 
 MU_DC = math.pi  # level-3 double-cap selection measure (fraction 1/4)
 
@@ -182,3 +184,113 @@ def test_region_measure_matches_monte_carlo():
     assert region.measure() > 0.0
     # spot-check one pairwise geodesic distance is finite and sane
     assert 0.0 <= geodesic_distance(pts[0], pts[1]) < math.pi
+
+
+# Scalar reference: the per-cell loop scale_set ran before it worked per band.
+def reference_shrink_cell(cell, shrink):
+    """(ScaledRegion, name of the branch of the shrink rule that decided it)."""
+    empty = (1.0, 0.0)
+    tlo, thi = theta_bounds(cell)
+    ntlo, nthi = tlo + shrink, thi - shrink
+    (_, __), (plo, phi) = cell_bounds(cell)
+    if ntlo >= nthi:
+        return ScaledRegion(cell, shrink, *empty, plo, phi), "theta inverted"
+    if shrink == 0.0:
+        return ScaledRegion(cell, 0.0, tlo, thi, plo, phi), "no shrink"
+    theta_worst = ntlo if math.sin(ntlo) <= math.sin(nthi) else nthi
+    if not 0.0 < theta_worst < math.pi:
+        return ScaledRegion(cell, shrink, ntlo, nthi, *empty), "pole"
+    try:
+        omega = lune_half_angle(shrink, theta_worst)
+    except InfeasibleShrinkError:
+        return ScaledRegion(cell, shrink, ntlo, nthi, *empty), "infeasible shrink"
+    nplo, nphi = plo + omega, phi - omega
+    if nplo >= nphi:
+        return ScaledRegion(cell, shrink, ntlo, nthi, *empty), "phi inverted"
+    return ScaledRegion(cell, shrink, ntlo, nthi, nplo, nphi), "shrunk"
+
+
+def reference_scale_set(selection, constants):
+    """(ScaleSummary, branch names hit) from the per-cell loop."""
+    kept = []
+    cd = math.cos(constants.delta)
+    for band, sector in selection.members:
+        (ulo, uhi), _ = cell_bounds(DyadicCell(selection.level, band, sector))
+        if constants.delta == 0.0 or not (uhi > cd or ulo < -cd):
+            kept.append((band, sector))
+    shrink = constants.shrink(selection.level)
+    shrunk = [reference_shrink_cell(DyadicCell(selection.level, b, s), shrink)
+              for b, s in kept]
+    regions = tuple(r for r, _ in shrunk)
+    # left to right, as sum() adds floats before Python 3.12
+    total = bound_total = 0.0
+    for b, s in kept:
+        bound_total += scaled_measure_lower_bound(DyadicCell(selection.level, b, s), constants)
+    for r in regions:
+        total += r.measure()
+    removed = len(selection) - len(kept)
+    target = (1.0 - constants.epsilon) * selection.measure()
+    summary = ScaleSummary(constants, regions, CellSet(selection.level, tuple(kept)), removed,
+                           removed * cell_area(selection.level), total, bound_total,
+                           target, total >= target)
+    return summary, {name for _, name in shrunk}
+
+
+def hand_made_constants(epsilon1, delta):
+    return ScaleConstants(0.01, epsilon1, N_ROOT, delta, 1.0, (1.0, 0.0), (1.0, 0.0))
+
+
+def scale_set_cases():
+    rng = np.random.default_rng(10)
+    rotated = np.array([1.0, 2.0, 2.0]) / 3.0
+    rotcap = select_dense_cells(cap_union_oracle(
+        [Cap(rotated, math.pi / 4.0), Cap(-rotated, math.pi / 4.0)]), 6, 0.01).selected
+    cases = [("rotcap-l6", rotcap, choose_constants(0.01, rotcap.measure()))]
+    for level in (4, 7):
+        sel = double_cap_cellset(level)
+        cases.append((f"double-cap-l{level}", sel, choose_constants(0.01, sel.measure())))
+    for level in (3, 4, 5):
+        n = 2 ** (level + 1)
+        # every band, polar ones included, plus random cells
+        cells = np.concatenate([np.stack([np.arange(n), rng.integers(0, n, n)], axis=1),
+                                rng.integers(0, n, (n * n // 4, 2))])
+        sel = CellSet.from_cells(level, cells)
+        cases.append((f"random-l{level}", sel, choose_constants(0.01, sel.measure())))
+        # shrink 0; level 4 at epsilon1 0.05 hits every other branch
+        for epsilon1 in (0.0, 1e-6, 0.05, 1.0):
+            for delta in (1e-9, 0.2):  # cos(1e-9) == 1: polar cells stay
+                cases.append((f"random-l{level}-e1={epsilon1}-delta={delta}", sel,
+                              hand_made_constants(epsilon1, delta)))
+    return cases
+
+
+def test_scale_set_matches_scalar_reference():
+    hit = set()
+    for name, sel, constants in scale_set_cases():
+        summary = scale_set(sel, constants)
+        expected, branches = reference_scale_set(sel, constants)
+        hit |= branches
+        # booleans, not ==, under assert: pytest's diff of thousands of regions stalls
+        differ = [i for i, (r, e) in enumerate(zip(summary.regions, expected.regions))
+                  if r != e]
+        assert not differ and len(summary.regions) == len(expected.regions), \
+            (name, [(summary.regions[i], expected.regions[i]) for i in differ[:2]])
+        same_json = json.dumps(summary.to_json()) == json.dumps(expected.to_json())
+        assert same_json, name
+        assert summary.total_region_measure == expected.total_region_measure, name
+        assert summary.lower_bound_total == expected.lower_bound_total, name
+        assert summary.kept == expected.kept, name
+    # the pole branch needs a NaN shrink; every reachable branch is covered
+    assert hit == {"theta inverted", "no shrink", "infeasible shrink", "phi inverted",
+                   "shrunk"}
+
+
+def test_shrink_cell_matches_scalar_reference():
+    rng = np.random.default_rng(11)
+    for level in (2, 3, 4):
+        n = 2 ** (level + 1)
+        for shrink in (0.0, 1e-4, 0.01, 0.05, 0.2, 1.0, 2.0):
+            for band in range(n):
+                cell = DyadicCell(level, band, int(rng.integers(n)))
+                expected, _ = reference_shrink_cell(cell, shrink)
+                assert shrink_cell(cell, shrink) == expected, (cell, shrink)

@@ -166,6 +166,26 @@ def test_double_cap_cellset_fractions():
         assert lo > math.sqrt(0.5) or hi < -math.sqrt(0.5)
 
 
+def test_double_cap_cellset_matches_band_loop():
+    # the per-band loop double_cap_cellset used before its array test
+    def reference(level):
+        n = n_bands(level)
+        w = 2.0 ** (-level)
+        threshold = math.sqrt(2.0) / 2.0
+        cells = []
+        for band in range(n):
+            if 1.0 - (band + 1) * w > threshold:          # north cap
+                cells.extend((band, s) for s in range(n))
+            elif 1.0 - band * w < -threshold:             # south cap
+                cells.extend((band, s) for s in range(n))
+        return tuple(cells)
+
+    for level in range(1, 10):
+        members = double_cap_cellset(level).members
+        assert members == reference(level), level
+        assert all(type(x) is int for m in members[:1] + members[-1:] for x in m)
+
+
 def test_double_cap_is_conflict_free():
     for level in (2, 3):
         graph = build_conflict_graph(level)
