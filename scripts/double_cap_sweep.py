@@ -2,7 +2,7 @@
 """Double-cap baseline sweep: measure fraction per grid level.
 
 Writes a CSV of (level, cells, fraction, gap to the 1 - 1/sqrt(2) limit) and
-certifies the selections conflict-free up to a configurable level.
+certifies the selection conflict-free at every level.
 """
 
 import argparse
@@ -17,8 +17,6 @@ from opfsets.search import double_cap_cellset
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-level", type=int, default=7)
-    parser.add_argument("--certify-to", type=int, default=5,
-                        help="run the pairwise conflict check up to this level")
     parser.add_argument("--csv", default="double_cap_sweep.csv")
     args = parser.parse_args()
 
@@ -26,15 +24,12 @@ def main() -> int:
     rows = []
     for level in range(1, args.max_level + 1):
         sel = double_cap_cellset(level)
-        violations = None
-        if level <= args.certify_to and len(sel):
-            selfs, pairs = selection_violations(sel)
-            violations = len(selfs) + len(pairs)
+        selfs, pairs = selection_violations(sel)
+        violations = len(selfs) + len(pairs)
         rows.append((level, len(sel), sel.fraction(), limit - sel.fraction(),
                      violations))
-        v = "n/a" if violations is None else violations
         print(f"level {level}: {len(sel):6d} cells, fraction {sel.fraction():.9f}, "
-              f"gap {limit - sel.fraction():+.9f}, violations {v}")
+              f"gap {limit - sel.fraction():+.9f}, violations {violations}")
 
     with open(args.csv, "w", newline="") as f:
         w = csv.writer(f)
@@ -42,7 +37,7 @@ def main() -> int:
         w.writerows(rows)
     print(f"wrote {args.csv}")
 
-    bad = [r for r in rows if r[4] not in (None, 0)]
+    bad = [r for r in rows if r[4]]
     if bad:
         print(f"ERROR: conflict violations at levels {[r[0] for r in bad]}",
               file=sys.stderr)

@@ -13,8 +13,7 @@ from pathlib import Path
 from opfsets.convexify import conv
 from opfsets.density import double_cap_oracle, select_dense_cells
 from opfsets.scaling import choose_constants, scale_set, verify_scaled_opf
-from opfsets.search import selection_graph_violations
-from opfsets.conflicts import build_conflict_graph
+from opfsets.conflicts import selection_violations
 
 
 def main() -> int:
@@ -34,10 +33,9 @@ def main() -> int:
           f"captured {report.captured_measure:.6f} sr "
           f"of mu(M) = {oracle.measure():.6f} sr")
 
-    graph = build_conflict_graph(args.level)
-    bad = selection_graph_violations(report.selected, graph)
-    print(f"conflict check: {len(bad)} violations")
-    if bad:
+    selfs, pairs = selection_violations(report.selected)
+    print(f"conflict check: {len(selfs) + len(pairs)} violations")
+    if selfs or pairs:
         print("selection is not orthogonal-pair-free; stopping", file=sys.stderr)
         return 1
 

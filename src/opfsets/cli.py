@@ -253,8 +253,13 @@ def cmd_report(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        rows.append((doc["fraction"], doc["method"], doc["selection"]["level"],
-                     len(doc["selection"]["cells"])))
+        try:
+            rows.append((doc["fraction"], doc["method"], doc["selection"]["level"],
+                         len(doc["selection"]["cells"])))
+        except (KeyError, TypeError) as exc:
+            print(f"error: {path} is not an `opfsets search --out` artifact "
+                  f"({type(exc).__name__}: {exc})", file=sys.stderr)
+            return EXIT_USAGE
     for fraction, method, level, cells in sorted(rows, reverse=True):
         print(f"level {level} {method}: {cells} cells, fraction {fraction:.9f}")
     series = []

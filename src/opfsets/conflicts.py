@@ -20,13 +20,14 @@ which the closed-cell conflict semantics at margin 0 relies on.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .grid import CellSet, DyadicCell, cell_bounds, cell_count, n_bands
+from .grid import CellSet, DyadicCell, cell_bounds, cell_bounds_batch, cell_count, n_bands
 from .sphere import TWO_PI
 
 
@@ -257,6 +258,8 @@ def _pair_scan(boxes, margin: float) -> tuple[np.ndarray, int]:
     answer is the dense scan's, and they are the pairs evaluated.  The pairs
     come in no particular order.
     """
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     boxes = tuple(np.asarray(a, dtype=float) for a in boxes)
     m = len(boxes[0])
     if m == 0:
@@ -280,21 +283,21 @@ def _pair_scan(boxes, margin: float) -> tuple[np.ndarray, int]:
     return np.stack([i[hit], j[hit]], axis=1), len(i)
 
 
-def _circulant_table(level: int, margin: float, bands) -> np.ndarray:
-    """T[x, y, d]: whether cell (bands[x], d) conflicts with cell (bands[y], 0).
+def _circulant_table(level: int, margin: float) -> np.ndarray:
+    """T[b1, b2, d]: whether cell (b1, d) conflicts with cell (b2, 0).
 
     Sector boundaries are exact dyadic turns and the kernel reads azimuths only
     through their differences taken mod 1, so cell (b1, s1) conflicts with cell
     (b2, s2) exactly when T[b1, b2, (s1 - s2) mod n] holds, bit for bit.
     """
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     n = n_bands(level)
-    w = 2.0 ** (-level)
-    bands = np.asarray(bands, dtype=np.int64)
-    ulo, uhi = 1.0 - (bands + 1) * w, 1.0 - bands * w
-    d = np.arange(n)
-    table = np.empty((len(bands), len(bands), n), dtype=bool)
-    step = max(1, _CHUNK // (len(bands) * n))
-    for r0 in range(0, len(bands), step):
+    d = np.arange(n)  # band indices and sector offsets alike
+    (ulo, uhi), _ = cell_bounds_batch(level, d, 0)
+    table = np.empty((n, n, n), dtype=bool)
+    step = max(1, _CHUNK // (n * n))
+    for r0 in range(0, n, step):
         r = slice(r0, r0 + step)
         lo, hi = dot_range_boxes_u(ulo[r, None, None], uhi[r, None, None], d / n, (d + 1) / n,
                                    ulo[None, :, None], uhi[None, :, None], 0.0, 1.0 / n)
@@ -309,46 +312,26 @@ def build_conflict_graph(level: int, margin: float = 0.0,
         raise ResourceCapError(
             f"level {level} exceeds the configured maximum {max_level} "
             f"({cell_count(level)} cells)")
-    return ConflictGraph(level, margin,
-                         _circulant_table(level, margin, np.arange(n_bands(level))))
-
-
-def _table_violations(table: np.ndarray, x: np.ndarray, members: np.ndarray,
-                      n: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """(self-conflicting ordinals, sorted conflicting pairs) among members.
-
-    members holds (band, sector) rows in canonical order; x[i] is member i's
-    index on the table's band axes.  Lookups go in row tiles of <= _CHUNK.
-    """
-    sectors = members[:, 1]
-    ords = members[:, 0] * n + sectors
-    self_bad = ords[table[x, x, 0]].tolist()
-    pairs: list[tuple[int, int]] = []
-    k = len(ords)
-    step = max(1, _CHUNK // max(k, 1))
-    for r0 in range(0, k, step):
-        rows = np.arange(r0, min(r0 + step, k))
-        cols = np.arange(r0, k)
-        hit = table[x[rows, None], x[None, cols], (sectors[rows, None] - sectors[None, cols]) % n]
-        hit &= cols[None, :] > rows[:, None]
-        ii, jj = np.nonzero(hit)
-        pairs.extend(zip(ords[rows[ii]].tolist(), ords[cols[jj]].tolist()))
-    return self_bad, sorted(pairs)
+    return ConflictGraph(level, margin, _circulant_table(level, margin))
 
 
 def selection_violations(selection: CellSet,
                          margin: float = 0.0) -> tuple[list[int], list[tuple[int, int]]]:
-    """(self-conflicting ordinals, conflicting ordinal pairs) within a selection.
+    """(self-conflicting ordinals, conflicting ordinal pairs (a, b), a < b) within
+    a selection, both ascending.
 
-    Looks the pairs up in the circulant table of the selection's bands; no full
-    level graph is needed.
+    The exact dyadic cell boxes go through _pair_scan, the tree verify_scaled_opf
+    walks, and its diagonal pairs are the self-conflicts.
     """
-    if len(selection) == 0:
-        return [], []
-    members = selection.array()
-    bands, x = np.unique(members[:, 0], return_inverse=True)
-    return _table_violations(_circulant_table(selection.level, margin, bands), x, members,
-                             n_bands(selection.level))
+    n = n_bands(selection.level)
+    bands, sectors = selection.array().T
+    (ulo, uhi), _ = cell_bounds_batch(selection.level, bands, sectors)
+    pairs, _ = _pair_scan((ulo, uhi, sectors / n, (sectors + 1) / n), margin)
+    # members come in ascending ordinal order, so sorted index pairs i <= j
+    # are sorted ordinal pairs a <= b
+    a, b = (bands * n + sectors)[pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]].T
+    diagonal = a == b
+    return a[diagonal].tolist(), list(zip(a[~diagonal].tolist(), b[~diagonal].tolist()))
 
 
 _MAGIC = b"OPFG"

@@ -297,8 +297,6 @@ def verify_scaled_opf(regions, margin: float = 0.0) -> OpfCertification:
     """Check all region pairs (and self-pairs) for achievable inner product 0."""
     regions = list(regions)
     live = [(i, r) for i, r in enumerate(regions) if not r.empty]
-    if not live:
-        return OpfCertification(len(regions), margin, (), 0)
     idx = np.array([i for i, _ in live])
     boxes = (np.array([math.cos(r.theta_hi) for _, r in live]),
              np.array([math.cos(r.theta_lo) for _, r in live]),

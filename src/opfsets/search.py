@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conflicts import ConflictGraph, _table_violations
+from . import conflicts
+from .conflicts import ConflictGraph
 from .grid import CellSet, DyadicCell, cell_bounds_batch, n_bands, write_json
 
 PUBLISHED_UPPER_BOUNDS = (1.0 / 3.0, 0.313, 0.308, 0.30153, 0.297742)
@@ -51,13 +52,25 @@ def double_cap_cellset(level: int) -> CellSet:
 
 
 def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list:
-    """(ordinal, ordinal) violations of a selection against a built graph."""
+    """Sorted ordinal pairs (a, b), a <= b, of a selection that conflict in a built
+    graph, a == b for a self-conflict; table lookups go in row tiles of <= _CHUNK."""
     if selection.level != graph.level:
         raise ValueError(f"selection level {selection.level} != graph level {graph.level}")
-    members = selection.array()
-    selfs, pairs = _table_violations(graph.table, members[:, 0], members,
-                                     n_bands(graph.level))
-    return sorted([(o, o) for o in selfs] + pairs)
+    n = n_bands(graph.level)
+    bands, sectors = selection.array().T
+    ords = bands * n + sectors
+    bad = [(o, o) for o in ords[graph.table[bands, bands, 0]].tolist()]
+    k = len(ords)
+    step = max(1, conflicts._CHUNK // max(k, 1))
+    for r0 in range(0, k, step):
+        rows = np.arange(r0, min(r0 + step, k))
+        cols = np.arange(r0, k)
+        hit = graph.table[bands[rows, None], bands[None, cols],
+                          (sectors[rows, None] - sectors[None, cols]) % n]
+        hit &= cols[None, :] > rows[:, None]
+        ii, jj = np.nonzero(hit)
+        bad.extend(zip(ords[rows[ii]].tolist(), ords[cols[jj]].tolist()))
+    return sorted(bad)
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,12 @@ def test_conflicts_resource_cap(capsys):
     assert "max-level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margin", ["nan", "-1"])
+def test_conflicts_rejects_bad_margin(capsys, margin):
+    assert main(["conflicts", "--level", "2", f"--margin={margin}"]) == EXIT_USAGE
+    assert "margin must be finite" in capsys.readouterr().err
+
+
 def test_search_baseline_artifact_deterministic(tmp_path, capsys):
     out = tmp_path / "search.json"
     argv = ["search", "--level", "2", "--method", "baseline", "--out", str(out)]
@@ -241,6 +247,13 @@ def test_report_consumes_search_artifacts(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--inputs", str(out)]) == EXIT_OK
     assert "baseline" in capsys.readouterr().out
+    # a filter artifact has no search fields: named, not a traceback
+    report = tmp_path / "filter.json"
+    assert main(["filter", "--oracle", "double-cap", "--level", "2", "--epsilon", "0.01",
+                 "--out", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["report", "--inputs", str(out), str(report)]) == EXIT_USAGE
+    assert f"{report} is not an `opfsets search --out` artifact" in capsys.readouterr().err
 
 
 def test_config_defaults_and_flag_priority(tmp_path, capsys):

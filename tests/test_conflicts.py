@@ -465,12 +465,50 @@ def test_selection_checks_match_brute_force():
             selfs, pairs = brute_force_violations(sel)
             assert selection_graph_violations(sel, graph) == sorted(
                 [(o, o) for o in selfs] + pairs)
+    # the tree check against the table lookup, which stays as the reference:
+    # every cell at levels 0-5, seeded 300-cell selections at levels 6-7
+    for level in range(8):
+        if level < 6:
+            sel, margins = CellSet.from_cells(level, all_cells(level)), (0.0, 1e-3, 0.05)
+        else:
+            ords = rng.choice(4 ** (level + 1), size=300, replace=False)
+            sel = CellSet.from_cells(level, np.stack(np.divmod(ords, n_bands(level)), axis=1))
+            margins = (0.0, 0.05)
+        for margin in margins:
+            want = selection_graph_violations(sel, build_conflict_graph(level, margin))
+            assert selection_violations(sel, margin) == (
+                [a for a, b in want if a == b], [(a, b) for a, b in want if a != b])
+    for level in (8, 9):
+        assert selection_violations(double_cap_cellset(level)) == ([], [])
 
 
 def test_chunked_evaluation_matches_single_pass(monkeypatch):
-    # a tiny chunk forces one band per kernel call and two rows per lookup tile
+    # a tiny chunk forces one band per table kernel call, several kernel calls
+    # per tree level and two rows per graph lookup tile
     rng = np.random.default_rng(3)
     sel = CellSet.from_cells(3, [(int(b), int(s)) for b, s in rng.integers(0, 16, (40, 2))])
-    whole = build_conflict_graph(3, 0.05), selection_violations(sel, 0.05)
+    graph = build_conflict_graph(3, 0.05)
+    whole = graph, selection_violations(sel, 0.05), selection_graph_violations(sel, graph)
+    assert whole[2]
     monkeypatch.setattr(conflicts, "_CHUNK", 2 * len(sel))
-    assert (build_conflict_graph(3, 0.05), selection_violations(sel, 0.05)) == whole
+    assert (build_conflict_graph(3, 0.05), selection_violations(sel, 0.05),
+            selection_graph_violations(sel, graph)) == whole
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("entry", ["build_conflict_graph", "selection_violations",
+                                   "verify_scaled_opf"])
+def test_bad_margin_rejected(entry, margin):
+    # a NaN margin would make every comparison false and so pass every pair
+    full = CellSet.from_cells(2, all_cells(2))
+    regions = [shrink_cell(c, 0.0) for c in full.cells()]
+    calls = {
+        "build_conflict_graph": [lambda: build_conflict_graph(2, margin)],
+        "selection_violations": [lambda: selection_violations(full, margin),
+                                 lambda: selection_violations(CellSet.from_cells(2, []), margin)],
+        "verify_scaled_opf": [lambda: verify_scaled_opf(regions, margin),
+                              lambda: verify_scaled_opf([], margin)],
+    }
+    for call in calls[entry]:
+        with pytest.raises(ValueError, match="margin"):
+            call()
