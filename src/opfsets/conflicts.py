@@ -51,7 +51,14 @@ class DotRange:
             raise ValueError(f"empty dot range [{self.lo}, {self.hi}]")
 
     def contains_zero(self, margin: float = 0.0) -> bool:
+        _check_margin(margin)
         return self.lo - margin <= 0.0 <= self.hi + margin
+
+
+def _check_margin(margin: float) -> None:
+    """Reject a NaN, negative or infinite margin, with which a test fails open."""
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
 
 
 def _cos_turns(t):
@@ -258,8 +265,7 @@ def _pair_scan(boxes, margin: float) -> tuple[np.ndarray, int]:
     answer is the dense scan's, and they are the pairs evaluated.  The pairs
     come in no particular order.
     """
-    if not 0.0 <= margin < math.inf:
-        raise ValueError(f"margin must be finite and >= 0, got {margin}")
+    _check_margin(margin)
     boxes = tuple(np.asarray(a, dtype=float) for a in boxes)
     m = len(boxes[0])
     if m == 0:
@@ -290,8 +296,7 @@ def _circulant_table(level: int, margin: float) -> np.ndarray:
     through their differences taken mod 1, so cell (b1, s1) conflicts with cell
     (b2, s2) exactly when T[b1, b2, (s1 - s2) mod n] holds, bit for bit.
     """
-    if not 0.0 <= margin < math.inf:
-        raise ValueError(f"margin must be finite and >= 0, got {margin}")
+    _check_margin(margin)
     n = n_bands(level)
     d = np.arange(n)  # band indices and sector offsets alike
     (ulo, uhi), _ = cell_bounds_batch(level, d, 0)

@@ -23,7 +23,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .grid import CellSet, cell_bounds_batch, n_bands, write_json
 from .sphere import (GeodesicSegment, NORMALIZATION_TOL, PREDICATE_TOL,
-                     geodesic_distance, gnomonic_project_batch,
+                     _running_sum, geodesic_distance, gnomonic_project_batch,
                      gnomonic_unproject, spherical_polygon_area, tangent_basis)
 
 HEMISPHERE_MARGIN = 1e-9
@@ -34,6 +34,55 @@ FOOT_SLACK = 1e-6
 # dot-product margin by which a bounding-cap shortcut must clear its limit,
 # far above the rounding of the cap radii (~1e-8 near 0) and of any dot
 CAP_MARGIN = 1e-6
+# rows per tile of a vertex Gram matrix pass.  Tiles start at multiples of it
+# and the last one takes the remainder, so no tile has a single row (numpy
+# sends those to gemv, which rounds differently).  It is a multiple of every
+# common gemm unroll (2, 4, 8, 12, 16, 24): measured with single-threaded
+# OpenBLAS, each tile's entries are then the full product's bit for bit,
+# while unaligned tiles of 64 rows and more were not.  Multi-threaded BLAS
+# splits a product by its shape, so there a few entries may round otherwise
+# unless the column count is a multiple of 8 (as for 2^k-vertex polygons).
+GRAM_TILE = 192
+
+
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of GRAM_TILE rows, the remainder joined to the last."""
+    stops = list(range(GRAM_TILE, n - GRAM_TILE + 1, GRAM_TILE)) + [n]
+    return list(zip([0] + stops[:-1], stops))
+
+
+def _gram_tiles(x: np.ndarray, y: np.ndarray):
+    """(start, rows of x @ y.T) per tile of x's rows."""
+    for r0, r1 in _tiles(len(x)):
+        yield r0, x[r0:r1] @ y.T
+
+
+def _gram_col_tiles(x: np.ndarray, y: np.ndarray):
+    """(start, a column tile of x @ y.T, transposed) per tile of y's rows."""
+    for c0, c1 in _tiles(len(y)):
+        yield c0, (x @ y[c0:c1].T).T
+
+
+def _gram_maxima(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column maxima of x @ y.T, one tile at a time."""
+    rowmax, colmax = np.empty(len(x)), np.full(len(y), -np.inf)
+    for r0, g in _gram_tiles(x, y):
+        rowmax[r0:r0 + len(g)] = g.max(axis=1)
+        np.maximum(colmax, g.max(axis=0), out=colmax)
+    return rowmax, colmax
+
+
+def _gram_tiles_next(x: np.ndarray, y: np.ndarray):
+    """As _gram_tiles, each tile with one more row: the next tile's first
+    (row 0 after the last), taken from that tile's own product."""
+    first = prev = None
+    for r0, g in _gram_tiles(x, y):
+        if prev is None:
+            first = g[:1]
+        else:
+            yield prev[0], np.vstack([prev[1], g[:1]])
+        prev = r0, g
+    yield prev[0], np.vstack([prev[1], first])
 
 
 def _cross2(u, v) -> float:
@@ -73,7 +122,9 @@ class ConvexPolygon:
         """Rowwise closed containment of an (m, 3) array, edges widened by tol."""
         a = self.vertices
         inside = (points @ self.hemisphere_center) > 0.0
-        inside &= np.all(points @ np.cross(a, np.roll(a, -1, axis=0)).T >= -tol, axis=1)
+        normals = np.cross(a, np.roll(a, -1, axis=0))
+        for r0, g in _gram_tiles(points, normals):
+            inside[r0:r0 + len(g)] &= np.all(g >= -tol, axis=1)
         return inside
 
     def area(self) -> float:
@@ -129,9 +180,10 @@ class ConvexPolygon:
         return np.asarray(pts)
 
     def to_json(self) -> dict:
+        # tolist gives each double exactly; JSON writes its shortest repr
         return {
-            "vertices": [[float(f"{x:.17g}") for x in v] for v in self.vertices],
-            "hemisphere_center": [float(f"{x:.17g}") for x in self.hemisphere_center],
+            "vertices": np.asarray(self.vertices, dtype=float).tolist(),
+            "hemisphere_center": np.asarray(self.hemisphere_center, dtype=float).tolist(),
         }
 
 
@@ -268,7 +320,7 @@ class ConvexDecomposition:
         return len(self.polygons)
 
     def total_area(self) -> float:
-        return sum(p.area() for p in self.polygons)
+        return _running_sum(np.array([p.area() for p in self.polygons]))
 
     def to_json(self) -> dict:
         return {"polygons": [p.to_json() for p in self.polygons],
@@ -326,62 +378,106 @@ def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _foot_min(points: np.ndarray, arcs, g: np.ndarray, dmin: float) -> float:
+def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of a 2-D mask's True entries, in storage order.
+
+    A flat scan and a divmod take a fifth of the time of a 2-D np.nonzero,
+    which also walks a transposed mask against its storage order.
+    """
+    if mask.flags.f_contiguous and not mask.flags.c_contiguous:
+        cols, rows = np.divmod(np.flatnonzero(mask.T), mask.shape[0])
+        return rows, cols
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _foot_min(points: np.ndarray, arcs, gram, rowmax: np.ndarray, dmin: float) -> float:
     """min(dmin, the least point-to-arc foot distance below it).
 
-    g = points @ a.T holds the start dots of the arcs, its roll the end
-    dots.  A foot on an arc lies within len/2 of one of its endpoints, so
-    only pairs with an endpoint dot >= cos(dmin + len/2 + FOOT_SLACK) can
-    go below dmin.  On those, the tests and values are _points_arcs_min's.
+    gram yields (start, rows of points @ a.T) tile by tile: the start dots
+    of the arcs, their column roll the end dots; rowmax is each point's
+    largest dot.  A foot on an arc lies within len/2 of one of its
+    endpoints, so only pairs with an endpoint dot >= cos(dmin + len/2 +
+    FOOT_SLACK) can go below dmin.  Each such dot clears the lowest of these
+    limits, so one scan per tile finds them all, each as the start of arc k
+    or the end of arc k - 1.  On those pairs, the tests and values are
+    _points_arcs_min's.  The signed sines s are read from a gemm tile of
+    points @ n.T, as the full product gives them, and only in tiles where
+    rowwise dots, within ~1e-15 of those (so their arcsin within ~5e-8),
+    leave some pair inside the tests widened by FOOT_SLACK.
     """
     a, b, n = arcs
     length = _arc_lengths(a, b)
     limit = np.cos(np.minimum(math.pi, dmin + length / 2.0 + FOOT_SLACK))
-    ii, ee = np.nonzero((g >= limit) | np.roll(g >= np.roll(limit, 1), -1, axis=1))
-    if len(ii) == 0:
-        return dmin
-    pmin = np.arccos(np.clip(g.max(axis=1), -1.0, 1.0))[ii]
-    near = np.arccos(np.clip(np.maximum(g[ii, ee], g[ii, (ee + 1) % len(a)]), -1.0, 1.0))
-    s = (points @ n.T)[ii, ee]
-    circ = np.arcsin(np.minimum(1.0, np.abs(s)))
-    keep = np.flatnonzero((circ < pmin) & (near <= circ + length[ee] + FOOT_SLACK))
-    ii, ee, s, circ = ii[keep], ee[keep], s[keep], circ[keep]
-    on = _feet_on_arcs(points[ii], s, a[ee], b[ee], n[ee])
-    return min(dmin, float(circ[on].min(initial=math.inf)))
+    lowest = limit.min()
+    closest = np.arccos(np.clip(rowmax, -1.0, 1.0))
+    best = dmin
+    for r0, g in gram:
+        ii, kk = _nonzero(g >= lowest)
+        dots = g[ii, kk]
+        prev = (kk - 1) % len(a)
+        start = dots >= limit[kk]
+        # an arc whose start dot passed is already listed by that start
+        end = (dots >= limit[prev]) & ~(g[ii, prev] >= limit[prev])
+        ii = np.concatenate([ii[start], ii[end]])
+        ee = np.concatenate([kk[start], prev[end]])
+        if len(ii) == 0:
+            continue
+        p = points[r0:r0 + len(g)]
+        pmin = closest[r0 + ii]
+        near = np.arccos(np.clip(np.maximum(g[ii, ee], g[ii, (ee + 1) % len(a)]), -1.0, 1.0))
+        rough = np.arcsin(np.minimum(1.0, np.abs(np.einsum("ki,ki->k", p[ii], n[ee]))))
+        maybe = np.flatnonzero((rough < pmin + FOOT_SLACK)
+                               & (near <= rough + length[ee] + 2.0 * FOOT_SLACK))
+        if len(maybe) == 0:
+            continue
+        ii, ee, pmin, near = ii[maybe], ee[maybe], pmin[maybe], near[maybe]
+        s = (p @ n.T)[ii, ee]
+        circ = np.arcsin(np.minimum(1.0, np.abs(s)))
+        keep = np.flatnonzero((circ < pmin) & (near <= circ + length[ee] + FOOT_SLACK))
+        ii, ee, s, circ = ii[keep], ee[keep], s[keep], circ[keep]
+        on = _feet_on_arcs(p[ii], s, a[ee], b[ee], n[ee])
+        best = min(best, float(circ[on].min(initial=math.inf)))
+    return best
 
 
-def _arcs_cross(arcs1, arcs2, g: np.ndarray) -> bool:
-    """Does some arc of arcs1 meet some arc of arcs2?  g = a1 @ a2.T.
+def _arcs_cross(arcs1, arcs2) -> bool:
+    """Does some arc of arcs1 meet some arc of arcs2?
 
     Two minor arcs that do not cross are nearest at an endpoint of one of
     them, which the point-to-arc pass already covers, so a crossing is the
     only arc-arc event that can lower the minimum distance.  Crossing arcs
     have an endpoint pair no farther apart than the sum of their lengths,
     which prunes almost every pair of short arcs before the vector work; the
-    four endpoint dots of an arc pair are g and its rolls.
+    four endpoint dots of an arc pair are a tile of g = a1 @ a2.T, its next
+    row and their column rolls.
     """
     a1, b1, n1 = arcs1
     a2, b2, n2 = arcs2
     l1 = _arc_lengths(a1, b1)
     l2 = _arc_lengths(a2, b2)
-    near = g >= math.cos(min(math.pi, l1.max() + l2.max() + PREDICATE_TOL + FOOT_SLACK))
-    near |= np.roll(near, -1, axis=0)             # then (i, j) stands for all four
-    near |= np.roll(near, -1, axis=1)             # endpoint pairs of arcs i and j
-    ii, jj = np.nonzero(near)
-    i1, j1 = (ii + 1) % len(a1), (jj + 1) % len(a2)
-    maxend = np.maximum.reduce([g[ii, jj], g[ii, j1], g[i1, jj], g[i1, j1]])
-    keep = np.arccos(np.clip(maxend, -1.0, 1.0)) <= l1[ii] + l2[jj] + PREDICATE_TOL
-    ii, jj = ii[keep], jj[keep]
-    if len(ii) == 0:
-        return False
-    A1, B1, N1 = a1[ii], b1[ii], n1[ii]
-    A2, B2, N2 = a2[jj], b2[jj], n2[jj]
-    cr = np.cross(N1, N2)
-    ncr = np.linalg.norm(cr, axis=1)
-    generic = ncr > NORMALIZATION_TOL
-    cr = cr / np.maximum(ncr, NORMALIZATION_TOL)[:, None]
-    return any((generic & _on_arcs(x, A1, B1, N1) & _on_arcs(x, A2, B2, N2)).any()
-               for x in (cr, -cr))
+    limit = math.cos(min(math.pi, l1.max() + l2.max() + PREDICATE_TOL + FOOT_SLACK))
+    for r0, g in _gram_tiles_next(a1, a2):
+        near = g >= limit
+        near = near[:-1] | near[1:]               # then (i, j) stands for all four
+        near |= np.roll(near, -1, axis=1)         # endpoint pairs of arcs i and j
+        ii, jj = _nonzero(near)
+        j1 = (jj + 1) % len(a2)
+        maxend = np.maximum.reduce([g[ii, jj], g[ii, j1], g[ii + 1, jj], g[ii + 1, j1]])
+        ii = ii + r0
+        keep = np.arccos(np.clip(maxend, -1.0, 1.0)) <= l1[ii] + l2[jj] + PREDICATE_TOL
+        ii, jj = ii[keep], jj[keep]
+        if len(ii) == 0:
+            continue
+        A1, B1, N1 = a1[ii], b1[ii], n1[ii]
+        A2, B2, N2 = a2[jj], b2[jj], n2[jj]
+        cr = np.cross(N1, N2)
+        ncr = np.linalg.norm(cr, axis=1)
+        generic = ncr > NORMALIZATION_TOL
+        cr = cr / np.maximum(ncr, NORMALIZATION_TOL)[:, None]
+        if any((generic & _on_arcs(x, A1, B1, N1) & _on_arcs(x, A2, B2, N2)).any()
+               for x in (cr, -cr)):
+            return True
+    return False
 
 
 def _caps_apart(p1: ConvexPolygon, p2: ConvexPolygon) -> bool:
@@ -397,20 +493,22 @@ def polygon_distance(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
     """Min geodesic distance between closures; 0 iff they intersect.
 
     Candidates: vertex-vertex pairs, vertex-arc feet, a vertex inside the
-    other polygon, and arc crossings.  All endpoint dots come from one
+    other polygon, and arc crossings.  All endpoint dots come from the
     vertex Gram matrix g = V1 V2^T and its rolls (arc k runs from vertex k
-    to k + 1); the containment and crossing tests run only when the
-    bounding caps, widened by each polygon's reach, meet.
+    to k + 1), walked in row tiles of V1 and of V2 (column tiles of g), so
+    no n1 x n2 array is built; the containment and crossing tests run only
+    when the bounding caps, widened by each polygon's reach, meet.
     """
     apart = _caps_apart(p1, p2)
     if not apart and any(other.contains_batch(poly.vertices).any()
                          for poly, other in ((p1, p2), (p2, p1))):
         return 0.0
-    g = p1.vertices @ p2.vertices.T
-    dmin = float(np.arccos(np.clip(g.max(), -1.0, 1.0)))
-    dmin = _foot_min(p1.vertices, p2.edges, g, dmin)
-    dmin = _foot_min(p2.vertices, p1.edges, g.T, dmin)
-    if dmin > 0.0 and not apart and _arcs_cross(p1.edges, p2.edges, g):
+    v1, v2 = p1.vertices, p2.vertices
+    rowmax, colmax = _gram_maxima(v1, v2)
+    dmin = float(np.arccos(np.clip(rowmax.max(), -1.0, 1.0)))
+    dmin = _foot_min(v1, p2.edges, _gram_tiles(v1, v2), rowmax, dmin)
+    dmin = _foot_min(v2, p1.edges, _gram_col_tiles(v1, v2), colmax, dmin)
+    if dmin > 0.0 and not apart and _arcs_cross(p1.edges, p2.edges):
         return 0.0
     return dmin
 
@@ -436,7 +534,8 @@ def certify_opf_polygons(polygons) -> tuple:
     entries share one strict sign, no orthogonal pair exists.  If the signs
     are mixed, P_i x P_j is connected and p . q takes both signs on it, so it
     takes the value 0 somewhere.  A pair whose bounding caps already fix
-    every sign, by a margin no rounding reaches, skips G.
+    every sign, by a margin no rounding reaches, skips G; the others keep a
+    running min and max over its row tiles and stop once they straddle 0.
     """
     polys = list(polygons)
     violations = []
@@ -444,9 +543,12 @@ def certify_opf_polygons(polygons) -> tuple:
         for j in range(i, len(polys)):
             if _caps_decide_sign(polys[i], polys[j]):
                 continue
-            gram = polys[i].vertices @ polys[j].vertices.T
-            if gram.min() <= 0.0 <= gram.max():
-                violations.append((i, j))
+            lo, hi = math.inf, -math.inf
+            for _, gram in _gram_tiles(polys[i].vertices, polys[j].vertices):
+                lo, hi = min(lo, gram.min()), max(hi, gram.max())
+                if lo <= 0.0 <= hi:
+                    violations.append((i, j))
+                    break
     return tuple(violations)
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (CellSet, DyadicCell, _running_sum, cell_area, cell_bounds,
-                   cell_bounds_batch, locate_coords_batch, n_bands, write_json)
-from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, cap_area
+from .grid import (CellSet, DyadicCell, cell_area, cell_bounds, cell_bounds_batch,
+                   locate_coords_batch, n_bands, write_json)
+from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, _running_sum, cap_area
 
 THEOREM_BETA = 1.0 / 64.0
 _CHUNK = 1 << 20  # Monte Carlo points per contains_batch call
@@ -84,12 +84,12 @@ class MembershipOracle:
         """Exact measure of M in steradians."""
         if self.kind == "cap":
             # __post_init__ rejects overlapping caps, so the areas add
-            return sum(cap_area(c.radius) for c in self.caps)
+            return _running_sum(np.array([cap_area(c.radius) for c in self.caps]))
         if self.kind == "cell_set":
             return self.cell_set.measure()
         if self.kind == "sieve_fractal":
             return SPHERE_AREA * 0.75**self.depth
-        return sum(p.area() for p in self.polygons)
+        return _running_sum(np.array([p.area() for p in self.polygons]))
 
 
 def _cell_mask(cell_set: CellSet) -> np.ndarray:

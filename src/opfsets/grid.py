@@ -175,16 +175,11 @@ def all_cells(level: int):
             yield DyadicCell(level, band, sector)
 
 
-def _running_sum(x: np.ndarray) -> float:
-    """Left-to-right sum, as a loop adds; np.sum's pairwise order changes the last bits."""
-    return float(np.cumsum(x)[-1]) if len(x) else 0.0
-
-
 def write_json(path, doc: dict) -> None:
     """Write doc as an artifact: sorted keys, compact separators, one newline."""
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        # json.dumps runs the C encoder; json.dump always the pure-Python one
+        f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _cell_key(cell, level: int):

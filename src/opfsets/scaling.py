@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conflicts import _pair_scan
-from .grid import (CellSet, DyadicCell, _running_sum, cell_area, cell_bounds_batch,
-                   theta_bounds, write_json)
-from .sphere import InfeasibleShrinkError, SPHERE_AREA, TWO_PI, lune_half_angle
+from .grid import CellSet, DyadicCell, cell_area, cell_bounds_batch, theta_bounds, write_json
+from .sphere import (InfeasibleShrinkError, SPHERE_AREA, TWO_PI, _running_sum,
+                     lune_half_angle)
 
 N_ROOT = 3
 SQRT_PI = math.sqrt(math.pi)

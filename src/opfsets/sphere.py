@@ -162,10 +162,24 @@ def lune_half_angle(shrink: float, colatitude: float) -> float:
     return math.asin(min(1.0, s / sc))
 
 
+def _running_sum(x: np.ndarray) -> float:
+    """Left-to-right sum, as a loop adds; np.sum's pairwise order changes the last bits."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rowwise x[k] @ y[k], each through the same BLAS dot as a 1-D x[k] @ y[k]."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def spherical_polygon_area(vertices) -> float:
     """Girard area of a convex geodesic polygon: sum of interior angles - (n-2)*pi.
 
     Vertices must be ordered consistently and lie within one open hemisphere.
+    One array pass over the vertices, bit for bit the per-vertex loop: row
+    dots from one BLAS dot each, norms as their square roots (what
+    np.linalg.norm of a vector computes), math.acos per angle (np.arccos may
+    differ in the last bit) and a left-to-right sum.
     """
     verts = np.asarray(vertices, dtype=float)
     n = len(verts)
@@ -178,18 +192,17 @@ def spherical_polygon_area(vertices) -> float:
     centroid = centroid / norm
     if np.any(verts @ centroid <= 0.0):
         raise ValueError("vertices do not fit in one open hemisphere")
-    angle_sum = 0.0
-    for i in range(n):
-        v = verts[i]
-        a = verts[(i - 1) % n]
-        b = verts[(i + 1) % n]
-        ta = a - (a @ v) * v
-        tb = b - (b @ v) * v
-        na, nb = np.linalg.norm(ta), np.linalg.norm(tb)
-        if na < NORMALIZATION_TOL or nb < NORMALIZATION_TOL:
-            raise ValueError("repeated or antipodal adjacent vertices")
-        angle_sum += math.acos(max(-1.0, min(1.0, float(ta @ tb) / (na * nb))))
-    return angle_sum - (n - 2) * math.pi
+    verts = np.ascontiguousarray(verts)
+    a = np.roll(verts, 1, axis=0)                # previous vertex
+    b = np.roll(verts, -1, axis=0)               # next vertex
+    ta = a - _row_dots(a, verts)[:, None] * verts
+    tb = b - _row_dots(b, verts)[:, None] * verts
+    na, nb = np.sqrt(_row_dots(ta, ta)), np.sqrt(_row_dots(tb, tb))
+    if np.any(na < NORMALIZATION_TOL) or np.any(nb < NORMALIZATION_TOL):
+        raise ValueError("repeated or antipodal adjacent vertices")
+    cosines = np.clip(_row_dots(ta, tb) / (na * nb), -1.0, 1.0)
+    angles = np.array([math.acos(c) for c in cosines.tolist()])
+    return _running_sum(angles) - (n - 2) * math.pi
 
 
 def sample_uniform_batch(rng: np.random.Generator, n: int) -> np.ndarray:

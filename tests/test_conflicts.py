@@ -108,6 +108,19 @@ def test_dot_range_validation():
     assert DotRange(0.05, 0.2).contains_zero(margin=0.1)
 
 
+@pytest.mark.parametrize("margin", [math.nan, -1e-9, -0.5, math.inf])
+def test_scalar_conflict_tests_reject_bad_margin(margin):
+    # a NaN margin made every comparison False: a self-conflicting cell passed
+    cell = DyadicCell(0, 0, 0)
+    assert cells_conflict(cell, cell, 0.0)
+    with pytest.raises(ValueError, match="margin"):
+        cells_conflict(cell, cell, margin)
+    with pytest.raises(ValueError, match="margin"):
+        DotRange(-0.1, 0.2).contains_zero(margin)
+    with pytest.raises(ValueError, match="margin"):
+        selection_violations(CellSet.from_cells(1, [(1, 0)]), margin)
+
+
 def test_documented_cell_examples():
     # every level-0 cell contains orthogonal pairs on its own
     for band in range(2):

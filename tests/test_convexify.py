@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,11 +570,14 @@ CONV_SHA256 = {
 }
 
 
+def _conv_sha256(result) -> str:
+    doc = json.dumps(result.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("level", sorted(CONV_SHA256))
 def test_conv_double_cap_json_pinned(level):
-    doc = json.dumps(conv(double_cap_cellset(level)).to_json(), sort_keys=True,
-                     separators=(",", ":")) + "\n"
-    assert hashlib.sha256(doc.encode()).hexdigest() == CONV_SHA256[level]
+    assert _conv_sha256(conv(double_cap_cellset(level))) == CONV_SHA256[level]
 
 
 def test_conv_double_cap_level6_pinned():
@@ -581,3 +585,116 @@ def test_conv_double_cap_level6_pinned():
     assert len(result.decomposition) == 2
     assert result.decomposition.pairwise_min_distance == 1.604005555607237
     assert result.merge_count == 0 and result.opf_violations == ()
+    # taken with the full n1 x n2 Gram matrices and the per-vertex area loop
+    assert _conv_sha256(result) == \
+        "d7b77b72bc32869f5e8114890dc2a70b644a5a9549538f9b38514de3a704123c"
+
+
+def test_conv_double_cap_level7_pinned_in_bounded_memory():
+    # two 8 192-vertex polygons: the full Gram matrices took a ~1.05 GB peak
+    selection = double_cap_cellset(7)
+    tracemalloc.start()
+    try:
+        result = conv(selection)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2**20
+    assert _conv_sha256(result) == \
+        "95616971307276f5ef42f0e258efbbbacb120d7d8ff3025936577590de79f082"
+
+
+def old_polygon_json(poly) -> dict:
+    """ConvexPolygon.to_json as it was, through a 17-digit round trip."""
+    return {"vertices": [[float(f"{x:.17g}") for x in v] for v in poly.vertices],
+            "hemisphere_center": [float(f"{x:.17g}") for x in poly.hemisphere_center]}
+
+
+def test_polygon_json_matches_17_digit_form():
+    rng = np.random.default_rng(12)
+    bits = rng.integers(0, 2**64, size=(4096, 2), dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits).all(axis=1)]
+    special = np.array([[-0.0, 0.0], [5e-324, -5e-324], [2.2250738585072014e-308, 1e308],
+                        [-1e308, 1.7976931348623157e308], [0.1, 1 / 3]])
+    xy = np.vstack([special, bits])
+    # z = 1 keeps every vertex in the hemisphere of the +z witness
+    weird = ConvexPolygon(np.column_stack([xy, np.ones(len(xy))]), np.array([0.0, -0.0, 1.0]))
+    polys = [weird, *conv1(double_cap_cellset(4)).polygons,
+             ring_polygon(from_polar(1.0, 2.0), 0.3, n=7)]
+    for poly in polys:
+        new, old = poly.to_json(), old_polygon_json(poly)
+        assert json.dumps(new) == json.dumps(old)
+        assert all(type(x) is float for v in new["vertices"] for x in v)
+
+
+class _Area:
+    def __init__(self, value):
+        self.value = value
+
+    def area(self):
+        return self.value
+
+
+def test_total_area_adds_left_to_right():
+    # 1.0 + 1e-16 rounds back to 1.0 twice; the compensated sum of builtin
+    # sum from Python 3.12 on (and math.fsum) gives 1.0000000000000002
+    parts = tuple(_Area(x) for x in (1.0, 1e-16, 1e-16))
+    assert ConvexDecomposition(parts, np.zeros((3, 3))).total_area() == 1.0
+    assert math.fsum(p.area() for p in parts) > 1.0
+    assert ConvexDecomposition((), convexify._distance_matrix(())).total_area() == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 191, 192, 383, 384, 385, 576, 1000])
+def test_gram_tiles_cover_the_product(n):
+    tiles = convexify._tiles(n)
+    assert [r0 for r0, _ in tiles] == [k * convexify.GRAM_TILE for k in range(len(tiles))]
+    assert tiles[-1][1] == n and all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+    assert len(tiles) == 1 or min(r1 - r0 for r0, r1 in tiles) >= convexify.GRAM_TILE
+    # small integer entries: every product is exact, whatever path BLAS takes
+    rng = np.random.default_rng(n)
+    x = rng.integers(-9, 10, size=(n, 3)).astype(float)
+    y = rng.integers(-9, 10, size=(37, 3)).astype(float)
+    full = x @ y.T
+    assert np.array_equal(np.vstack([g for _, g in convexify._gram_tiles(x, y)]), full)
+    starts = []
+    for r0, g in convexify._gram_tiles_next(x, y):
+        starts.append(r0)
+        assert np.array_equal(g, full[np.arange(r0, r0 + len(g)) % n])
+    assert starts == [r0 for r0, _ in tiles]
+
+
+def test_multi_tile_distances_match_dense():
+    # 2^k-vertex rings (so the full product rounds every entry alike) of
+    # several Gram tiles, placed far, all but touching, overlapping and crossing
+    rng = np.random.default_rng(31)
+    kinds = set()
+    for k in range(12):
+        n1, n2 = (int(x) for x in rng.choice([256, 512, 1024], size=2))
+        r1, r2 = rng.uniform(0.05, 0.5, size=2)
+        c1 = _random_axis(rng)
+        gap = (r1 + r2 + rng.uniform(1e-6, 1.0), r1 + r2 + rng.uniform(1e-9, 1e-7),
+               rng.uniform(0.0, r1 + r2), 0.0)[k % 4]
+        p1 = ring_polygon(c1, r1, n1, rng.uniform(0, 1))
+        p2 = ring_polygon(_axis_at(rng, c1, gap) if gap else c1,
+                          r1 if gap == 0.0 else r2, n2, rng.uniform(0, 1))
+        got = polygon_distance(p1, p2)
+        assert got == dense_polygon_distance(p1, p2) == polygon_distance(p2, p1)
+        kinds.add((got == 0.0, convexify._caps_apart(p1, p2)))
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_multi_tile_certify_matches_full_gram():
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for k in range(8):
+        c1 = _random_axis(rng)
+        # as in test_certify_cap_shortcut_matches_full_gram: both pairs within
+        # 1e-3 of a sign change, here with polygons of several Gram tiles
+        r1 = math.pi / 4 + rng.uniform(-5e-4, 5e-4)
+        delta = math.pi / 2 + (-1) ** k * (r1 + 0.3) + rng.uniform(-1e-3, 1e-3)
+        polys = [ring_polygon(c1, r1, 512, rng.uniform(0, 1)),
+                 ring_polygon(_axis_at(rng, c1, delta), 0.3, 1024, rng.uniform(0, 1))]
+        got = certify_opf_polygons(polys)
+        assert got == full_gram_certify(polys)
+        outcomes.add(((0, 0) in got, (0, 1) in got))
+    assert len(outcomes) == 4

@@ -441,6 +441,22 @@ def test_cap_union_measure_additivity():
     assert o.measure() == pytest.approx(2 * cap_area(math.pi / 4), abs=1e-15)
 
 
+def test_measures_add_left_to_right():
+    # cap_area(1.5e-8) is below half an ulp of cap_area(3): added one at a
+    # time, as on every Python, the two small caps vanish; a compensated sum
+    # (builtin sum from Python 3.12 on) would round up to the next double
+    big, small = cap_area(3.0), cap_area(1.5e-8)
+    caps = [Cap(np.array([0.0, 0.0, 1.0]), 3.0), Cap(from_polar(math.pi, 0.0), 1.5e-8),
+            Cap(from_polar(math.pi - 0.05, 0.0), 1.5e-8)]
+    assert math.fsum([big, small, small]) > big
+    assert cap_union_oracle(caps).measure() == big
+    polys = conv(double_cap_cellset(2)).decomposition.polygons
+    total = 0.0
+    for poly in polys:
+        total += poly.area()
+    assert polygon_set_oracle(polys).measure() == total
+
+
 def test_overlapping_caps_rejected():
     z = np.array([0.0, 0.0, 1.0])
     # identical caps would count their common area twice in measure() and

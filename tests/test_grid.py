@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from opfsets.grid import (CellSet, DyadicCell, all_cells, antipodal_cell,
                           cell_area, cell_bounds, cell_count, cell_from_ordinal,
                           locate_coords, locate_coords_batch, locate_point, n_bands,
-                          neighbors, parent, refine, theta_bounds)
+                          neighbors, parent, refine, theta_bounds, write_json)
 from opfsets.sphere import from_polar
 
 levels = st.integers(0, 6)
@@ -242,3 +242,26 @@ def test_all_cells_enumeration():
     assert len(cs) == 16
     assert cs[0] == DyadicCell(1, 0, 0)
     assert cs[-1] == DyadicCell(1, 3, 3)
+
+
+def _dump_bytes(path, doc) -> bytes:
+    """The bytes write_json wrote while it called json.dump."""
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        f.write("\n")
+    return path.read_bytes()
+
+
+def test_write_json_bytes_match_json_dump(tmp_path):
+    doc = {
+        "zero": [0.0, -0.0, 0, -0],
+        "subnormal": [5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308],
+        "huge": [1e308, -1e308, 1.7976931348623157e308, 1e22, 1e16, 123456789012345678.0],
+        "ints": [2**53 + 1, -(2**64) - 1, 10**30, True, False, None],
+        "numpy": [np.float64(0.1), np.float64(-0.0), float(np.nextafter(1.0, 2.0))],
+        "nested": [[[1.5, [2, [3.25, []]]], {}], {"b": {"a": [0.1, 0.2]}, "a": "é\n"}],
+        "polygon": {"vertices": [[0.6, -0.0, 0.8], [1 / 3, 2 / 3, 2 / 3]]},
+    }
+    for value in (doc, [], {"k": 1}, 0.1):
+        write_json(tmp_path / "new.json", value)
+        assert (tmp_path / "new.json").read_bytes() == _dump_bytes(tmp_path / "old.json", value)

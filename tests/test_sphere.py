@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from opfsets.convexify import conv1, convex_polygon_from_points
+from opfsets.density import cap_union_oracle, double_cap_oracle, select_dense_cells
+from opfsets.search import double_cap_cellset
 from opfsets.sphere import (Cap, GeodesicSegment, InfeasibleShrinkError,
                             OutOfHemisphereError, cap_area, from_polar,
                             geodesic_distance, gnomonic_project_batch,
@@ -143,6 +146,89 @@ def test_polygon_area_rejects_hemisphere_spill():
             unit_vector(-1, 0.001, 0), unit_vector(0, -1, 0)]
     with pytest.raises(ValueError):
         spherical_polygon_area(quad)
+
+
+def loop_polygon_area(vertices) -> float:
+    """The per-vertex Girard loop spherical_polygon_area replaced, as it was."""
+    verts = np.asarray(vertices, dtype=float)
+    n = len(verts)
+    if n < 3:
+        raise ValueError(f"need at least 3 vertices, got {n}")
+    centroid = verts.sum(axis=0)
+    norm = np.linalg.norm(centroid)
+    if norm < 1e-12:
+        raise ValueError("vertices do not determine a hemisphere (centroid is zero)")
+    centroid = centroid / norm
+    if np.any(verts @ centroid <= 0.0):
+        raise ValueError("vertices do not fit in one open hemisphere")
+    angle_sum = 0.0
+    for i in range(n):
+        v = verts[i]
+        a = verts[(i - 1) % n]
+        b = verts[(i + 1) % n]
+        ta = a - (a @ v) * v
+        tb = b - (b @ v) * v
+        na, nb = np.linalg.norm(ta), np.linalg.norm(tb)
+        if na < 1e-12 or nb < 1e-12:
+            raise ValueError("repeated or antipodal adjacent vertices")
+        angle_sum += math.acos(max(-1.0, min(1.0, float(ta @ tb) / (na * nb))))
+    return angle_sum - (n - 2) * math.pi
+
+
+def _conv1_polygons():
+    """Hulls of the double cap at levels 2-6, the pipeline_demo level-4
+    selection and the level-4 caps about (1, 2, 2) / 3 and its antipode."""
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    selections = [double_cap_cellset(level) for level in range(2, 7)]
+    selections.append(select_dense_cells(double_cap_oracle(), 4, 0.01).selected)
+    selections.append(select_dense_cells(
+        cap_union_oracle([Cap(axis, math.pi / 4.0), Cap(-axis, math.pi / 4.0)]),
+        4, 0.01).selected)
+    return [poly for sel in selections for poly in conv1(sel).polygons]
+
+
+def test_polygon_area_bit_equal_to_loop_on_conv1_polygons():
+    polys = _conv1_polygons()
+    assert len(polys) == 14 and max(len(p) for p in polys) == 4096
+    for poly in polys:
+        assert spherical_polygon_area(poly.vertices) == loop_polygon_area(poly.vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles, azimuths, st.floats(0.01, 1.5),
+       st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                min_size=3, max_size=60))
+def test_polygon_area_bit_equal_to_loop_on_random_hulls(theta, phi, spread, xy):
+    center = from_polar(theta, phi)
+    e1, e2 = tangent_basis(center)
+    planar = np.asarray(xy) * math.tan(spread)
+    pts = center + planar[:, :1] * e1 + planar[:, 1:] * e2
+    try:
+        poly = convex_polygon_from_points(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    except ValueError:
+        assume(False)
+    for verts in (poly.vertices, poly.vertices[::-1], np.asfortranarray(poly.vertices)):
+        assert _area_or_error(spherical_polygon_area, verts) \
+            == _area_or_error(loop_polygon_area, verts)
+
+
+def _area_or_error(area, verts):
+    try:
+        return area(verts)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("verts, message", [
+    ([[1.0, 0, 0], [0, 1.0, 0]], "at least 3"),
+    ([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]], "centroid is zero"),
+    ([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0.001, 0], [0, -1.0, 0]], "open hemisphere"),
+    ([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]], "repeated"),
+])
+def test_polygon_area_errors_match_loop(verts, message):
+    for area in (spherical_polygon_area, loop_polygon_area):
+        with pytest.raises(ValueError, match=message):
+            area(verts)
 
 
 def test_uniform_sampling_moments():
