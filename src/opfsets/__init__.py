@@ -25,9 +25,9 @@ from .grid import (CellSet, DyadicCell, all_cells, antipodal_cell, cell_area,
                    locate_point, n_bands, neighbors, parent, refine,
                    theta_bounds)
 from .scaling import (InfeasibleEpsilonError, OpfCertification, ScaleConstants,
-                      ScaledRegion, ScaleSummary, choose_constants, is_feasible,
-                      largest_feasible_epsilon, remove_polar_caps, scale_set,
-                      scaled_measure_lower_bound, shrink_cell,
+                      ScaledRegion, ScaledRegions, ScaleSummary, choose_constants,
+                      is_feasible, largest_feasible_epsilon, remove_polar_caps,
+                      scale_set, scaled_measure_lower_bound, shrink_cell,
                       verify_scaled_opf)
 from .search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION,
                      ExactSearchCapError, InfeasibleSelectionError,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,6 +197,8 @@ class CellSet:
 
     level: int
     members: tuple[tuple[int, int], ...]
+    # the members as a read-only (k, 2) int64 array, once built; array() copies it
+    _array: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_cells(cls, level: int, cells) -> "CellSet":
@@ -226,7 +228,14 @@ class CellSet:
             DyadicCell(level, *pairs[np.argmax(bad)].tolist())  # raises
         ords = np.sort(pairs[:, 0] * n + pairs[:, 1])
         ords = ords[np.diff(ords, prepend=-1) != 0]  # dedupe; np.unique hashes, far slower
-        return cls(level, tuple(zip(*(x.tolist() for x in np.divmod(ords, n)))))
+        band, sector = np.divmod(ords, n)
+        cell_set = cls(level, tuple(zip(band.tolist(), sector.tolist())))
+        cell_set._keep_array(np.stack((band, sector), axis=1))
+        return cell_set
+
+    def _keep_array(self, array: np.ndarray) -> None:
+        array.setflags(write=False)
+        object.__setattr__(self, "_array", array)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -240,9 +249,11 @@ class CellSet:
         return tuple(cell) in set(self.members)
 
     def array(self) -> np.ndarray:
-        """(k, 2) int64 array of the (band, sector) members, in order."""
-        # two columns of ints convert ~3x faster than k pairs
-        return np.array(list(zip(*self.members)), dtype=np.int64).reshape(2, -1).T
+        """(k, 2) int64 array of the (band, sector) members, in order; a fresh copy."""
+        if self._array is None:
+            # two columns of ints convert ~3x faster than k pairs
+            self._keep_array(np.array(list(zip(*self.members)), dtype=np.int64).reshape(2, -1).T)
+        return self._array.copy()
 
     def cells(self) -> list[DyadicCell]:
         return [DyadicCell(self.level, b, s) for b, s in self.members]

@@ -15,6 +15,7 @@ every sector of the band in one array pass.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,9 +182,71 @@ def _band_shrink(level: int, band: int, shrink: float) -> tuple[float, float, fl
         return ntlo, nthi, math.inf
 
 
+class ScaledRegions(Sequence):
+    """The scaled regions of one selection, held as box arrays.
+
+    cells is the (m, 2) array of parent (band, sector) rows, theta and phi the
+    (lo, hi) bound arrays and cos the cosines (cos(theta_lo), cos(theta_hi))
+    as math.cos gives them.  verify_scaled_opf reads the arrays; indexing or
+    iterating builds the ScaledRegion objects, once, on first access.  The
+    arrays are read-only, so the two views cannot drift apart.
+    """
+
+    def __init__(self, level, shrink, cells, theta, phi, cos, objects=None):
+        for a in (cells, *theta, *phi, *cos):
+            a.setflags(write=False)
+        self.level, self.shrink, self.cells = level, shrink, cells
+        self.theta, self.phi, self.cos = theta, phi, cos
+        self._objects = objects
+
+    @classmethod
+    def from_regions(cls, regions) -> "ScaledRegions":
+        """Arrays of any iterable of ScaledRegion, which stays the object view.
+
+        The regions may come from several levels, so level and shrink are None.
+        """
+        regions = tuple(regions)
+        cells = np.array([(r.parent.band, r.parent.sector) for r in regions],
+                         dtype=np.int64).reshape(-1, 2)
+        tlo, thi, plo, phi, cos_lo, cos_hi = np.array(
+            [(r.theta_lo, r.theta_hi, r.phi_lo, r.phi_hi,
+              math.cos(r.theta_lo), math.cos(r.theta_hi)) for r in regions]).reshape(-1, 6).T
+        return cls(None, None, cells, (tlo, thi), (plo, phi), (cos_lo, cos_hi), regions)
+
+    @property
+    def empty(self) -> np.ndarray:
+        """Boolean array: the region's bounds are inverted, as ScaledRegion.empty."""
+        return (self.theta[0] >= self.theta[1]) | (self.phi[0] >= self.phi[1])
+
+    def _regions(self) -> tuple:
+        if self._objects is None:
+            columns = (x.tolist() for x in (*self.cells.T, *self.theta, *self.phi))
+            self._objects = tuple(
+                ScaledRegion(DyadicCell(self.level, b, s), self.shrink, t0, t1, p0, p1)
+                for b, s, t0, t1, p0, p1 in zip(*columns))
+        return self._objects
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, index):
+        return self._regions()[index]
+
+    def __iter__(self):
+        return iter(self._regions())
+
+    def __eq__(self, other):
+        if not isinstance(other, (ScaledRegions, tuple)):
+            return NotImplemented
+        return self._regions() == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._regions())
+
+
 def _shrink_cells(level: int, cells: np.ndarray,
-                  shrink: float) -> tuple[tuple, np.ndarray]:
-    """(ScaledRegion per (band, sector) row, array of their measures).
+                  shrink: float) -> tuple[ScaledRegions, np.ndarray]:
+    """(ScaledRegions of the (band, sector) rows, array of their measures).
 
     The shrink rule and the cosines run once per distinct band in scalar
     math; sectors take them with float +, - and *, so every bound and
@@ -201,10 +264,7 @@ def _shrink_cells(level: int, cells: np.ndarray,
     plo[inverted], phi[inverted] = _EMPTY
     empty = (tlo >= thi) | inverted
     measures = np.where(empty, 0.0, (cos_lo - cos_hi) * (phi - plo))
-    columns = (x.tolist() for x in (cells[:, 0], cells[:, 1], tlo, thi, plo, phi))
-    regions = tuple(ScaledRegion(DyadicCell(level, b, s), shrink, t0, t1, p0, p1)
-                    for b, s, t0, t1, p0, p1 in zip(*columns))
-    return regions, measures
+    return ScaledRegions(level, shrink, cells, (tlo, thi), (plo, phi), (cos_lo, cos_hi)), measures
 
 
 def shrink_cell(cell: DyadicCell, shrink: float) -> ScaledRegion:
@@ -235,7 +295,7 @@ def scaled_measure_lower_bound(cell: DyadicCell, constants: ScaleConstants) -> f
 @dataclass(frozen=True)
 class ScaleSummary:
     constants: ScaleConstants
-    regions: tuple
+    regions: Sequence  # ScaledRegions from scale_set
     kept: CellSet
     removed_cells: int
     removed_measure: float
@@ -294,14 +354,16 @@ class OpfCertification:
 
 
 def verify_scaled_opf(regions, margin: float = 0.0) -> OpfCertification:
-    """Check all region pairs (and self-pairs) for achievable inner product 0."""
-    regions = list(regions)
-    live = [(i, r) for i, r in enumerate(regions) if not r.empty]
-    idx = np.array([i for i, _ in live])
-    boxes = (np.array([math.cos(r.theta_hi) for _, r in live]),
-             np.array([math.cos(r.theta_lo) for _, r in live]),
-             np.array([r.phi_lo for _, r in live]) / TWO_PI,
-             np.array([r.phi_hi for _, r in live]) / TWO_PI)
+    """Check all region pairs (and self-pairs) for achievable inner product 0.
+
+    regions is a ScaledRegions or any iterable of ScaledRegion, which goes
+    through ScaledRegions.from_regions first.
+    """
+    if not isinstance(regions, ScaledRegions):
+        regions = ScaledRegions.from_regions(regions)
+    live = np.flatnonzero(~regions.empty)
+    (cos_lo, cos_hi), (plo, phi) = regions.cos, regions.phi
+    boxes = (cos_hi[live], cos_lo[live], plo[live] / TWO_PI, phi[live] / TWO_PI)
     pairs, evaluated = _pair_scan(boxes, margin)
-    violations = sorted(zip(idx[pairs[:, 0]].tolist(), idx[pairs[:, 1]].tolist()))
+    violations = sorted(zip(live[pairs[:, 0]].tolist(), live[pairs[:, 1]].tolist()))
     return OpfCertification(len(regions), margin, tuple(violations), evaluated)

@@ -60,8 +60,14 @@ def to_polar(v: np.ndarray) -> tuple[float, float]:
 
 
 def geodesic_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Length of the smaller great-circle arc between u and v, in [0, pi]."""
-    return math.acos(max(-1.0, min(1.0, float(u @ v))))
+    """Length of the smaller great-circle arc between u and v, in [0, pi].
+
+    atan2 of |u x v| and u . v stays accurate near 0 and pi, where acos of
+    the dot product loses half the digits (1e-9 off for near-antipodes).
+    """
+    (a, b, c), (d, e, f) = u.tolist(), v.tolist()
+    return math.atan2(math.hypot(b * f - c * e, c * d - a * f, a * e - b * d),
+                      a * d + b * e + c * f)
 
 
 def cap_area(radius: float) -> float:

@@ -2,14 +2,17 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from opfsets import conflicts
 from opfsets.cli import (EXIT_CERTIFICATION, EXIT_INFEASIBLE, EXIT_OK,
                          EXIT_RESOURCE, EXIT_USAGE, main)
+from opfsets.density import cap_union_oracle, select_dense_cells
 from opfsets.grid import CellSet, all_cells
 from opfsets.scaling import largest_feasible_epsilon
 from opfsets.search import double_cap_cellset
+from opfsets.sphere import Cap
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -57,6 +60,23 @@ def test_conflicts_cache_env_and_corruption(tmp_path, capsys, monkeypatch):
     assert main(["conflicts", "--level", "1"]) == EXIT_OK
     captured = capsys.readouterr()
     assert "rebuilding cache" in captured.err
+
+
+def test_conflicts_warns_before_replacing_another_graph(tmp_path, capsys):
+    cache = str(tmp_path / "graph.opfg")
+    assert main(["conflicts", "--level", "2", "--cache", cache]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert main(["conflicts", "--level", "3", "--cache", cache]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "warning: rebuilding cache (it holds level 2 margin 0," in captured.err
+    assert "level 3 margin 0:" in captured.out and "cached graph" in captured.out
+    assert conflicts.load_graph(cache).level == 3
+    assert main(["conflicts", "--level", "3", "--margin", "0.1", "--cache", cache]) == EXIT_OK
+    assert "it holds level 3 margin 0, not level 3 margin 0.1" in capsys.readouterr().err
+    # the matching graph loads silently
+    assert main(["conflicts", "--level", "3", "--margin", "0.1", "--cache", cache]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and "cached graph" not in captured.out
 
 
 def test_conflicts_rebuilds_non_circulant_cache(tmp_path, capsys):
@@ -184,6 +204,25 @@ def test_scale_certification_failure(tmp_path, capsys):
     thresh = largest_feasible_epsilon(sel.measure())
     assert main(["scale", "--selection", str(sel_path),
                  "--epsilon", f"{0.9 * thresh}"]) == EXIT_CERTIFICATION
+    capsys.readouterr()
+
+
+def test_scale_artifacts_pinned(tmp_path, capsys):
+    # sha256 of `opfsets scale --epsilon 0.01 --out` as the per-region
+    # objects gave it, before the regions were handed on as box arrays
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    rotcap = select_dense_cells(cap_union_oracle(
+        [Cap(axis, math.pi / 4.0), Cap(-axis, math.pi / 4.0)]), 6, 0.01).selected
+    pins = {"rotcap-l6": (rotcap, EXIT_CERTIFICATION,  # 20 violations survive the shrink
+                          "7f1d5bf271a9b6af998b3cbbdf4949c05ed543c66f647256ee74173196d5a06e"),
+            "double-cap-l5": (double_cap_cellset(5), EXIT_OK,
+                              "1b2edb4a42764fc99f5dd3820d0c3f5ea091a8276e0745b12f1d0246bf91e0fa")}
+    for name, (sel, code, digest) in pins.items():
+        sel.save(tmp_path / f"{name}.sel.json")
+        out = tmp_path / f"{name}.json"
+        assert main(["scale", "--selection", str(tmp_path / f"{name}.sel.json"),
+                     "--epsilon", "0.01", "--out", str(out)]) == code, name
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
     capsys.readouterr()
 
 

@@ -17,7 +17,7 @@ from opfsets.density import (CoveringReport, DensityReport, MembershipOracle,
                              double_cap_oracle, polygon_set_oracle, sample_in_cell,
                              select_dense_cells, sieve_fractal_oracle)
 from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_area, cell_bounds,
-                          locate_coords, locate_coords_batch, n_bands)
+                          cell_bounds_batch, locate_coords, locate_coords_batch, n_bands)
 from opfsets.search import double_cap_cellset
 from opfsets.sphere import (PREDICATE_TOL, SPHERE_AREA, Cap, GeodesicSegment, cap_area,
                             from_polar, sample_uniform_batch, to_polar)
@@ -256,6 +256,138 @@ def test_cap_densities_match_kink_aware_reference(name):
             ref = reference_cap_densities(cap, level).ravel()
             assert np.abs(d - ref).max() <= 1e-10, level
             assert not e.any()
+
+
+def per_corner_cap_area(center, radius, ulo, uhi, plo, phi):
+    """mu(cap ∩ cell) with the corner formula evaluated at each cell's four
+    corners separately, three lens areas each: the lattice's reference."""
+    x, y, z = (float(a) for a in center)
+    sc, cr = math.hypot(x, y), math.cos(radius)
+    if abs(z) >= 1.0 - 1e-14:
+        if z > 0:
+            return np.maximum(0.0, np.minimum(uhi, 1.0) - np.maximum(ulo, cr)) * (phi - plo)
+        return np.maximum(0.0, np.minimum(uhi, -cr) - np.maximum(ulo, -1.0)) * (phi - plo)
+    if radius > math.pi / 2.0:
+        rest = per_corner_cap_area(-center, math.pi - radius, ulo, uhi, plo, phi)
+        return (uhi - ulo) * (phi - plo) - rest
+    theta_c, phi_c = math.atan2(sc, z), math.atan2(y, x)
+    if theta_c + radius > math.pi:
+        theta_c, z, ulo, uhi = math.pi - theta_c, -z, -uhi, -ulo
+
+    def lens(v):
+        return density._lens_area(theta_c, radius, v)
+
+    def corner(v, t):
+        turns = np.round(t / (2.0 * math.pi))
+        t = t - 2.0 * math.pi * turns
+        tau = np.abs(t)
+        m = sc * np.cos(tau)
+        r, beta = np.hypot(m, z), np.arctan2(m, z)
+        alpha = np.arctan2(np.sqrt(np.maximum((r - cr) * (r + cr), 0.0)), cr)
+        lo = np.maximum(v, np.cos(np.clip(beta + alpha, 0.0, math.pi)))
+        hi = np.maximum(v, np.cos(np.clip(beta - alpha, 0.0, math.pi)))
+        whole = lens(v)
+        part = 0.5 * (whole - lens(lo) + lens(hi)) + tau * (hi - lo)
+        return np.sign(t) * part + turns * whole
+
+    tlo, thi = plo - phi_c, phi - phi_c
+    return corner(ulo, thi) - corner(ulo, tlo) - corner(uhi, thi) + corner(uhi, tlo)
+
+
+def per_corner_densities(caps, level, cells):
+    band, sector = np.asarray(cells).T
+    (ulo, uhi), (plo, phi) = cell_bounds_batch(level, band, sector)
+    total, width = np.zeros(len(band)), (uhi - ulo) * (phi - plo)
+    for cap in caps:
+        total = total + per_corner_cap_area(cap.center, cap.radius, ulo, uhi, plo, phi) / width
+    return np.clip(total, 0.0, 1.0)
+
+
+def random_cell_subsets():
+    """(level, 300 distinct (band, sector) rows) at levels 6 and 7, seeded by the level."""
+    out = []
+    for level in (6, 7):
+        n = n_bands(level)
+        picks = np.random.default_rng(level).choice(n * n, 300, replace=False)
+        out.append((level, np.stack(np.divmod(picks, n), axis=1)))
+    return out
+
+
+def density_digest(oracle, requests):
+    h = hashlib.sha256()
+    for level, cells in requests:
+        d, e = cell_densities(oracle, level, cells)
+        h.update(d.tobytes() + e.tobytes())
+    return h.hexdigest()
+
+
+def rotcap_pair():
+    return cap_union_oracle([Cap(ROTATED_AXIS, math.pi / 4), Cap(-ROTATED_AXIS, math.pi / 4)])
+
+
+def test_lattice_densities_equal_per_corner_formula():
+    oracles = {"rotcap_pair": rotcap_pair(),
+               **{name: cap_oracle(c.center, c.radius) for name, c in reference_caps().items()}}
+    requests = [(level, all_band_sector(level)) for level in range(7)] + random_cell_subsets()
+    for name, o in oracles.items():
+        for level, cells in requests:
+            d, e = cell_densities(o, level, cells)
+            assert np.array_equal(d, per_corner_densities(o.caps, level, cells)), (name, level)
+            assert not e.any()
+
+
+# sha256 of the density and stderr bytes of cell_densities, taken from the
+# per-corner evaluation before cap densities moved to the corner lattice
+ROTCAP_L6_DENSITY_SHA256 = "7591084da16a80534034b9f10f017d1eb62b27bb304e34dbc209cdb20b201590"
+FULL_LEVELS_DENSITY_SHA256 = {  # levels 0..6, every cell, band-major
+    "rotated": "0635b414199e45661a713ac9bd5acc74cbca2574996f7eb2987b934b7a687212",
+    "rotated_antipode": "1275dc79805e42664b02aef0a7dd96b2f794c19c3a7e14001992fd3b02b57a28",
+    "axis122_r0.7": "3eadaa8bcdff824bbb6f30d35c92c8c019a867900ace4ef9b609047eb49a760c",
+    "north_pole": "b9fb6af9819f7b32a55bd24393721c6132ad02fb76ab8484f4cd08c21c8202b3",
+    "south_pole_wide": "71199c4ae2789f7ef5a8f2b250bafa6624ff44805a73188ac1ba4cf6fd2ac37f",
+    "near_north_pole": "ccde7ce9fdaace2a59983249a46270c050c72e16a8c11501ea36070b59e2eb6d",
+    "near_south_pole": "25c233f52e3620bdd29658f1ffaedf3307f545261eb9ff76ba0a5654b51d3d3d",
+    "equatorial": "be0b43f73d84364682090c560d27879b5976c044510323128529efcfd9718c8a",
+    "r0.01": "8987c0fc07775aaa6a7e183bfb6cfaafa6c5ddc1f454182b0c1124ae8fc43116",
+    "r_half_pi": "b17b01a316bff8a2abb1be4095b7f2435e6caaee4fb8b8f3b462998173b23610",
+    "equatorial_hemisphere": "fa25b689ac3d4f8e41cd7329b925b6538e767badaafd53e9f1f69f7f7582f9c2",
+    "r2.5": "00bdefa2bda4e95e7685a378f228626016a6e436381bb204a2502f3dca780012",
+    "r_pi": "142694382c5ab3fefaf3dc575b7bade9ced4a9e11b2d5fb6bd9dd98f7426e91e",
+    "random0": "a4372b9c480d9e30118c53af9a2f0cbded63d190d333fc67a28f2b8397c23683",
+    "random1": "7bc13e8ff09f8e8a7dc40f3290b19e58c1e2012108f870b3876e7693dbf75f41",
+    "random2": "9e3da972202c33e41b15336637b99f1c343f201032965b3af28588139e496012",
+    "random3": "1124615936cf1dc87153cf6a6f9f3efdf5251e0a138bedbc2214ff58f9a83d69"}
+SUBSET_DENSITY_SHA256 = {  # random_cell_subsets(), level 6 then 7
+    "rotcap_pair": "223804947fad60fb67c9d2a33fa8eb56caaa949e1db664d615d0d2a7d07d0ca8",
+    "rotated": "66ef744b3cd2d4446f7694653624990329b847fb03a57fded2c1de7674c6d1cb",
+    "rotated_antipode": "f8fae5cbcf77a5571f7249ea2ca4a2caa5b07f916ea1a910af83212042ea257e",
+    "axis122_r0.7": "cd5c00998f4f72d9836e4275b4cc4f761faa8c698a041b6c711eade144f9c5b6",
+    "north_pole": "7611bb3923eab6970150cbfeaab04aa8b8a43bd5309de7d8dc12fa3562a8d6a3",
+    "south_pole_wide": "093f320467e64a14dde2f99dc53262db1d5d320fd1c6300939193f71ba0ee85f",
+    "near_north_pole": "083db1272181ebab3d7fcc85295b3be0706050ced9139e605259c870269a8f34",
+    "near_south_pole": "aa4e80c9687a6861b40af973a10165afd74ddf15f364659e6e2172c4abee931d",
+    "equatorial": "147d928a5413d858ba86b4a83ac9126e8a57660870c03f0621aa9c1db5260ad8",
+    "r0.01": "e9a15a094703faaea3fdf53af7e04da21717008ab4bb228799712b2fced03c65",
+    "r_half_pi": "c3b1eab69c1f9a21a12719343bb4105ba47ee58f67c49561223a129182eff00c",
+    "equatorial_hemisphere": "e33bcb45c8931745df2dfdf3053a2415d29b2068651e1f9a726a4bc28f6b3b4e",
+    "r2.5": "8512efedd67d160898605d423011765614a520098669d91b64d33e1ffae2e9fb",
+    "r_pi": "055a01bfddbaef58d205968cadf98ab10bb45898d1ba0594420e4813281cead5",
+    "random0": "4ac7cf5c4d12ec67a1c8f962a7b21b687130ff2f908a02960252f0879a60edc9",
+    "random1": "69ca53a74dc070bf081d9e6525a12d9d6ba1de76496da7404782fb16c9a81fd6",
+    "random2": "4898174ceb884f78b6f3244a406f36ad78aaf48adb20bf72439066537e99b5c1",
+    "random3": "d03134fe26c45221b233b146027c7dc53f1ab68a3fa8ca24736a79556ebf4d28"}
+
+
+def test_cap_densities_pinned():
+    assert density_digest(rotcap_pair(), [(6, all_band_sector(6))]) == ROTCAP_L6_DENSITY_SHA256
+    caps = reference_caps()
+    full = [(level, all_band_sector(level)) for level in range(7)]
+    assert {name: density_digest(cap_oracle(c.center, c.radius), full)
+            for name, c in caps.items()} == FULL_LEVELS_DENSITY_SHA256
+    oracles = {"rotcap_pair": rotcap_pair(),
+               **{name: cap_oracle(c.center, c.radius) for name, c in caps.items()}}
+    assert {name: density_digest(o, random_cell_subsets())
+            for name, o in oracles.items()} == SUBSET_DENSITY_SHA256
 
 
 def test_rotated_cap_cell_matches_high_precision_integral():

@@ -215,6 +215,12 @@ def test_cellset_from_cells_accepts_every_cell_form():
     assert expected.array().dtype == np.int64
     assert CellSet(2, ()).array().shape == (0, 2)
     assert CellSet.from_cells(2, expected.array()) == expected
+    # from_cells keeps its array; array() hands out copies of it
+    built = CellSet.from_cells(2, pairs)
+    first = built.array()
+    first[0] = (7, 7)
+    assert built.array().tolist() == expected.array().tolist()
+    assert built == expected and hash(built) == hash(expected) and repr(built) == repr(expected)
 
 
 def test_cellset_from_cells_errors_name_the_first_bad_cell():

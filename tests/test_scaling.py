@@ -8,8 +8,8 @@ from opfsets.density import cap_union_oracle, select_dense_cells
 from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_area, cell_bounds,
                           theta_bounds)
 from opfsets.scaling import (InfeasibleEpsilonError, N_ROOT, ScaleConstants,
-                             ScaledRegion, ScaleSummary, choose_constants, is_feasible,
-                             largest_feasible_epsilon, remove_polar_caps,
+                             ScaledRegion, ScaledRegions, ScaleSummary, choose_constants,
+                             is_feasible, largest_feasible_epsilon, remove_polar_caps,
                              scale_set, scaled_measure_lower_bound, shrink_cell,
                              verify_scaled_opf)
 from opfsets.search import double_cap_cellset
@@ -160,6 +160,54 @@ def test_verify_scaled_opf_flags_full_sphere():
     # a nonzero margin can only add violations
     wide = verify_scaled_opf(summary.regions, margin=0.05)
     assert len(wide.violations) >= len(cert.violations)
+
+
+def test_scaled_regions_are_arrays_with_objects_on_access():
+    sel = CellSet.from_cells(2, all_cells(2))
+    summary = scale_set(sel, choose_constants(0.005, sel.measure()))
+    regions = summary.regions
+    assert isinstance(regions, ScaledRegions) and regions._objects is None
+    verify_scaled_opf(regions)
+    assert regions._objects is None  # the certificate read the arrays
+    objects = tuple(regions)
+    assert regions[0] is objects[0] and tuple(regions) == objects  # built once
+    assert len(regions) == len(summary.kept) and regions[-1] is objects[-1]
+    assert regions == objects and objects == regions
+    assert regions != objects[:-1]
+    assert regions.empty.tolist() == [r.empty for r in objects]
+    for a in (regions.cells, *regions.theta, *regions.phi, *regions.cos):
+        with pytest.raises(ValueError):  # read-only: the objects cannot go stale
+            a[0] = 0
+    assert [(r.parent.band, r.parent.sector) for r in objects] == list(summary.kept.members)
+    assert summary == scale_set(sel, summary.constants)
+    # a plain tuple of the same regions is certified through the same arrays
+    for margin in (0.0, 0.05):
+        cert = verify_scaled_opf(regions, margin)
+        plain = verify_scaled_opf(objects, margin)
+        assert cert.violations and plain.violations == cert.violations
+        assert plain.pairs_evaluated == cert.pairs_evaluated
+        assert plain.n_regions == cert.n_regions == len(objects)
+        # an empty region is skipped but keeps its index
+        padded = verify_scaled_opf((shrink_cell(DyadicCell(2, 3, 0), 1.0), *objects), margin)
+        assert padded.violations == tuple((i + 1, j + 1) for i, j in cert.violations)
+        assert padded.pairs_evaluated == cert.pairs_evaluated
+    again = ScaledRegions.from_regions(objects)
+    assert again == regions and np.array_equal(again.cells, regions.cells)
+    for ours, theirs in ((again.theta, regions.theta), (again.phi, regions.phi),
+                         (again.cos, regions.cos)):
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+def test_verify_scaled_opf_same_on_plain_regions():
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    rotcap = select_dense_cells(cap_union_oracle(
+        [Cap(axis, math.pi / 4.0), Cap(-axis, math.pi / 4.0)]), 6, 0.01).selected
+    summary = scale_set(rotcap, choose_constants(0.01, rotcap.measure()))
+    cert = verify_scaled_opf(summary.regions)
+    plain = verify_scaled_opf(tuple(summary.regions))
+    assert len(cert.violations) == 20
+    assert plain.violations == cert.violations
+    assert plain.pairs_evaluated == cert.pairs_evaluated
 
 
 def test_verify_scaled_opf_skips_empty_regions():

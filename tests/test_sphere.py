@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opfsets.convexify import conv1, convex_polygon_from_points
@@ -50,10 +50,15 @@ def test_geodesic_distance_basics():
     assert geodesic_distance(e1, e1) == 0.0
     assert abs(geodesic_distance(e1, e3) - math.pi / 2) < 1e-15
     assert abs(geodesic_distance(e1, -e1) - math.pi) < 1e-15
+    # near 0 and pi, where acos of the dot product is ~1e-9 off
+    assert geodesic_distance(e3, from_polar(1e-9, 0.3)) == pytest.approx(1e-9, rel=1e-12)
+    assert abs(geodesic_distance(e3, from_polar(math.pi - 1e-9, 0.3))
+               - (math.pi - 1e-9)) < 1e-15
 
 
 @given(angles, azimuths, angles, azimuths)
 @settings(max_examples=200)
+@example(math.pi - 4e-16, 0.0, 1e-9, 0.0)  # near-antipodes broke the triangle with acos
 def test_distance_symmetry_and_triangle(t1, p1, t2, p2):
     u, v = from_polar(t1, p1), from_polar(t2, p2)
     w = unit_vector(0.3, -0.2, 0.93)
