@@ -174,30 +174,64 @@ class ConflictGraph:
         return np.flatnonzero(self.self_conflicting()).astype(np.uint32)
 
     @cached_property
-    def edges(self) -> np.ndarray:
-        """Sorted (m, 2) uint32 array of the conflicting ordinal pairs (a, b), a < b."""
+    def windows(self) -> np.ndarray:
+        """(n, n, 2n) W[b1, b2, k] = table[b1, b2, -k mod n], the sector-0 rows
+        doubled: cell (b, s)'s mask over band b2 is the slice W[b, b2, n - s:2n - s]."""
+        n = n_bands(self.level)
+        rows = self.table[:, :, -np.arange(n) % n]
+        return np.concatenate((rows, rows), axis=2)
+
+    def _neighbour_pairs(self, upper: bool) -> np.ndarray:
+        """Sorted (k, 2) uint32 array of the pairs (cell, neighbour): every
+        neighbour of every cell, or with upper only those of higher ordinal.
+
+        Cell (b, s)'s neighbours in band b2 are the columns c of the sector-0
+        row of (b, b2), rotated to (c + s) mod n.  Ascending, they are a window
+        of the doubled column list (c - n for every c, then every c): its
+        entries in [-s, n - s), which start after the #{c < n - s} entries
+        below -s.  Every row is read once, into one pool of doubled lists.
+        """
         n = n_bands(self.level)
         bands = np.arange(n)
-        circ = (bands[:, None] - bands[None, :]) % n    # circ[s1, s2] = (s1 - s2) mod n
-        above = bands[None, :] > bands[:, None]
-        chunks = []
-        for b in range(n):
-            # hit[s1, b2 - b, s2]: does cell (b, s1) conflict with (b2, s2), b2 >= b
-            hit = self.table[b, b:][:, circ].transpose(1, 0, 2)
-            hit[:, 0] &= above
-            rows, cols = np.nonzero(hit.reshape(n, -1))
-            chunk = np.empty((len(rows), 2), dtype=np.uint32)
-            chunk[:, 0] = rows + b * n
-            chunk[:, 1] = cols + b * n
-            chunks.append(chunk)
-        # row-major nonzero within a band and ascending bands: already sorted
-        return np.concatenate(chunks)
+        rows = self.windows.copy()
+        rows[bands, bands, 0] = rows[bands, bands, n] = False  # no cell is its own neighbour
+        flat = np.flatnonzero(rows)
+        pool = flat // (2 * n) % n * n + flat % (2 * n) - n  # b2 * n + (k - n) at [b, b2, k]
+        cum = np.cumsum(rows[:, :, n:], axis=2, dtype=np.int32)  # [b, b2, j]: #{c <= j}
+        below = cum[:, :, ::-1]                                  # [b, b2, s]: #{c < n - s}
+        size = cum[:, :, -1]
+        first = 2 * (np.cumsum(size) - size.ravel()).reshape(n, n)  # pool start of (b, b2)
+        # with upper: the bands above whole; in its own band, cell s keeps the
+        # c in [1, n - s), the first #{c < n - s} entries of the second copy
+        whole = np.triu(size, 1) if upper else size
+        counts = np.repeat(whole.sum(axis=1), n).reshape(n, n)
+        if upper:
+            counts += below[bands, bands]
+        bounds = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))  # each band's pairs
+        pairs = np.empty((bounds[-1], 2), dtype=np.uint32)
+        for b in range(n):  # one band's cells at a time, to keep the temporaries small
+            start = first[b, :, None] + below[b]                  # [b2, s]
+            length = np.repeat(whole[b, :, None], n, axis=1)
+            if upper:
+                start[b] = first[b, b] + size[b, b]
+                length[b] = below[b, b]
+            start, length = start.T.ravel(), length.T.ravel()     # windows by (s, b2)
+            out = pairs[bounds[b]:bounds[b + 1]]
+            idx = np.repeat(start + length - np.cumsum(length), length) + np.arange(len(out))
+            out[:, 0] = np.repeat(b * n + bands, counts[b])
+            out[:, 1] = pool[idx] + np.repeat(bands, counts[b])
+        return pairs
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Sorted (m, 2) uint32 array of the conflicting ordinal pairs (a, b), a < b."""
+        return self._neighbour_pairs(upper=True)
 
     def neighbours(self, o: int) -> np.ndarray:
         """Mask by ordinal of the cells that conflict with cell o, o itself cleared."""
         n = n_bands(self.level)
         b, s = divmod(int(o), n)
-        mask = self.table[b][:, (s - np.arange(n)) % n].ravel()
+        mask = self.windows[b, :, n - s:2 * n - s].ravel()  # a copy: rows lie 2n apart
         mask[o] = False
         return mask
 
@@ -209,8 +243,13 @@ class ConflictGraph:
 
     def adjacency(self) -> dict[int, set[int]]:
         """{ordinal: set of neighbouring ordinals}, each set filled in ascending order."""
-        return {o: set(np.flatnonzero(self.neighbours(o)).tolist())
-                for o in range(self.n_cells())}
+        pairs = self._neighbour_pairs(upper=False)
+        # one int object per ordinal, shared by every set that holds it
+        ints = np.array(range(self.n_cells()), dtype=object)[pairs[:, 1]].tolist()
+        del pairs  # the sets are the peak: keep nothing else of this size alive
+        degrees = self.degrees()
+        ends = np.cumsum(degrees).tolist()
+        return {o: set(ints[e - d:e]) for o, (d, e) in enumerate(zip(degrees.tolist(), ends))}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConflictGraph)
@@ -390,9 +429,11 @@ def _table_from_edges(level: int, selfs: np.ndarray, edges: np.ndarray) -> np.nd
             or (np.diff(selfs) <= 0).any() or (np.diff(a * m + b) <= 0).any():
         raise CorruptCacheError("graph cache lists ordinals out of range or out of order")
     table = np.zeros((n, n, n), dtype=bool)
-    (b1, s1), (b2, s2) = np.divmod(a, n), np.divmod(b, n)
-    table[b1, b2, (s1 - s2) % n] = True
-    table[selfs // n, selfs // n, 0] = True
+    flat = table.reshape(-1)
+    # n = 2^(level+1): (a, b) sets flat entry ((b1 * n + b2) * n + (s1 - s2) mod n)
+    shift = level + 1
+    flat[(((a & -n) | (b >> shift)) << shift) | ((a - b) & (n - 1))] = True
+    flat[(selfs >> shift) * (n * n + n)] = True
     table |= table.transpose(1, 0, 2)[:, :, -np.arange(n) % n]
     diagonal = int(np.trace(table[:, :, 0]))
     if n * diagonal != len(selfs) or n * (int(table.sum()) - diagonal) != 2 * len(edges):

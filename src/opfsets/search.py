@@ -4,7 +4,8 @@ All cells at a level have equal area, so maximizing measure is maximizing
 cardinality: an unweighted maximum-independent-set problem on the conflict
 graph.  Provided methods: the double-cap baseline, greedy construction,
 (1,2)-swap local search, and exact branch-and-bound for small levels.  They
-read neighbour masks straight from the graph's circulant table.  Every
+read each cell's neighbour mask as one slice of the graph's sector-rotated
+table (ConflictGraph.windows), never building an adjacency dict.  Every
 result is re-verified against the graph and compared with the published
 bounds on the largest orthogonal-pair-free measure fraction.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import conflicts
 from .conflicts import ConflictGraph
-from .grid import CellSet, DyadicCell, cell_bounds_batch, n_bands, write_json
+from .grid import CellSet, cell_bounds_batch, n_bands, write_json
 
 PUBLISHED_UPPER_BOUNDS = (1.0 / 3.0, 0.313, 0.308, 0.30153, 0.297742)
 BEST_UPPER_BOUND = 0.297742
@@ -53,24 +54,25 @@ def double_cap_cellset(level: int) -> CellSet:
 
 def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list:
     """Sorted ordinal pairs (a, b), a <= b, of a selection that conflict in a built
-    graph, a == b for a self-conflict; table lookups go in row tiles of <= _CHUNK."""
+    graph, a == b for a self-conflict; window lookups go in row tiles of <= _CHUNK."""
     if selection.level != graph.level:
         raise ValueError(f"selection level {selection.level} != graph level {graph.level}")
     n = n_bands(graph.level)
     bands, sectors = selection.array().T
     ords = bands * n + sectors
-    bad = [(o, o) for o in ords[graph.table[bands, bands, 0]].tolist()]
+    # member i's mask over member j's band is graph.windows[bi, bj, n - si:2n - si],
+    # so pair (i, j) sits at flat offset row[i] + col[j]
+    row = bands * (2 * n * n) + n - sectors
+    col = bands * (2 * n) + sectors
+    windows = graph.windows.reshape(-1)
+    bad = []
     k = len(ords)
     step = max(1, conflicts._CHUNK // max(k, 1))
     for r0 in range(0, k, step):
-        rows = np.arange(r0, min(r0 + step, k))
-        cols = np.arange(r0, k)
-        hit = graph.table[bands[rows, None], bands[None, cols],
-                          (sectors[rows, None] - sectors[None, cols]) % n]
-        hit &= cols[None, :] > rows[:, None]
-        ii, jj = np.nonzero(hit)
-        bad.extend(zip(ords[rows[ii]].tolist(), ords[cols[jj]].tolist()))
-    return sorted(bad)
+        ii, jj = np.nonzero(windows[row[r0:r0 + step, None] + col[None, r0:]])
+        keep = jj >= ii  # members come ascending, so i <= j is a <= b
+        bad.extend(zip(ords[r0 + ii[keep]].tolist(), ords[r0 + jj[keep]].tolist()))
+    return bad
 
 
 @dataclass(frozen=True)
@@ -136,11 +138,24 @@ def _cellset_from_ordinals(level: int, ords) -> CellSet:
         np.divmod(np.asarray(ords, dtype=np.int64), n_bands(level)), axis=-1))
 
 
+def _ordinals(selection: CellSet) -> np.ndarray:
+    bands, sectors = selection.array().T
+    return bands * n_bands(selection.level) + sectors
+
+
+def _check_non_negative(**values) -> None:
+    """Reject a negative budget or seed, naming the parameter."""
+    for name, value in values.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def greedy_mis(graph: ConflictGraph, order: str = "min-degree",
                seed: int | None = None) -> SearchResult:
     """Maximal conflict-free selection; min-degree or seeded random order."""
     if order not in ("random", "min-degree"):
         raise ValueError(f"unknown order {order!r}")
+    _check_non_negative(seed=seed)
     blocked = graph.self_conflicting()
     free = np.flatnonzero(~blocked)
     chosen = []
@@ -172,6 +187,7 @@ def greedy_mis(graph: ConflictGraph, order: str = "min-degree",
 def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
                  seed: int = 0) -> SearchResult:
     """(1,2)-swap hill climbing; never decreases the selection size."""
+    _check_non_negative(iters=iters, seed=seed)
     bad = selection_graph_violations(init, graph)
     if bad:
         raise InfeasibleSelectionError(bad)
@@ -193,8 +209,8 @@ def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
             if count[o] == 0:
                 toggle(o, 1)
 
-    for b, s in init.members:
-        toggle(DyadicCell(init.level, b, s).ordinal, 1)
+    for o in _ordinals(init).tolist():
+        toggle(o, 1)
     fill()
     steps = 0
     for _ in range(iters):
@@ -220,6 +236,7 @@ def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
 def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000,
               max_cells: int = 64) -> SearchResult:
     """Branch-and-bound maximum conflict-free selection for small levels."""
+    _check_non_negative(node_budget=node_budget)
     free = np.flatnonzero(~graph.self_conflicting())
     if len(free) > max_cells:
         raise ExactSearchCapError(
@@ -227,8 +244,7 @@ def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000,
     # conflicts among the candidate cells, indexed by position in free
     conflict = np.array([graph.neighbours(o)[free] for o in free],
                         dtype=bool).reshape(len(free), len(free))
-    incumbent = [DyadicCell(graph.level, b, s).ordinal
-                 for b, s in greedy_mis(graph, "min-degree").selection.members]
+    incumbent = _ordinals(greedy_mis(graph, "min-degree").selection).tolist()
     nodes = 0
     exhausted = False
 

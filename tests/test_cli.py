@@ -137,6 +137,20 @@ def test_search_usage_error_and_exact_cap(capsys):
     assert "exact-search cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--method", "local", "--iters", "-5"], "iters"),
+    (["--method", "exact", "--node-budget", "-1"], "node_budget"),
+    (["--method", "greedy-random", "--seed", "-3"], "seed"),
+    (["--method", "local", "--seed", "-3"], "seed"),
+])
+def test_search_rejects_negative_budgets(capsys, argv, name):
+    # -1 once ran exact search to "optimal: False (nodes 1)", and a negative
+    # seed failed inside numpy without naming the flag
+    assert main(["search", "--level", "1", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"{name} must be >= 0" in captured.err and not captured.out
+
+
 def test_search_local_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "board.csv"
     assert main(["search", "--level", "2", "--method", "local",

@@ -78,6 +78,53 @@ def brute_force_violations(selection, margin=0.0):
     return selfs, pairs
 
 
+def reference_edges(graph):
+    """The edge list by the band loop the graph once used: for each band, every
+    sector row's mask over the bands at or above it, scanned with np.nonzero."""
+    n = n_bands(graph.level)
+    bands = np.arange(n)
+    circ = (bands[:, None] - bands[None, :]) % n
+    above = bands[None, :] > bands[:, None]
+    chunks = []
+    for b in range(n):
+        hit = graph.table[b, b:][:, circ].transpose(1, 0, 2)
+        hit[:, 0] &= above
+        rows, cols = np.nonzero(hit.reshape(n, -1))
+        chunks.append(np.stack([rows + b * n, cols + b * n], axis=1).astype(np.uint32))
+    return np.concatenate(chunks)
+
+
+def reference_neighbours(graph, o):
+    """Cell o's neighbour mask by the per-cell table gather the graph once used."""
+    n = n_bands(graph.level)
+    b, s = divmod(o, n)
+    mask = graph.table[b][:, (s - np.arange(n)) % n].ravel()
+    mask[o] = False
+    return mask
+
+
+def reference_graph_violations(selection, graph):
+    """selection_graph_violations by the broadcast table lookup it once used."""
+    n = n_bands(graph.level)
+    bands, sectors = selection.array().T
+    ords = bands * n + sectors
+    bad = [(o, o) for o in ords[graph.table[bands, bands, 0]].tolist()]
+    k = len(ords)
+    step = max(1, conflicts._CHUNK // max(k, 1))
+    for r0 in range(0, k, step):
+        rows = np.arange(r0, min(r0 + step, k))
+        cols = np.arange(r0, k)
+        hit = graph.table[bands[rows, None], bands[None, cols],
+                          (sectors[rows, None] - sectors[None, cols]) % n]
+        hit &= cols[None, :] > rows[:, None]
+        ii, jj = np.nonzero(hit)
+        bad.extend(zip(ords[rows[ii]].tolist(), ords[cols[jj]].tolist()))
+    return sorted(bad)
+
+
+VIEW_MARGINS = (0.0, 1e-3, 0.05)
+
+
 @st.composite
 def cells(draw, max_level=4):
     level = draw(st.integers(0, max_level))
@@ -220,15 +267,61 @@ def test_level1_graph_self_conflicts():
 
 
 def test_adjacency_consistency():
-    for level in (0, 1, 2):
-        g = build_conflict_graph(level)
-        expect = {i: set() for i in range(g.n_cells())}
-        for a, b in g.edges.tolist():
-            expect[a].add(b)
-            expect[b].add(a)
-        adj = g.adjacency()
-        assert adj == expect
-        assert [list(adj[i]) for i in adj] == [list(expect[i]) for i in expect]
+    for level in range(6):
+        for margin in VIEW_MARGINS:
+            g = build_conflict_graph(level, margin)
+            expect = {i: set() for i in range(g.n_cells())}
+            for a, b in reference_edges(g).tolist():
+                expect[a].add(b)
+                expect[b].add(a)
+            adj = g.adjacency()
+            assert adj == expect
+            assert [list(adj[i]) for i in adj] == [list(expect[i]) for i in expect]
+
+
+def test_rotated_views_match_reference():
+    # edges, neighbour masks and their windows against the per-cell gathers
+    for level in range(7):
+        for margin in VIEW_MARGINS:
+            g = build_conflict_graph(level, margin)
+            n = n_bands(level)
+            assert g.edges.dtype == np.uint32
+            assert np.array_equal(g.edges, reference_edges(g)), (level, margin)
+            k = np.arange(2 * n)
+            assert np.array_equal(g.windows, g.table[:, :, -k % n])
+            if level <= 5:
+                for o in range(g.n_cells()):
+                    assert np.array_equal(g.neighbours(o), reference_neighbours(g, o)), o
+
+
+def random_selections(graph, rng):
+    """Seeded random selections of a graph's level; each nonempty one also
+    takes three cells of self-conflicting bands when the level has any."""
+    m, n = graph.n_cells(), n_bands(graph.level)
+    selfs = graph.self_conflicts.astype(np.int64)
+    for size in (0, 1, 9, 150, 600):
+        ords = rng.choice(m, size=min(size, m), replace=False)
+        if size and len(selfs):
+            ords = np.concatenate([ords, rng.choice(selfs, size=3)])
+        yield CellSet.from_cells(graph.level, np.stack(np.divmod(ords, n), axis=1))
+
+
+def test_selection_graph_violations_match_reference(monkeypatch):
+    rng = np.random.default_rng(41)
+    seen_self = False
+    for level in range(7):
+        for margin in VIEW_MARGINS:
+            g = build_conflict_graph(level, margin)
+            for sel in random_selections(g, rng):
+                want = reference_graph_violations(sel, g)
+                seen_self |= any(a == b for a, b in want)
+                assert selection_graph_violations(sel, g) == want
+                if level == 3:  # one or two member rows per lookup tile
+                    for chunk in (1, 2 * len(sel) + 1):
+                        monkeypatch.setattr(conflicts, "_CHUNK", chunk)
+                        assert selection_graph_violations(sel, g) == want
+                    monkeypatch.undo()
+    assert seen_self
 
 
 def test_margin_monotone():
@@ -255,11 +348,12 @@ def test_selection_violations_matches_graph():
 
 
 def test_cache_round_trip(tmp_path):
-    g = build_conflict_graph(2)
-    path = tmp_path / "g2.opfg"
-    save_graph(g, path)
-    g2 = load_graph(path)
-    assert g2 == g
+    path = tmp_path / "g.opfg"
+    for level in range(7):
+        for margin in (0.0, 0.05):
+            g = build_conflict_graph(level, margin)
+            save_graph(g, path)
+            assert load_graph(path) == g, (level, margin)
 
 
 def test_cache_corruption_detected(tmp_path):

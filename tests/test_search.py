@@ -299,6 +299,21 @@ def test_leaderboard_sorted_by_fraction(tmp_path):
     assert fractions == sorted(fractions, reverse=True)
 
 
+def test_negative_budgets_rejected():
+    graph = build_conflict_graph(1)
+    start = greedy_mis(graph, "min-degree").selection
+    calls = [("iters", lambda: local_search(graph, start, iters=-1)),
+             ("seed", lambda: local_search(graph, start, seed=-2)),
+             ("seed", lambda: greedy_mis(graph, "random", seed=-3)),
+             ("node_budget", lambda: exact_mis(graph, node_budget=-1))]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            call()
+    # zero budgets are allowed: no swap, or a search stopped at its first node
+    assert local_search(graph, start, iters=0).iterations == 0
+    assert exact_mis(graph, node_budget=0).optimal is False
+
+
 def test_ordinal_helpers_round_trip():
     graph = build_conflict_graph(1)
     result = greedy_mis(graph, "min-degree")
