@@ -228,8 +228,7 @@ def cmd_convexify(args) -> int:
         print(f"error: cannot load selection: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        result = convexify.conv(selection, arc_samples=args.arc_samples,
-                                merge_tol=args.merge_tol)
+        result = convexify.conv(selection, arc_samples=args.arc_samples)
     except convexify.HullInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CellSet JSON path, or an `opfsets filter --out` or "
                         "`opfsets search --out` artifact")
     p.add_argument("--arc-samples", type=int, default=32)
-    p.add_argument("--merge-tol", type=float, default=convexify.MERGE_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_convexify)
 

@@ -425,7 +425,11 @@ def _table_from_edges(level: int, selfs: np.ndarray, edges: np.ndarray) -> np.nd
     """
     n, m = n_bands(level), cell_count(level)
     a, b = edges[:, 0], edges[:, 1]
-    if (selfs >= m).any() or (b >= m).any() or (a >= b).any() \
+    in_range = not ((selfs >= m).any() or (b >= m).any())
+    # the checksum skips the level; a real cache's lists take >= 8 B per table entry
+    if in_range and n ** 3 > 4 * len(selfs) + 8 * len(edges):
+        raise CorruptCacheError(f"graph cache header level {level} is too large for its body")
+    if not in_range or (a >= b).any() \
             or (np.diff(selfs) <= 0).any() or (np.diff(a * m + b) <= 0).any():
         raise CorruptCacheError("graph cache lists ordinals out of range or out of order")
     table = np.zeros((n, n, n), dtype=bool)

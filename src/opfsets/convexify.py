@@ -27,7 +27,9 @@ from .sphere import (GeodesicSegment, NORMALIZATION_TOL, PREDICATE_TOL,
                      gnomonic_unproject, spherical_polygon_area, tangent_basis)
 
 HEMISPHERE_MARGIN = 1e-9
-MERGE_TOL = 1e-9
+MERGE_TOL = 1e-9  # conv2 merges polygons this close, so the ones it returns are disjoint
+ARC_TILE = 512  # points per tile of _points_arcs_min
+SEGMENT_SAMPLES = 16  # points per geodesic that check_triangle_lemma tests
 # angle slack of the endpoint prunes: a pair they drop is past every exact
 # test by more than the rounding of arccos near 0 (~1e-8) and the on-arc tolerance
 FOOT_SLACK = 1e-6
@@ -276,33 +278,16 @@ def connected_components(selection: CellSet) -> list[CellSet]:
     return [CellSet(selection.level, tuple(map(tuple, cells[g].tolist()))) for g in groups]
 
 
-def convex_hull(component: CellSet, arc_samples: int = 32,
-                adaptive_tol: float | None = None,
-                max_arc_samples: int = 128) -> ConvexPolygon:
-    """Hull of a component.
+def convex_hull(component: CellSet, arc_samples: int = 32) -> ConvexPolygon:
+    """Hull of a component, its latitude arcs sampled at arc_samples points.
 
-    With adaptive_tol set, the latitude-arc sampling doubles until the Girard
-    area stabilizes below the tolerance (or max_arc_samples is reached);
-    hulls are inner approximations converging with the sampling resolution.
+    Hulls are inner approximations that converge as arc_samples grows.
     """
     if len(component) == 0:
         raise ValueError("cannot hull an empty component")
     if arc_samples < 1:
         raise ValueError(f"arc_samples must be at least 1, got {arc_samples}")
-    poly = convex_polygon_from_points(_component_boundary_points(component, arc_samples))
-    if adaptive_tol is None:
-        return poly
-    prev_area = poly.area()
-    samples = arc_samples
-    while samples < max_arc_samples:
-        samples *= 2
-        refined = convex_polygon_from_points(
-            _component_boundary_points(component, samples))
-        if abs(refined.area() - prev_area) < adaptive_tol:
-            return refined
-        prev_area = refined.area()
-        poly = refined
-    return poly
+    return convex_polygon_from_points(_component_boundary_points(component, arc_samples))
 
 
 @dataclass(frozen=True)
@@ -351,7 +336,7 @@ def _arc_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     n: np.ndarray, tile: int = 512) -> np.ndarray:
+                     n: np.ndarray) -> np.ndarray:
     """Per-point minimum geodesic distance to the minor arcs of a polygon.
 
     points (m, 3); a, b, n (e, 3) with b = roll(a, -1), so the end dots are
@@ -364,8 +349,8 @@ def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     """
     out = np.empty(len(points))
     length = _arc_lengths(a, b)
-    for r0 in range(0, len(points), tile):
-        p = points[r0:r0 + tile]                       # (t, 3)
+    for r0 in range(0, len(points), ARC_TILE):
+        p = points[r0:r0 + ARC_TILE]                   # (t, 3)
         start = np.arccos(np.clip(p @ a.T, -1.0, 1.0))  # (t, e)
         near = np.minimum(start, np.roll(start, -1, axis=1))
         pmin = near.min(axis=1)
@@ -374,7 +359,7 @@ def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
         ii, ee = np.nonzero((circ < pmin[:, None]) & (near <= circ + length + FOOT_SLACK))
         on = _feet_on_arcs(p[ii], s[ii, ee], a[ee], b[ee], n[ee])
         np.minimum.at(pmin, ii[on], circ[ii[on], ee[on]])
-        out[r0:r0 + tile] = pmin
+        out[r0:r0 + ARC_TILE] = pmin
     return out
 
 
@@ -572,9 +557,8 @@ def conv1(selection: CellSet, arc_samples: int = 32) -> ConvexDecomposition:
     return ConvexDecomposition(polygons, _distance_matrix(polygons))
 
 
-def conv2(decomp: ConvexDecomposition,
-          merge_tol: float = MERGE_TOL) -> tuple[ConvexDecomposition, int]:
-    """Merge zero-distance polygons until all pairwise distances are positive.
+def conv2(decomp: ConvexDecomposition) -> tuple[ConvexDecomposition, int]:
+    """Merge polygons within MERGE_TOL until all pairwise distances exceed it.
 
     Deterministic lowest-index-pair-first merge order; returns the cleaned
     decomposition and the number of merges performed (at most count - 1).
@@ -586,7 +570,7 @@ def conv2(decomp: ConvexDecomposition,
     dist = decomp.distances
     merges = 0
     while True:
-        hits = np.argwhere(np.triu(dist <= merge_tol, 1))
+        hits = np.argwhere(np.triu(dist <= MERGE_TOL, 1))
         if len(hits) == 0:
             break
         i, j = (int(k) for k in hits[0])
@@ -617,13 +601,12 @@ class ConvResult:
                 "opf_violations": [list(v) for v in self.opf_violations]}
 
 
-def conv(selection: CellSet, arc_samples: int = 32,
-         merge_tol: float = MERGE_TOL) -> ConvResult:
+def conv(selection: CellSet, arc_samples: int = 32) -> ConvResult:
     """Full pipeline: conv2(conv1(selection)) with measure and OPF accounting."""
     if len(selection) == 0:
         return ConvResult(ConvexDecomposition((), _distance_matrix(())), 0.0, 0.0, 0, ())
     stage1 = conv1(selection, arc_samples)
-    final, merges = conv2(stage1, merge_tol)
+    final, merges = conv2(stage1)
     return ConvResult(final, selection.measure(), final.total_area(), merges,
                       certify_opf_polygons(final.polygons))
 
@@ -634,22 +617,17 @@ def _distance_to_polygon_batch(points: np.ndarray, poly: ConvexPolygon) -> np.nd
     return d
 
 
-def _directed_hausdorff(p1: ConvexPolygon, p2: ConvexPolygon,
-                        samples_per_edge: int) -> float:
+def _directed_hausdorff(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
     # the distance function is geodesically convex in the sub-pi/2 regime, so
     # the directed max over a convex polygon is attained at a vertex; edge
     # samples are kept as a refinement safety net
-    probes = [p1.vertices]
-    if samples_per_edge > 0:
-        probes.append(p1.boundary_samples(samples_per_edge))
-    return float(_distance_to_polygon_batch(np.vstack(probes), p2).max())
+    probes = np.vstack([p1.vertices, p1.boundary_samples()])
+    return float(_distance_to_polygon_batch(probes, p2).max())
 
 
-def hausdorff_distance(p1: ConvexPolygon, p2: ConvexPolygon,
-                       samples_per_edge: int = 8) -> float:
+def hausdorff_distance(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
     """Max of the two directed farthest-point distances."""
-    return max(_directed_hausdorff(p1, p2, samples_per_edge),
-               _directed_hausdorff(p2, p1, samples_per_edge))
+    return max(_directed_hausdorff(p1, p2), _directed_hausdorff(p2, p1))
 
 
 def _interior_sampler(poly: ConvexPolygon):
@@ -678,7 +656,7 @@ class PropertyReport:
 
 
 def check_triangle_lemma(decomp: ConvexDecomposition, trials: int = 1000,
-                         seed: int = 0, segment_samples: int = 16) -> PropertyReport:
+                         seed: int = 0) -> PropertyReport:
     """For random triples in one polygon: pairwise distances below pi/2 and
     the connecting geodesic stays inside the polygon."""
     rng = np.random.default_rng(seed)
@@ -694,8 +672,8 @@ def check_triangle_lemma(decomp: ConvexDecomposition, trials: int = 1000,
             if geodesic_distance(a, b) >= math.pi / 2.0:
                 violations.append((t, "distance", a.tolist(), b.tolist()))
         seg = GeodesicSegment(x, z)
-        pts = np.stack([seg.point_at(j / segment_samples)
-                        for j in range(segment_samples + 1)])
+        pts = np.stack([seg.point_at(j / SEGMENT_SAMPLES)
+                        for j in range(SEGMENT_SAMPLES + 1)])
         if not poly.contains_batch(pts, tol=1e-7).all():
             violations.append((t, "segment"))
     return PropertyReport(trials, tuple(violations))

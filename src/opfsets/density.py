@@ -248,18 +248,18 @@ def cell_densities(oracle: MembershipOracle, level: int, cells, samples: int = 1
     """(density, standard error) arrays for cells given as (band, sector) pairs.
 
     "auto" is exact (error 0) for caps, cell sets and the sieve fractal and
-    Monte Carlo with `samples` points per cell for polygon sets; "analytic"
-    and "monte_carlo" force one of the two.
+    Monte Carlo with `samples` points per cell for polygon sets;
+    "monte_carlo" forces Monte Carlo.
     """
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
-    if method not in ("auto", "analytic", "monte_carlo"):
+    if method not in ("auto", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
     cells, n = np.asarray(cells, dtype=np.int64).reshape(-1, 2), n_bands(level)
     if ((cells < 0) | (cells >= n)).any():
         raise ValueError(f"cell index out of range [0, {n}) at level {level}")
     band, sector = cells.T
-    if method == "monte_carlo" or (method == "auto" and oracle.kind == "polygon_set"):
+    if method == "monte_carlo" or oracle.kind == "polygon_set":
         (ulo, uhi), (plo, phi) = cell_bounds_batch(level, band, sector)
         boxes = list(zip((band * n + sector).tolist(), ulo.tolist(), uhi.tolist(),
                          plo.tolist(), phi.tolist()))
@@ -287,14 +287,12 @@ def cell_densities(oracle: MembershipOracle, level: int, cells, samples: int = 1
         m = n_bands(k) // size
         blocks = _cell_mask(oracle.cell_set).reshape(m, size, m, size).mean(axis=(1, 3))
         density = blocks[band >> down, sector >> down]
-    elif oracle.kind == "sieve_fractal":
+    else:  # sieve_fractal
         # the binary digits of the indices are the children taken at levels
         # 1..level; a cell is lost once a step takes the odd/odd child
         steps = min(level, oracle.depth)
         lost = band & sector & (((1 << steps) - 1) << (level - steps))
         density = np.where(lost != 0, 0.0, 0.75 ** max(0, oracle.depth - level))
-    else:
-        raise ValueError(f"no analytic density for oracle kind {oracle.kind!r}")
     return density, np.zeros(len(band))
 
 

@@ -27,6 +27,7 @@ from .sphere import (InfeasibleShrinkError, SPHERE_AREA, TWO_PI, _running_sum,
 
 N_ROOT = 3
 SQRT_PI = math.sqrt(math.pi)
+EPSILON_FLOOR, BISECTION_ITERS = 1e-9, 200  # largest_feasible_epsilon's bisection
 
 
 class InfeasibleEpsilonError(ValueError):
@@ -66,15 +67,14 @@ def is_feasible(epsilon: float, mu_m: float) -> bool:
     return lhs1 >= rhs1 and lhs2 > rhs2
 
 
-def largest_feasible_epsilon(mu_m: float, upper: float = 1.0,
-                             floor: float = 1e-9, iters: int = 200) -> float | None:
-    """Bisection for the feasibility threshold in (floor, upper]."""
+def largest_feasible_epsilon(mu_m: float, upper: float = 1.0) -> float | None:
+    """Bisection for the feasibility threshold in (EPSILON_FLOOR, upper]."""
     if is_feasible(upper, mu_m):
         return upper
-    if not is_feasible(floor, mu_m):
+    if not is_feasible(EPSILON_FLOOR, mu_m):
         return None
-    lo, hi = floor, upper
-    for _ in range(iters):
+    lo, hi = EPSILON_FLOOR, upper
+    for _ in range(BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
         if is_feasible(mid, mu_m):
             lo = mid
@@ -192,26 +192,12 @@ class ScaledRegions(Sequence):
     arrays are read-only, so the two views cannot drift apart.
     """
 
-    def __init__(self, level, shrink, cells, theta, phi, cos, objects=None):
+    def __init__(self, level, shrink, cells, theta, phi, cos):
         for a in (cells, *theta, *phi, *cos):
             a.setflags(write=False)
         self.level, self.shrink, self.cells = level, shrink, cells
         self.theta, self.phi, self.cos = theta, phi, cos
-        self._objects = objects
-
-    @classmethod
-    def from_regions(cls, regions) -> "ScaledRegions":
-        """Arrays of any iterable of ScaledRegion, which stays the object view.
-
-        The regions may come from several levels, so level and shrink are None.
-        """
-        regions = tuple(regions)
-        cells = np.array([(r.parent.band, r.parent.sector) for r in regions],
-                         dtype=np.int64).reshape(-1, 2)
-        tlo, thi, plo, phi, cos_lo, cos_hi = np.array(
-            [(r.theta_lo, r.theta_hi, r.phi_lo, r.phi_hi,
-              math.cos(r.theta_lo), math.cos(r.theta_hi)) for r in regions]).reshape(-1, 6).T
-        return cls(None, None, cells, (tlo, thi), (plo, phi), (cos_lo, cos_hi), regions)
+        self._objects = None
 
     @property
     def empty(self) -> np.ndarray:
@@ -236,12 +222,9 @@ class ScaledRegions(Sequence):
         return iter(self._regions())
 
     def __eq__(self, other):
-        if not isinstance(other, (ScaledRegions, tuple)):
+        if not isinstance(other, ScaledRegions):
             return NotImplemented
-        return self._regions() == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(self._regions())
+        return self._regions() == other._regions()
 
 
 def _shrink_cells(level: int, cells: np.ndarray,
@@ -295,7 +278,7 @@ def scaled_measure_lower_bound(cell: DyadicCell, constants: ScaleConstants) -> f
 @dataclass(frozen=True)
 class ScaleSummary:
     constants: ScaleConstants
-    regions: Sequence  # ScaledRegions from scale_set
+    regions: ScaledRegions
     kept: CellSet
     removed_cells: int
     removed_measure: float
@@ -353,14 +336,9 @@ class OpfCertification:
         return not self.violations
 
 
-def verify_scaled_opf(regions, margin: float = 0.0) -> OpfCertification:
-    """Check all region pairs (and self-pairs) for achievable inner product 0.
-
-    regions is a ScaledRegions or any iterable of ScaledRegion, which goes
-    through ScaledRegions.from_regions first.
-    """
-    if not isinstance(regions, ScaledRegions):
-        regions = ScaledRegions.from_regions(regions)
+def verify_scaled_opf(regions: ScaledRegions, margin: float = 0.0) -> OpfCertification:
+    """Check all region pairs (and self-pairs) of scale_set's regions for
+    achievable inner product 0."""
     live = np.flatnonzero(~regions.empty)
     (cos_lo, cos_hi), (plo, phi) = regions.cos, regions.phi
     boxes = (cos_hi[live], cos_lo[live], plo[live] / TWO_PI, phi[live] / TWO_PI)

@@ -25,6 +25,7 @@ from .grid import CellSet, cell_bounds_batch, n_bands, write_json
 PUBLISHED_UPPER_BOUNDS = (1.0 / 3.0, 0.313, 0.308, 0.30153, 0.297742)
 BEST_UPPER_BOUND = 0.297742
 DOUBLE_CAP_FRACTION = 1.0 - math.sqrt(2.0) / 2.0  # two polar caps of radius pi/4
+EXACT_MAX_CELLS = 64  # the most candidate cells exact_mis accepts
 
 
 class ExactSearchCapError(ValueError):
@@ -233,14 +234,13 @@ def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
                         "local-search", seed, iterations=steps)
 
 
-def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000,
-              max_cells: int = 64) -> SearchResult:
+def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000) -> SearchResult:
     """Branch-and-bound maximum conflict-free selection for small levels."""
     _check_non_negative(node_budget=node_budget)
     free = np.flatnonzero(~graph.self_conflicting())
-    if len(free) > max_cells:
+    if len(free) > EXACT_MAX_CELLS:
         raise ExactSearchCapError(
-            f"{len(free)} candidate cells exceed the exact-search cap {max_cells}")
+            f"{len(free)} candidate cells exceed the exact-search cap {EXACT_MAX_CELLS}")
     # conflicts among the candidate cells, indexed by position in free
     conflict = np.array([graph.neighbours(o)[free] for o in free],
                         dtype=bool).reshape(len(free), len(free))

@@ -62,6 +62,25 @@ def test_conflicts_cache_env_and_corruption(tmp_path, capsys, monkeypatch):
     assert "rebuilding cache" in captured.err
 
 
+@pytest.mark.parametrize("level", [12, 25, 65535])
+def test_conflicts_rebuilds_cache_with_oversized_header_level(tmp_path, capsys, level):
+    # the checksum covers the lists, not the header level that sizes the table:
+    # a level the body cannot hold is a corrupt cache, not a huge allocation
+    cache = tmp_path / "g.opfg"
+    args = ["conflicts", "--level", "3", "--cache", str(cache)]
+    assert main(args) == EXIT_OK
+    built = capsys.readouterr().out
+    raw = cache.read_bytes()
+    fields = list(conflicts._HEADER.unpack(raw[:conflicts._HEADER.size]))
+    fields[2] = level
+    cache.write_bytes(conflicts._HEADER.pack(*fields) + raw[conflicts._HEADER.size:])
+    assert main(args) == EXIT_OK
+    captured = capsys.readouterr()
+    assert f"warning: rebuilding cache (graph cache header level {level}" in captured.err
+    assert captured.out == built
+    assert conflicts.load_graph(cache).level == 3
+
+
 def test_conflicts_warns_before_replacing_another_graph(tmp_path, capsys):
     cache = str(tmp_path / "graph.opfg")
     assert main(["conflicts", "--level", "2", "--cache", cache]) == EXIT_OK
@@ -394,6 +413,17 @@ def test_convexify_rejects_zero_arc_samples(tmp_path, capsys):
     double_cap_cellset(3).save(sel)
     assert main(["convexify", "--selection", str(sel), "--arc-samples", "0"]) == EXIT_USAGE
     assert "arc_samples" in capsys.readouterr().err
+
+
+def test_convexify_has_no_merge_tolerance_option(tmp_path, capsys):
+    # conv2's merge threshold keeps the polygons disjoint; it is not a choice
+    sel = tmp_path / "dc3.json"
+    double_cap_cellset(3).save(sel)
+    assert main(["convexify", "--selection", str(sel), "--merge-tol", "0"]) == EXIT_USAGE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("merge_tol = -1\n")
+    assert main(["--config", str(cfg), "convexify", "--selection", str(sel)]) == EXIT_USAGE
+    assert "merge_tol" in capsys.readouterr().err
 
 
 def test_scale_and_convexify_read_search_artifact(tmp_path, capsys):

@@ -16,7 +16,7 @@ from opfsets.density import cap_union_oracle, select_dense_cells
 from opfsets.grid import (CellSet, DyadicCell, all_cells, antipodal_cell, cell_bounds,
                           cell_from_ordinal, n_bands)
 from opfsets.scaling import (choose_constants, largest_feasible_epsilon, scale_set,
-                             shrink_cell, verify_scaled_opf)
+                             _shrink_cells, verify_scaled_opf)
 from opfsets.search import double_cap_cellset, selection_graph_violations
 from opfsets.sphere import TWO_PI, Cap, from_polar
 
@@ -373,6 +373,20 @@ def test_cache_corruption_detected(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize("level", [12, 25, 65535])
+def test_cache_header_level_beyond_body_rejected(tmp_path, level):
+    # only the lists are checksummed; a level-3 body under a larger header level
+    # is refused before the level sizes any array
+    path = tmp_path / "g3.opfg"
+    save_graph(build_conflict_graph(3), path)
+    raw = path.read_bytes()
+    fields = list(conflicts._HEADER.unpack(raw[:conflicts._HEADER.size]))
+    fields[2] = level
+    path.write_bytes(conflicts._HEADER.pack(*fields) + raw[conflicts._HEADER.size:])
+    with pytest.raises(CorruptCacheError, match=f"header level {level} "):
+        load_graph(path)
+
+
 def test_graph_deterministic():
     a = build_conflict_graph(2)
     b = build_conflict_graph(2)
@@ -471,7 +485,7 @@ def scaled_region_cases():
     full3 = CellSet.from_cells(3, all_cells(3))
     full_eps = 0.9 * largest_feasible_epsilon(full3.measure())
     return [("rotcap-l5", rotcap_regions(5)),
-            ("full-l3-unshrunk", [shrink_cell(c, 0.0) for c in full3.cells()]),
+            ("full-l3-unshrunk", _shrink_cells(3, full3.array(), 0.0)[0]),
             ("full-l3-scaled", scale_set(full3, choose_constants(full_eps,
                                                                  full3.measure())).regions)]
 
@@ -608,13 +622,14 @@ def test_chunked_evaluation_matches_single_pass(monkeypatch):
 def test_bad_margin_rejected(entry, margin):
     # a NaN margin would make every comparison false and so pass every pair
     full = CellSet.from_cells(2, all_cells(2))
-    regions = [shrink_cell(c, 0.0) for c in full.cells()]
+    regions = _shrink_cells(2, full.array(), 0.0)[0]
+    none = _shrink_cells(2, np.empty((0, 2), dtype=np.int64), 0.0)[0]
     calls = {
         "build_conflict_graph": [lambda: build_conflict_graph(2, margin)],
         "selection_violations": [lambda: selection_violations(full, margin),
                                  lambda: selection_violations(CellSet.from_cells(2, []), margin)],
         "verify_scaled_opf": [lambda: verify_scaled_opf(regions, margin),
-                              lambda: verify_scaled_opf([], margin)],
+                              lambda: verify_scaled_opf(none, margin)],
     }
     for call in calls[entry]:
         with pytest.raises(ValueError, match="margin"):

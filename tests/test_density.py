@@ -506,7 +506,7 @@ def test_estimate_validation_and_determinism():
     a, ae = cell_densities(o, 2, [(1, 0)], samples=500, seed=3, method="monte_carlo")
     b, be = cell_densities(o, 2, [(0, 0), (1, 0)], samples=500, seed=3, method="monte_carlo")
     assert (a[0], ae[0]) == (b[1], be[1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'analytic'"):
         cell_densities(polygon_set_oracle(()), 2, [(1, 0)], method="analytic")
     assert cell_densities(o, 2, [])[0].shape == (0,)
 

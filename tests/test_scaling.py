@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from opfsets.conflicts import _pair_scan
 from opfsets.density import cap_union_oracle, select_dense_cells
 from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_area, cell_bounds,
                           theta_bounds)
 from opfsets.scaling import (InfeasibleEpsilonError, N_ROOT, ScaleConstants,
                              ScaledRegion, ScaledRegions, ScaleSummary, choose_constants,
                              is_feasible, largest_feasible_epsilon, remove_polar_caps,
-                             scale_set, scaled_measure_lower_bound, shrink_cell,
-                             verify_scaled_opf)
+                             _shrink_cells, scale_set, scaled_measure_lower_bound,
+                             shrink_cell, verify_scaled_opf)
 from opfsets.search import double_cap_cellset
-from opfsets.sphere import Cap, InfeasibleShrinkError, geodesic_distance, lune_half_angle
+from opfsets.sphere import (TWO_PI, Cap, InfeasibleShrinkError, geodesic_distance,
+                            lune_half_angle)
 
 MU_DC = math.pi  # level-3 double-cap selection measure (fraction 1/4)
 
@@ -172,30 +174,36 @@ def test_scaled_regions_are_arrays_with_objects_on_access():
     objects = tuple(regions)
     assert regions[0] is objects[0] and tuple(regions) == objects  # built once
     assert len(regions) == len(summary.kept) and regions[-1] is objects[-1]
-    assert regions == objects and objects == regions
-    assert regions != objects[:-1]
     assert regions.empty.tolist() == [r.empty for r in objects]
     for a in (regions.cells, *regions.theta, *regions.phi, *regions.cos):
         with pytest.raises(ValueError):  # read-only: the objects cannot go stale
             a[0] = 0
     assert [(r.parent.band, r.parent.sector) for r in objects] == list(summary.kept.members)
+    # the arrays the certificate reads are the objects' bounds
+    assert regions.theta[0].tolist() == [r.theta_lo for r in objects]
+    assert regions.theta[1].tolist() == [r.theta_hi for r in objects]
+    assert regions.phi[0].tolist() == [r.phi_lo for r in objects]
+    assert regions.phi[1].tolist() == [r.phi_hi for r in objects]
+    assert regions.cos[0].tolist() == [math.cos(r.theta_lo) for r in objects]
+    assert regions.cos[1].tolist() == [math.cos(r.theta_hi) for r in objects]
+    # equal to the same regions built again, and to nothing that is not a ScaledRegions
     assert summary == scale_set(sel, summary.constants)
-    # a plain tuple of the same regions is certified through the same arrays
+    shrink = summary.constants.shrink(2)
+    assert _shrink_cells(2, summary.kept.array(), shrink)[0] == regions
+    assert _shrink_cells(2, summary.kept.array()[:-1], shrink)[0] != regions
+    assert regions != objects and objects != regions
+    with pytest.raises(TypeError):
+        hash(regions)
+    # a polar cell is empty under any positive shrink: it is skipped but keeps its index
+    padded, _ = _shrink_cells(2, np.vstack([[[0, 3]], summary.kept.array()]), shrink)
+    assert padded.empty.tolist() == [True] + [False] * len(objects)
     for margin in (0.0, 0.05):
         cert = verify_scaled_opf(regions, margin)
-        plain = verify_scaled_opf(objects, margin)
-        assert cert.violations and plain.violations == cert.violations
-        assert plain.pairs_evaluated == cert.pairs_evaluated
-        assert plain.n_regions == cert.n_regions == len(objects)
-        # an empty region is skipped but keeps its index
-        padded = verify_scaled_opf((shrink_cell(DyadicCell(2, 3, 0), 1.0), *objects), margin)
-        assert padded.violations == tuple((i + 1, j + 1) for i, j in cert.violations)
-        assert padded.pairs_evaluated == cert.pairs_evaluated
-    again = ScaledRegions.from_regions(objects)
-    assert again == regions and np.array_equal(again.cells, regions.cells)
-    for ours, theirs in ((again.theta, regions.theta), (again.phi, regions.phi),
-                         (again.cos, regions.cos)):
-        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        assert cert.violations and cert.n_regions == len(objects)
+        shifted = verify_scaled_opf(padded, margin)
+        assert shifted.violations == tuple((i + 1, j + 1) for i, j in cert.violations)
+        assert shifted.pairs_evaluated == cert.pairs_evaluated
+        assert shifted.n_regions == len(objects) + 1
 
 
 def test_verify_scaled_opf_same_on_plain_regions():
@@ -204,17 +212,30 @@ def test_verify_scaled_opf_same_on_plain_regions():
         [Cap(axis, math.pi / 4.0), Cap(-axis, math.pi / 4.0)]), 6, 0.01).selected
     summary = scale_set(rotcap, choose_constants(0.01, rotcap.measure()))
     cert = verify_scaled_opf(summary.regions)
-    plain = verify_scaled_opf(tuple(summary.regions))
     assert len(cert.violations) == 20
-    assert plain.violations == cert.violations
-    assert plain.pairs_evaluated == cert.pairs_evaluated
+    # the same pairs from the ScaledRegion objects' own bounds
+    live = [(i, r) for i, r in enumerate(summary.regions) if not r.empty]
+    boxes = tuple(np.array(v) for v in zip(*[
+        (math.cos(r.theta_hi), math.cos(r.theta_lo), r.phi_lo / TWO_PI, r.phi_hi / TWO_PI)
+        for _, r in live]))
+    pairs, evaluated = _pair_scan(boxes, 0.0)
+    plain = sorted((live[i][0], live[j][0]) for i, j in pairs.tolist())
+    assert tuple(plain) == cert.violations
+    assert evaluated == cert.pairs_evaluated
 
 
 def test_verify_scaled_opf_skips_empty_regions():
-    cell = DyadicCell(2, 3, 0)
-    regions = [shrink_cell(cell, 1.0), shrink_cell(cell, 1.0)]
-    assert all(r.empty for r in regions)
-    assert verify_scaled_opf(regions).ok
+    # a polar cell and an equatorial cell meet at distance pi/2 (pole to equator);
+    # any shrink empties the polar cell, and the certificate then skips it
+    cells = np.array([[0, 3], [3, 0]])
+    whole, _ = _shrink_cells(2, cells, 0.0)
+    assert not whole.empty.any() and verify_scaled_opf(whole).violations == ((0, 1),)
+    regions, measures = _shrink_cells(2, cells, 1e-5)
+    assert regions.empty.tolist() == [True, False] and measures[0] == 0.0
+    cert = verify_scaled_opf(regions)
+    assert cert.ok and cert.n_regions == 2
+    both, _ = _shrink_cells(2, np.array([[2, 3], [2, 3]]), 1.0)
+    assert both.empty.all() and verify_scaled_opf(both).ok
 
 
 def test_region_sampling_requires_nonempty():

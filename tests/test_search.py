@@ -10,8 +10,9 @@ import pytest
 from opfsets.conflicts import ConflictGraph, build_conflict_graph
 from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_from_ordinal,
                           n_bands)
-from opfsets.search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION,
-                            InfeasibleSelectionError, PUBLISHED_UPPER_BOUNDS,
+from opfsets.search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION, EXACT_MAX_CELLS,
+                            ExactSearchCapError, InfeasibleSelectionError,
+                            PUBLISHED_UPPER_BOUNDS,
                             SearchResult, double_cap_cellset, evaluate,
                             exact_mis, greedy_mis, local_search,
                             selection_graph_violations, write_leaderboard)
@@ -263,9 +264,10 @@ def test_exact_mis_level0_optimum_is_zero():
 
 
 def test_exact_mis_respects_caps():
-    graph = build_conflict_graph(2)
-    with pytest.raises(ValueError):
-        exact_mis(graph, max_cells=4)
+    graph = build_conflict_graph(3)
+    assert np.count_nonzero(~graph.self_conflicting()) > EXACT_MAX_CELLS
+    with pytest.raises(ExactSearchCapError, match=f"cap {EXACT_MAX_CELLS}"):
+        exact_mis(graph)
     limited = exact_mis(build_conflict_graph(1), node_budget=2)
     assert limited.optimal is False
     # even when the budget runs out the incumbent is feasible
