@@ -4,8 +4,8 @@ scaling, and convexification.
 Exit codes: 0 success, 2 usage error, 3 infeasibility, 4 resource cap
 exceeded, 5 certification violation.  Primary artifacts are deterministic
 (seeds fixed, keys sorted, no timestamps); run metadata goes to a
-"<artifact>.meta.json" sidecar.  OPFSETS_CACHE_DIR sets the default graph
-cache directory.
+"<artifact>.meta.json" sidecar.  `opfsets conflicts --cache-dir` keeps graph
+caches, one file per level and margin.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
 EXIT_CERTIFICATION = 5
-
-CACHE_ENV = "OPFSETS_CACHE_DIR"
 
 
 def _write_artifact(path: str, doc: dict, meta: dict | None = None) -> None:
@@ -59,17 +57,9 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _graph_cache_path(args) -> Path | None:
-    if args.cache:
-        return Path(args.cache)
-    root = args.cache_dir or os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    return Path(root) / f"level{args.level}_margin{args.margin:g}.opfg"
-
-
 def cmd_conflicts(args) -> int:
-    path = _graph_cache_path(args)
+    path = (Path(args.cache_dir) / f"level{args.level}_margin{args.margin:g}.opfg"
+            if args.cache_dir else None)
     graph = None
     if path is not None and path.exists():
         try:
@@ -83,10 +73,9 @@ def cmd_conflicts(args) -> int:
             print(f"warning: rebuilding cache ({exc})", file=sys.stderr)
     if graph is None:
         try:
-            graph = conflicts.build_conflict_graph(args.level, args.margin,
-                                                   max_level=args.max_level)
+            graph = conflicts.build_conflict_graph(args.level, args.margin)
         except conflicts.ResourceCapError as exc:
-            print(f"error: {exc}; raise --max-level to override", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -105,7 +94,7 @@ def cmd_conflicts(args) -> int:
 
 def cmd_search(args) -> int:
     try:
-        graph = conflicts.build_conflict_graph(args.level, max_level=args.max_level)
+        graph = conflicts.build_conflict_graph(args.level)
     except conflicts.ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -318,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conflicts", help="build or load a conflict graph")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--margin", type=float, default=0.0)
-    p.add_argument("--cache", help="explicit graph cache path")
-    p.add_argument("--cache-dir", help=f"cache directory (default ${CACHE_ENV})")
-    p.add_argument("--max-level", type=int, default=7)
+    p.add_argument("--cache-dir", help="graph cache directory")
     p.set_defaults(func=cmd_conflicts)
 
     p = sub.add_parser("search", help="search for conflict-free selections")
@@ -332,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--init", choices=["double-cap", "empty"], default="double-cap")
     p.add_argument("--node-budget", type=int, default=1_000_000)
-    p.add_argument("--max-level", type=int, default=7)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_search)

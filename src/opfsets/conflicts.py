@@ -32,7 +32,7 @@ from .sphere import TWO_PI
 
 
 class ResourceCapError(RuntimeError):
-    """Graph construction refused beyond the configured maximum level."""
+    """Graph construction refused above MAX_LEVEL."""
 
 
 class CorruptCacheError(RuntimeError):
@@ -149,24 +149,27 @@ def cells_conflict(c1: DyadicCell, c2: DyadicCell, margin: float = 0.0) -> bool:
 class ConflictGraph:
     """Pairwise orthogonal-pair relation over all cells at one level.
 
-    Nodes are cell ordinals (band * n + sector, n = 2^(k+1)).  The graph is
-    its symmetric sector-circulant table: cell (b1, s1) conflicts with cell
-    (b2, s2) iff table[b1, b2, (s1 - s2) mod n], and table[b, b, 0] marks the
-    bands whose cells contain an orthogonal pair on their own.  Everything
-    else is a view of the table.
+    Nodes are cell ordinals (band * n + sector, n = 2^(k+1)).  Whether two
+    cells conflict depends only on their bands and on their circular sector
+    distance t = min(d, n - d), d = (s1 - s2) mod n, and for each band pair
+    the conflicting distances are one run: cell (b1, s1) conflicts with cell
+    (b2, s2) iff first[b1, b2] <= t <= last[b1, b2].  Both (n, n) arrays are
+    symmetric; a band pair with no conflict stores first > last, as (1, 0).
+    first[b, b] == 0 marks the bands whose cells contain an orthogonal pair on
+    their own.  Everything else is a view of the intervals.
     """
 
     level: int
     margin: float
-    table: np.ndarray = field(repr=False)
+    first: np.ndarray = field(repr=False)
+    last: np.ndarray = field(repr=False)
 
     def n_cells(self) -> int:
         return cell_count(self.level)
 
     def self_conflicting(self) -> np.ndarray:
         """Mask by ordinal of the cells that conflict with themselves: whole bands."""
-        bands = np.arange(n_bands(self.level))
-        return np.repeat(self.table[bands, bands, 0], len(bands))
+        return np.repeat(np.diag(self.first) == 0, n_bands(self.level))
 
     @cached_property
     def self_conflicts(self) -> np.ndarray:
@@ -175,11 +178,13 @@ class ConflictGraph:
 
     @cached_property
     def windows(self) -> np.ndarray:
-        """(n, n, 2n) W[b1, b2, k] = table[b1, b2, -k mod n], the sector-0 rows
-        doubled: cell (b, s)'s mask over band b2 is the slice W[b, b2, n - s:2n - s]."""
+        """(n, n, 2n) W[b1, b2, k]: whether cell (b1, s) conflicts with cell
+        (b2, s + k), i.e. whether k's circular distance lies in the run, so cell
+        (b, s)'s mask over band b2 is the slice W[b, b2, n - s:2n - s]."""
         n = n_bands(self.level)
-        rows = self.table[:, :, -np.arange(n) % n]
-        return np.concatenate((rows, rows), axis=2)
+        k = np.arange(2 * n) % n
+        t = np.minimum(k, n - k)
+        return (self.first[:, :, None] <= t) & (t <= self.last[:, :, None])
 
     def _neighbour_pairs(self, upper: bool) -> np.ndarray:
         """Sorted (k, 2) uint32 array of the pairs (cell, neighbour): every
@@ -236,10 +241,15 @@ class ConflictGraph:
         return mask
 
     def degrees(self) -> np.ndarray:
-        """Neighbour count of every cell, by ordinal; it depends only on the band."""
-        bands = np.arange(n_bands(self.level))
-        per_band = self.table.sum(axis=(1, 2)) - self.table[bands, bands, 0]
-        return np.repeat(per_band, len(bands))
+        """Neighbour count of every cell, by ordinal; it depends only on the band.
+
+        Every distance of a run stands for two sectors, but 0 and n/2 for one.
+        The empty run (1, 0) counts 0.
+        """
+        n = n_bands(self.level)
+        first, last = self.first, self.last
+        per_pair = 2 * (last - first + 1) - (first == 0) - (last == n // 2)
+        return np.repeat(per_pair.sum(axis=1) - (np.diag(first) == 0), n)
 
     def adjacency(self) -> dict[int, set[int]]:
         """{ordinal: set of neighbouring ordinals}, each set filled in ascending order."""
@@ -254,10 +264,11 @@ class ConflictGraph:
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConflictGraph)
                 and self.level == other.level and self.margin == other.margin
-                and np.array_equal(self.table, other.table))
+                and np.array_equal(self.first, other.first)
+                and np.array_equal(self.last, other.last))
 
 
-# Table entries per kernel call: bounds the kernel's float temporaries to a
+# Kernel decisions per call: bounds the kernel's float temporaries to a
 # few tens of MB whatever the level.
 _CHUNK = 1 << 20
 
@@ -328,35 +339,48 @@ def _pair_scan(boxes, margin: float) -> tuple[np.ndarray, int]:
     return np.stack([i[hit], j[hit]], axis=1), len(i)
 
 
-def _circulant_table(level: int, margin: float) -> np.ndarray:
-    """T[b1, b2, d]: whether cell (b1, d) conflicts with cell (b2, 0).
+def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """(first, last): the run of sector distances t in [0, n/2] at which a cell
+    of band b1 conflicts with a cell of band b2.
 
     Sector boundaries are exact dyadic turns and the kernel reads azimuths only
-    through their differences taken mod 1, so cell (b1, s1) conflicts with cell
-    (b2, s2) exactly when T[b1, b2, (s1 - s2) mod n] holds, bit for bit.
+    through their differences taken mod 1, so the decision for cells (b1, s1)
+    and (b2, s2) is the one for (b1, d) and (b2, 0), d = (s1 - s2) mod n, and
+    the one for d equals the one for n - d, bit for bit.  The dot range is
+    monotone in the cosine of the azimuth gap, so the conflicting distances
+    are one run; a row that is not is an error.
     """
     _check_margin(margin)
     n = n_bands(level)
-    d = np.arange(n)  # band indices and sector offsets alike
-    (ulo, uhi), _ = cell_bounds_batch(level, d, 0)
-    table = np.empty((n, n, n), dtype=bool)
-    step = max(1, _CHUNK // (n * n))
+    t = np.arange(n // 2 + 1)
+    (ulo, uhi), _ = cell_bounds_batch(level, np.arange(n), 0)
+    first, last = np.empty((2, n, n), dtype=np.int64)
+    step = max(1, _CHUNK // (n * len(t)))
     for r0 in range(0, n, step):
         r = slice(r0, r0 + step)
-        lo, hi = dot_range_boxes_u(ulo[r, None, None], uhi[r, None, None], d / n, (d + 1) / n,
+        lo, hi = dot_range_boxes_u(ulo[r, None, None], uhi[r, None, None], t / n, (t + 1) / n,
                                    ulo[None, :, None], uhi[None, :, None], 0.0, 1.0 / n)
-        table[r] = (lo - margin <= 0.0) & (hi + margin >= 0.0)
-    return table
+        hit = (lo - margin <= 0.0) & (hi + margin >= 0.0)
+        count = hit.sum(axis=2)
+        first[r] = np.where(count > 0, hit.argmax(axis=2), 1)  # the empty run is (1, 0)
+        last[r] = first[r] + count - 1
+        if not np.array_equal(hit, (first[r, :, None] <= t) & (t <= last[r, :, None])):
+            raise RuntimeError(f"level {level} margin {margin:g}: a band pair's "
+                               "conflicting sector distances are not one run")
+    return first, last
 
 
-def build_conflict_graph(level: int, margin: float = 0.0,
-                         max_level: int = 7) -> ConflictGraph:
+# The largest level build_conflict_graph accepts: its 43.3 M edges make a
+# 346 MB cache file.
+MAX_LEVEL = 7
+
+
+def build_conflict_graph(level: int, margin: float = 0.0) -> ConflictGraph:
     """Decide all cell pairs (and self-pairs) at a level; deterministic."""
-    if level > max_level:
+    if level > MAX_LEVEL:
         raise ResourceCapError(
-            f"level {level} exceeds the configured maximum {max_level} "
-            f"({cell_count(level)} cells)")
-    return ConflictGraph(level, margin, _circulant_table(level, margin))
+            f"level {level} exceeds the maximum {MAX_LEVEL} ({cell_count(level)} cells)")
+    return ConflictGraph(level, margin, *_interval_build(level, margin))
 
 
 def selection_violations(selection: CellSet,
@@ -383,19 +407,30 @@ _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHdIQ32s")
 
 
+def _lists(graph: ConflictGraph) -> np.ndarray:
+    """The cache body's uint32 values: self-conflicts, then the edge list."""
+    return np.concatenate((graph.self_conflicts, graph.edges.ravel()))
+
+
 def save_graph(graph: ConflictGraph, path) -> None:
     """Write the binary cache: header with checksum, self-conflicts, edge list."""
-    selfs, edges = graph.self_conflicts, graph.edges
-    body = selfs.astype("<u4").tobytes() + edges.astype("<u4").tobytes()
-    digest = hashlib.sha256(body).digest()
+    body = _lists(graph).astype("<u4", copy=False).tobytes()
     header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, graph.level, graph.margin,
-                          len(selfs), len(edges), digest)
+                          len(graph.self_conflicts), len(graph.edges),
+                          hashlib.sha256(body).digest())
     with open(path, "wb") as f:
         f.write(header)
         f.write(body)
 
 
 def load_graph(path) -> ConflictGraph:
+    """The graph of a cache file, which must hold exactly what save_graph
+    writes for the level and margin in its header.
+
+    The checksum covers only the body, so the graph is rebuilt from the
+    header's level and margin; once the checksum holds, equal counts and body
+    make the file byte for byte the one save_graph writes.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
@@ -403,44 +438,19 @@ def load_graph(path) -> ConflictGraph:
     magic, version, level, margin, n_self, n_edges, digest = _HEADER.unpack(raw[:_HEADER.size])
     if magic != _MAGIC or version != _FORMAT_VERSION:
         raise CorruptCacheError(f"bad magic/version in graph cache: {magic!r} v{version}")
-    body = raw[_HEADER.size:]
+    body = memoryview(raw)[_HEADER.size:]
     expect = 4 * n_self + 8 * n_edges
     if len(body) != expect:
         raise CorruptCacheError(f"graph cache body is {len(body)} bytes, expected {expect}")
     if hashlib.sha256(body).digest() != digest:
         raise CorruptCacheError("graph cache checksum mismatch")
-    selfs = np.frombuffer(body[:4 * n_self], dtype="<u4").astype(np.int64)
-    edges = np.frombuffer(body[4 * n_self:], dtype="<u4").astype(np.int64).reshape(-1, 2)
-    return ConflictGraph(level, margin, _table_from_edges(level, selfs, edges))
-
-
-def _table_from_edges(level: int, selfs: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The circulant table of a cached self-conflict list and edge list.
-
-    Each edge and self-conflict sets its table entry, and the table is then
-    made symmetric.  The lists are accepted only if they are exactly the
-    views of that table: in range, strictly ascending (so free of repeats)
-    and as long as the table implies.  A list that is not sector-circulant,
-    such as one missing an edge, implies more entries than it holds.
-    """
-    n, m = n_bands(level), cell_count(level)
-    a, b = edges[:, 0], edges[:, 1]
-    in_range = not ((selfs >= m).any() or (b >= m).any())
-    # the checksum skips the level; a real cache's lists take >= 8 B per table entry
-    if in_range and n ** 3 > 4 * len(selfs) + 8 * len(edges):
-        raise CorruptCacheError(f"graph cache header level {level} is too large for its body")
-    if not in_range or (a >= b).any() \
-            or (np.diff(selfs) <= 0).any() or (np.diff(a * m + b) <= 0).any():
-        raise CorruptCacheError("graph cache lists ordinals out of range or out of order")
-    table = np.zeros((n, n, n), dtype=bool)
-    flat = table.reshape(-1)
-    # n = 2^(level+1): (a, b) sets flat entry ((b1 * n + b2) * n + (s1 - s2) mod n)
-    shift = level + 1
-    flat[(((a & -n) | (b >> shift)) << shift) | ((a - b) & (n - 1))] = True
-    flat[(selfs >> shift) * (n * n + n)] = True
-    table |= table.transpose(1, 0, 2)[:, :, -np.arange(n) % n]
-    diagonal = int(np.trace(table[:, :, 0]))
-    if n * diagonal != len(selfs) or n * (int(table.sum()) - diagonal) != 2 * len(edges):
-        raise CorruptCacheError("graph cache is not sector-circulant: the table rebuilt from "
-                                "its edge list implies a different edge count")
-    return table
+    if level > MAX_LEVEL or not 0.0 <= margin < math.inf:
+        raise CorruptCacheError(f"graph cache header level {level} margin {margin} is out "
+                                f"of range (level <= {MAX_LEVEL}, finite margin >= 0)")
+    graph = build_conflict_graph(level, margin)
+    if (n_self, n_edges) != (len(graph.self_conflicts), len(graph.edges)) \
+            or not np.array_equal(np.frombuffer(body, "<u4"), _lists(graph)):
+        raise CorruptCacheError(f"graph cache differs from the level {level} "
+                                f"margin {margin:g} graph it names")
+    # a fresh graph, without the edge list and windows the comparison cached
+    return ConflictGraph(level, margin, graph.first, graph.last)

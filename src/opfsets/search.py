@@ -4,10 +4,11 @@ All cells at a level have equal area, so maximizing measure is maximizing
 cardinality: an unweighted maximum-independent-set problem on the conflict
 graph.  Provided methods: the double-cap baseline, greedy construction,
 (1,2)-swap local search, and exact branch-and-bound for small levels.  They
-read each cell's neighbour mask as one slice of the graph's sector-rotated
-table (ConflictGraph.windows), never building an adjacency dict.  Every
-result is re-verified against the graph and compared with the published
-bounds on the largest orthogonal-pair-free measure fraction.
+read each cell's neighbour mask as one slice of ConflictGraph.windows, the
+graph's band-pair sector intervals expanded over doubled sector offsets,
+never building an adjacency dict.  Every result is re-verified against the
+graph and compared with the published bounds on the largest
+orthogonal-pair-free measure fraction.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -48,32 +49,37 @@ def test_conflicts_build_cache_and_reload(tmp_path, capsys):
     assert "cached graph" not in second
 
 
-def test_conflicts_cache_env_and_corruption(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OPFSETS_CACHE_DIR", str(tmp_path))
-    assert main(["conflicts", "--level", "1"]) == EXIT_OK
+def test_conflicts_cache_dir_and_corruption(tmp_path, capsys):
+    args = ["conflicts", "--level", "1", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
     capsys.readouterr()
     path = tmp_path / "level1_margin0.opfg"
     assert path.exists()
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0xFF
     path.write_bytes(bytes(raw))
-    assert main(["conflicts", "--level", "1"]) == EXIT_OK
+    assert main(args) == EXIT_OK
     captured = capsys.readouterr()
     assert "rebuilding cache" in captured.err
 
 
+def _rewrite_header(path, field, value):
+    """Set one header field of a saved cache; the checksum covers only the body."""
+    raw = path.read_bytes()
+    fields = list(conflicts._HEADER.unpack(raw[:conflicts._HEADER.size]))
+    fields[field] = value
+    path.write_bytes(conflicts._HEADER.pack(*fields) + raw[conflicts._HEADER.size:])
+
+
 @pytest.mark.parametrize("level", [12, 25, 65535])
 def test_conflicts_rebuilds_cache_with_oversized_header_level(tmp_path, capsys, level):
-    # the checksum covers the lists, not the header level that sizes the table:
-    # a level the body cannot hold is a corrupt cache, not a huge allocation
-    cache = tmp_path / "g.opfg"
-    args = ["conflicts", "--level", "3", "--cache", str(cache)]
+    # the checksum covers the lists, not the header level: a level above the
+    # build cap is a corrupt cache, not a huge build
+    cache = tmp_path / "level3_margin0.opfg"
+    args = ["conflicts", "--level", "3", "--cache-dir", str(tmp_path)]
     assert main(args) == EXIT_OK
     built = capsys.readouterr().out
-    raw = cache.read_bytes()
-    fields = list(conflicts._HEADER.unpack(raw[:conflicts._HEADER.size]))
-    fields[2] = level
-    cache.write_bytes(conflicts._HEADER.pack(*fields) + raw[conflicts._HEADER.size:])
+    _rewrite_header(cache, 2, level)
     assert main(args) == EXIT_OK
     captured = capsys.readouterr()
     assert f"warning: rebuilding cache (graph cache header level {level}" in captured.err
@@ -82,24 +88,48 @@ def test_conflicts_rebuilds_cache_with_oversized_header_level(tmp_path, capsys, 
 
 
 def test_conflicts_warns_before_replacing_another_graph(tmp_path, capsys):
-    cache = str(tmp_path / "graph.opfg")
-    assert main(["conflicts", "--level", "2", "--cache", cache]) == EXIT_OK
+    # a cache file named for one graph may hold another, e.g. when two margins
+    # print alike under {margin:g}; here the files are copied under other names
+    cache = ["--cache-dir", str(tmp_path)]
+    assert main(["conflicts", "--level", "2", *cache]) == EXIT_OK
     assert capsys.readouterr().err == ""
-    assert main(["conflicts", "--level", "3", "--cache", cache]) == EXIT_OK
+    level3 = tmp_path / "level3_margin0.opfg"
+    shutil.copy(tmp_path / "level2_margin0.opfg", level3)
+    assert main(["conflicts", "--level", "3", *cache]) == EXIT_OK
     captured = capsys.readouterr()
     assert "warning: rebuilding cache (it holds level 2 margin 0," in captured.err
     assert "level 3 margin 0:" in captured.out and "cached graph" in captured.out
-    assert conflicts.load_graph(cache).level == 3
-    assert main(["conflicts", "--level", "3", "--margin", "0.1", "--cache", cache]) == EXIT_OK
+    assert conflicts.load_graph(level3).level == 3
+    shutil.copy(level3, tmp_path / "level3_margin0.1.opfg")
+    assert main(["conflicts", "--level", "3", "--margin", "0.1", *cache]) == EXIT_OK
     assert "it holds level 3 margin 0, not level 3 margin 0.1" in capsys.readouterr().err
     # the matching graph loads silently
-    assert main(["conflicts", "--level", "3", "--margin", "0.1", "--cache", cache]) == EXIT_OK
+    assert main(["conflicts", "--level", "3", "--margin", "0.1", *cache]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.err == "" and "cached graph" not in captured.out
 
 
+def test_conflicts_rebuilds_cache_with_rewritten_header_margin(tmp_path, capsys):
+    # the checksum skips the header margin: a level-3 margin-0 cache relabelled
+    # 0.05 used to print the margin-0 graph's 10 848 edges as margin 0.05's
+    assert main(["conflicts", "--level", "3", "--cache-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    path = tmp_path / "level3_margin0.05.opfg"
+    shutil.copy(tmp_path / "level3_margin0.opfg", path)
+    _rewrite_header(path, 3, 0.05)
+    args = ["conflicts", "--level", "3", "--margin", "0.05", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "warning: rebuilding cache (graph cache differs from" in captured.err
+    assert "level 3 margin 0.05: 12192 edges" in captured.out
+    assert "cached graph" in captured.out
+    assert main(args) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and "level 3 margin 0.05: 12192 edges" in captured.out
+
+
 def test_conflicts_rebuilds_non_circulant_cache(tmp_path, capsys):
-    # drop one edge and rewrite the checksum: only the circulant check can tell
+    # drop one edge and rewrite the count and checksum: only the rebuild can tell
     args = ["conflicts", "--level", "2", "--cache-dir", str(tmp_path)]
     assert main(args) == EXIT_OK
     capsys.readouterr()
@@ -112,7 +142,8 @@ def test_conflicts_rebuilds_non_circulant_cache(tmp_path, capsys):
                                             hashlib.sha256(body).digest()) + body)
     assert main(args) == EXIT_OK
     captured = capsys.readouterr()
-    assert "rebuilding cache" in captured.err and "sector-circulant" in captured.err
+    assert "rebuilding cache (graph cache differs from the level 2 margin 0 graph" \
+        in captured.err
     assert "1328 edges" in captured.out
     assert "cached graph" in captured.out
     assert main(args) == EXIT_OK
@@ -121,7 +152,18 @@ def test_conflicts_rebuilds_non_circulant_cache(tmp_path, capsys):
 
 def test_conflicts_resource_cap(capsys):
     assert main(["conflicts", "--level", "8"]) == EXIT_RESOURCE
-    assert "max-level" in capsys.readouterr().err
+    assert "level 8 exceeds the maximum 7" in capsys.readouterr().err
+
+
+def test_graph_commands_have_no_cap_or_cache_path_options(tmp_path, capsys, monkeypatch):
+    # the level cap is conflicts.MAX_LEVEL, and --cache-dir is the one cache path
+    for argv in (["conflicts", "--level", "1", "--max-level", "9"],
+                 ["search", "--level", "1", "--method", "baseline", "--max-level", "9"]):
+        assert main(argv) == EXIT_USAGE
+    monkeypatch.setenv("OPFSETS_CACHE_DIR", str(tmp_path))
+    assert main(["conflicts", "--level", "1"]) == EXIT_OK
+    assert "cached graph" not in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("margin", ["nan", "-1"])

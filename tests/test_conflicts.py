@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,14 +15,15 @@ from opfsets.conflicts import (ConflictGraph, CorruptCacheError, DotRange,
                                selection_violations)
 from opfsets.density import cap_union_oracle, select_dense_cells
 from opfsets.grid import (CellSet, DyadicCell, all_cells, antipodal_cell, cell_bounds,
-                          cell_from_ordinal, n_bands)
+                          cell_bounds_batch, cell_from_ordinal, n_bands)
 from opfsets.scaling import (choose_constants, largest_feasible_epsilon, scale_set,
                              _shrink_cells, verify_scaled_opf)
 from opfsets.search import double_cap_cellset, selection_graph_violations
 from opfsets.sphere import TWO_PI, Cap, from_polar
 
 # sha256 of save_graph output at margin 0, as written when graphs were still
-# built by the pairwise scan, so .opfg bytes stay fixed across the table build
+# built by the pairwise scan, so .opfg bytes stay fixed across the table and
+# interval builds
 SAVED_GRAPH_SHA256 = {
     2: "d4635b106c20de966a650394155606057bb6e13ca50df611ccd19e2abc8d9845",
     3: "c2ed466773dda75d95057ae4c9a080782c80e34787a47cb67b2c06e9fd8022a7",
@@ -78,16 +80,35 @@ def brute_force_violations(selection, margin=0.0):
     return selfs, pairs
 
 
+@lru_cache(maxsize=8)
+def reference_table(level, margin=0.0):
+    """T[b1, b2, d]: whether cell (b1, d) conflicts with cell (b2, 0), every
+    sector offset d through the kernel; read-only."""
+    n = n_bands(level)
+    d = np.arange(n)  # band indices and sector offsets alike
+    (ulo, uhi), _ = cell_bounds_batch(level, d, 0)
+    table = np.empty((n, n, n), dtype=bool)
+    step = max(1, conflicts._CHUNK // (n * n))
+    for r0 in range(0, n, step):
+        r = slice(r0, r0 + step)
+        lo, hi = dot_range_boxes_u(ulo[r, None, None], uhi[r, None, None], d / n, (d + 1) / n,
+                                   ulo[None, :, None], uhi[None, :, None], 0.0, 1.0 / n)
+        table[r] = (lo - margin <= 0.0) & (hi + margin >= 0.0)
+    table.flags.writeable = False
+    return table
+
+
 def reference_edges(graph):
     """The edge list by the band loop the graph once used: for each band, every
     sector row's mask over the bands at or above it, scanned with np.nonzero."""
     n = n_bands(graph.level)
+    table = reference_table(graph.level, graph.margin)
     bands = np.arange(n)
     circ = (bands[:, None] - bands[None, :]) % n
     above = bands[None, :] > bands[:, None]
     chunks = []
     for b in range(n):
-        hit = graph.table[b, b:][:, circ].transpose(1, 0, 2)
+        hit = table[b, b:][:, circ].transpose(1, 0, 2)
         hit[:, 0] &= above
         rows, cols = np.nonzero(hit.reshape(n, -1))
         chunks.append(np.stack([rows + b * n, cols + b * n], axis=1).astype(np.uint32))
@@ -98,7 +119,7 @@ def reference_neighbours(graph, o):
     """Cell o's neighbour mask by the per-cell table gather the graph once used."""
     n = n_bands(graph.level)
     b, s = divmod(o, n)
-    mask = graph.table[b][:, (s - np.arange(n)) % n].ravel()
+    mask = reference_table(graph.level, graph.margin)[b][:, (s - np.arange(n)) % n].ravel()
     mask[o] = False
     return mask
 
@@ -106,15 +127,16 @@ def reference_neighbours(graph, o):
 def reference_graph_violations(selection, graph):
     """selection_graph_violations by the broadcast table lookup it once used."""
     n = n_bands(graph.level)
+    table = reference_table(graph.level, graph.margin)
     bands, sectors = selection.array().T
     ords = bands * n + sectors
-    bad = [(o, o) for o in ords[graph.table[bands, bands, 0]].tolist()]
+    bad = [(o, o) for o in ords[table[bands, bands, 0]].tolist()]
     k = len(ords)
     step = max(1, conflicts._CHUNK // max(k, 1))
     for r0 in range(0, k, step):
         rows = np.arange(r0, min(r0 + step, k))
         cols = np.arange(r0, k)
-        hit = graph.table[bands[rows, None], bands[None, cols],
+        hit = table[bands[rows, None], bands[None, cols],
                           (sectors[rows, None] - sectors[None, cols]) % n]
         hit &= cols[None, :] > rows[:, None]
         ii, jj = np.nonzero(hit)
@@ -288,7 +310,7 @@ def test_rotated_views_match_reference():
             assert g.edges.dtype == np.uint32
             assert np.array_equal(g.edges, reference_edges(g)), (level, margin)
             k = np.arange(2 * n)
-            assert np.array_equal(g.windows, g.table[:, :, -k % n])
+            assert np.array_equal(g.windows, reference_table(level, margin)[:, :, -k % n])
             if level <= 5:
                 for o in range(g.n_cells()):
                     assert np.array_equal(g.neighbours(o), reference_neighbours(g, o)), o
@@ -332,10 +354,9 @@ def test_margin_monotone():
 
 
 def test_resource_cap():
-    with pytest.raises(ResourceCapError):
+    assert conflicts.MAX_LEVEL == 7
+    with pytest.raises(ResourceCapError, match="level 8 exceeds the maximum 7"):
         build_conflict_graph(8)
-    with pytest.raises(ResourceCapError):
-        build_conflict_graph(3, max_level=2)
 
 
 def test_selection_violations_matches_graph():
@@ -373,18 +394,39 @@ def test_cache_corruption_detected(tmp_path):
         load_graph(path)
 
 
+def _rewrite_header(path, **fields):
+    """Replace named header fields of a saved cache; the checksum covers only the body."""
+    raw = path.read_bytes()
+    header = conflicts._HEADER.unpack(raw[:conflicts._HEADER.size])
+    names = ("magic", "version", "level", "margin", "n_self", "n_edges", "digest")
+    header = [fields.get(name, value) for name, value in zip(names, header)]
+    path.write_bytes(conflicts._HEADER.pack(*header) + raw[conflicts._HEADER.size:])
+
+
 @pytest.mark.parametrize("level", [12, 25, 65535])
 def test_cache_header_level_beyond_body_rejected(tmp_path, level):
-    # only the lists are checksummed; a level-3 body under a larger header level
-    # is refused before the level sizes any array
+    # only the lists are checksummed; a level-3 body under a header level above
+    # MAX_LEVEL is refused before anything is built
     path = tmp_path / "g3.opfg"
     save_graph(build_conflict_graph(3), path)
-    raw = path.read_bytes()
-    fields = list(conflicts._HEADER.unpack(raw[:conflicts._HEADER.size]))
-    fields[2] = level
-    path.write_bytes(conflicts._HEADER.pack(*fields) + raw[conflicts._HEADER.size:])
+    _rewrite_header(path, level=level)
     with pytest.raises(CorruptCacheError, match=f"header level {level} "):
         load_graph(path)
+
+
+@pytest.mark.parametrize("margin, message", [
+    (0.05, "differs from the level 3 margin 0.05 graph"),
+    (math.nan, "header level 3 margin nan "),
+    (-1.0, "header level 3 margin -1.0 ")], ids=["0.05", "nan", "-1"])
+def test_cache_header_margin_rewritten_rejected(tmp_path, margin, message):
+    # a level-3 margin-0 cache relabelled margin 0.05 used to load as a
+    # 10 848-edge "margin 0.05" graph; the true one has 12 192 edges
+    path = tmp_path / "g3.opfg"
+    save_graph(build_conflict_graph(3), path)
+    _rewrite_header(path, margin=margin)
+    with pytest.raises(CorruptCacheError, match=message):
+        load_graph(path)
+    assert len(build_conflict_graph(3, 0.05).edges) == 12192
 
 
 def test_graph_deterministic():
@@ -408,28 +450,66 @@ def test_cache_not_circulant_rejected(tmp_path):
     g = build_conflict_graph(2)
     path = tmp_path / "g2.opfg"
     save_graph(g, path)
-    # one edge missing: the table rebuilt from the rest still holds its rotations
+    # every list below has a matching checksum and counts: only the rebuild tells
+    differs = "differs from the level 2 margin 0 graph"
+    # one edge missing: the rest still holds its rotations
     dropped = np.delete(g.edges, 5, axis=0)
     _rewrite_lists(path, g.self_conflicts, dropped)
-    with pytest.raises(CorruptCacheError, match="sector-circulant"):
+    with pytest.raises(CorruptCacheError, match=differs):
         load_graph(path)
     # one edge missing and another repeated: the count matches, the order does not
     _rewrite_lists(path, g.self_conflicts, np.insert(dropped, 0, g.edges[0], axis=0))
-    with pytest.raises(CorruptCacheError, match="out of order"):
+    with pytest.raises(CorruptCacheError, match=differs):
         load_graph(path)
     # an ordinal beyond the level
     _rewrite_lists(path, [], [[0, g.n_cells()]])
-    with pytest.raises(CorruptCacheError, match="out of range"):
+    with pytest.raises(CorruptCacheError, match=differs):
         load_graph(path)
     # the original lists load back to the same graph
     _rewrite_lists(path, g.self_conflicts, g.edges)
     assert load_graph(path) == g
+    # the same body split differently: two self-conflicts, one edge fewer
+    _rewrite_header(path, n_self=2, n_edges=len(g.edges) - 1)
+    with pytest.raises(CorruptCacheError, match=differs):
+        load_graph(path)
     # a self-conflict list that does not cover whole bands
     g1 = build_conflict_graph(1)
     save_graph(g1, path)
     _rewrite_lists(path, g1.self_conflicts[1:], g1.edges)
-    with pytest.raises(CorruptCacheError, match="sector-circulant"):
+    with pytest.raises(CorruptCacheError, match="differs from the level 1 margin 0 graph"):
         load_graph(path)
+
+
+@pytest.mark.parametrize("margin", [0.0, 1e-3, 0.05, 0.3])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6, 7])
+def test_intervals_match_kernel_table(level, margin):
+    table = reference_table(level, margin)
+    n = n_bands(level)
+    d = np.arange(n)
+    flip = n - 1 - d
+    assert np.array_equal(table, table[:, :, -d % n])                      # d <-> n - d
+    assert np.array_equal(table, table.transpose(1, 0, 2))                 # transpose
+    assert np.array_equal(table, table[flip][:, flip])                     # z -> -z on both
+    assert np.array_equal(table, table[flip][:, :, (d + n // 2) % n])      # one cell antipodal
+    g = build_conflict_graph(level, margin)
+    t = np.minimum(d, n - d)
+    assert np.array_equal((g.first[:, :, None] <= t) & (t <= g.last[:, :, None]), table)
+    empty = g.first > g.last
+    assert (g.first[empty] == 1).all() and (g.last[empty] == 0).all()
+    diagonal = table[d, d, 0]
+    assert np.array_equal(g.self_conflicting(), np.repeat(diagonal, n))
+    assert np.array_equal(g.degrees(), np.repeat(table.sum(axis=(1, 2)) - diagonal, n))
+
+
+def test_interval_build_rejects_a_split_run(monkeypatch):
+    # a kernel that never conflicts at distance 1 splits the level-1 runs
+    # over distances 0-2
+    def split(*args):
+        lo, hi = dot_range_boxes_u(*args)
+        return np.where(np.arange(lo.shape[-1]) == 1, 1.0, lo), hi
+    monkeypatch.setattr(conflicts, "dot_range_boxes_u", split)
+    with pytest.raises(RuntimeError, match="not one run"):
+        build_conflict_graph(1)
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.05])
@@ -559,8 +639,7 @@ def test_table_symmetric_and_views_agree(margin):
     # argument, edges with the lower ordinal first: symmetry makes them agree
     for level in range(6):
         g = build_conflict_graph(level, margin)
-        n = n_bands(level)
-        assert np.array_equal(g.table, g.table.transpose(1, 0, 2)[:, :, -np.arange(n) % n])
+        assert np.array_equal(g.first, g.first.T) and np.array_equal(g.last, g.last.T)
         degrees = np.bincount(g.edges.ravel(), minlength=g.n_cells())
         assert np.array_equal(g.degrees(), degrees)
 
@@ -586,7 +665,7 @@ def test_selection_checks_match_brute_force():
             selfs, pairs = brute_force_violations(sel)
             assert selection_graph_violations(sel, graph) == sorted(
                 [(o, o) for o in selfs] + pairs)
-    # the tree check against the table lookup, which stays as the reference:
+    # the tree check against the graph lookup, which stays as the reference:
     # every cell at levels 0-5, seeded 300-cell selections at levels 6-7
     for level in range(8):
         if level < 6:
@@ -604,8 +683,8 @@ def test_selection_checks_match_brute_force():
 
 
 def test_chunked_evaluation_matches_single_pass(monkeypatch):
-    # a tiny chunk forces one band per table kernel call, several kernel calls
-    # per tree level and two rows per graph lookup tile
+    # a tiny chunk forces one band per interval-build kernel call, several
+    # kernel calls per tree level and two rows per graph lookup tile
     rng = np.random.default_rng(3)
     sel = CellSet.from_cells(3, [(int(b), int(s)) for b, s in rng.integers(0, 16, (40, 2))])
     graph = build_conflict_graph(3, 0.05)

@@ -140,12 +140,18 @@ def reference_exact(graph):
     return best, nodes
 
 
-def random_circulant_graph(level, density, seed):
-    """A symmetric sector-circulant relation that no sphere geometry produced."""
+def random_interval_graph(level, density, seed):
+    """Symmetric band-pair runs of one or two sector distances, each band pair
+    conflicting with probability density, that no sphere geometry produced."""
     n = n_bands(level)
-    table = np.random.default_rng(seed).random((n, n, n)) < density
-    table |= table.transpose(1, 0, 2)[:, :, -np.arange(n) % n]
-    return ConflictGraph(level, 0.0, table)
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, n // 2 + 1, (n, n))
+    last = np.minimum(first + rng.integers(0, 2, (n, n)), n // 2)
+    keep = rng.random((n, n)) < density
+    first, last = np.where(keep, first, 1), np.where(keep, last, 0)  # (1, 0): no conflict
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    return ConflictGraph(level, 0.0, np.where(upper, first, first.T),
+                         np.where(upper, last, last.T))
 
 
 def test_published_bounds_ordering():
@@ -346,11 +352,11 @@ def test_exact_search_pinned(level):
 
 
 def test_search_matches_adjacency_reference():
-    # random circulant relations make local search swap, which the sphere's
+    # random interval relations make local search swap, which the sphere's
     # graphs never did from the pinned starts; some also self-conflict
     graphs = [build_conflict_graph(level, margin)
               for level in (1, 2, 3) for margin in (0.0, 0.05)]
-    graphs += [random_circulant_graph(level, density, seed)
+    graphs += [random_interval_graph(level, density, seed)
                for level, density, seed in ((1, 0.15, 0), (2, 0.05, 1), (2, 0.1, 2),
                                             (3, 0.02, 3), (3, 0.04, 4))]
     swaps = 0
