@@ -11,6 +11,7 @@ caches, one file per level and margin.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -287,30 +288,31 @@ def _read_config(path: str) -> dict:
 
 
 def _top_parser() -> argparse.ArgumentParser:  # the options before the command
-    top = argparse.ArgumentParser(prog="opfsets", add_help=False)
+    top = argparse.ArgumentParser(prog="opfsets", add_help=False, allow_abbrev=False)
     top.add_argument("--config", help="plain key=value config file; flags win")
     return top
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="opfsets", parents=[_top_parser()],
+        prog="opfsets", parents=[_top_parser()], allow_abbrev=False,
         description="Construct, search, certify, and convexify orthogonal-pair-free "
                     "cell selections on the sphere.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)  # no flag by a prefix
 
-    p = sub.add_parser("grid", help="grid summary at a level")
+    p = add("grid", help="grid summary at a level")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out", help="write the all-cells selection as JSON")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("conflicts", help="build or load a conflict graph")
+    p = add("conflicts", help="build or load a conflict graph")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--cache-dir", help="graph cache directory")
     p.set_defaults(func=cmd_conflicts)
 
-    p = sub.add_parser("search", help="search for conflict-free selections")
+    p = add("search", help="search for conflict-free selections")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--method", required=True,
                    choices=["baseline", "greedy-min-degree", "greedy-random",
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("filter", help="select cells dense in a target set")
+    p = add("filter", help="select cells dense in a target set")
     p.add_argument("--oracle", required=True,
                    choices=["double-cap", "cap", "cell-set", "sieve"])
     p.add_argument("--level", type=int, required=True)
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("scale", help="shrink a selection away from cell boundaries")
+    p = add("scale", help="shrink a selection away from cell boundaries")
     p.add_argument("--selection", required=True,
                    help="CellSet JSON path, or an `opfsets filter --out` or "
                         "`opfsets search --out` artifact")
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_scale)
 
-    p = sub.add_parser("convexify", help="components -> convex polygons pipeline")
+    p = add("convexify", help="components -> convex polygons pipeline")
     p.add_argument("--selection", required=True,
                    help="CellSet JSON path, or an `opfsets filter --out` or "
                         "`opfsets search --out` artifact")
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_convexify)
 
-    p = sub.add_parser("report", help="consolidate artifacts and emit plot data")
+    p = add("report", help="consolidate artifacts and emit plot data")
     p.add_argument("--inputs", nargs="*", default=[],
                    help="search result JSON files")
     p.add_argument("--sweep", nargs=2, type=int, metavar=("LO", "HI"),
@@ -398,7 +400,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

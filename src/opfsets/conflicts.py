@@ -36,7 +36,8 @@ class ResourceCapError(RuntimeError):
 
 
 class CorruptCacheError(RuntimeError):
-    """Graph cache file failed its version or checksum validation."""
+    """Graph cache file failed its version or checksum validation, or differs
+    from the rebuilt graph."""
 
 
 @dataclass(frozen=True)
@@ -371,7 +372,7 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The largest level build_conflict_graph accepts: its 43.3 M edges make a
-# 346 MB cache file.
+# 346 MB edge list in memory, and adjacency() sets with twice as many entries.
 MAX_LEVEL = 7
 
 
@@ -403,24 +404,22 @@ def selection_violations(selection: CellSet,
 
 
 _MAGIC = b"OPFG"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHHdIQ32s")
+_FORMAT_VERSION = 2
+_HEADER = struct.Struct("<4sHHd32s")  # magic, version, level, margin, body sha256
 
 
-def _lists(graph: ConflictGraph) -> np.ndarray:
-    """The cache body's uint32 values: self-conflicts, then the edge list."""
-    return np.concatenate((graph.self_conflicts, graph.edges.ravel()))
+def _encode(graph: ConflictGraph) -> bytes:
+    """The cache file of a graph: the header, then first and then last as
+    little-endian uint16, row by row."""
+    body = np.stack((graph.first, graph.last)).astype("<u2").tobytes()
+    return _HEADER.pack(_MAGIC, _FORMAT_VERSION, graph.level, graph.margin,
+                        hashlib.sha256(body).digest()) + body
 
 
 def save_graph(graph: ConflictGraph, path) -> None:
-    """Write the binary cache: header with checksum, self-conflicts, edge list."""
-    body = _lists(graph).astype("<u4", copy=False).tobytes()
-    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, graph.level, graph.margin,
-                          len(graph.self_conflicts), len(graph.edges),
-                          hashlib.sha256(body).digest())
+    """Write the binary cache: header with checksum, then the interval arrays."""
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(body)
+        f.write(_encode(graph))
 
 
 def load_graph(path) -> ConflictGraph:
@@ -428,29 +427,22 @@ def load_graph(path) -> ConflictGraph:
     writes for the level and margin in its header.
 
     The checksum covers only the body, so the graph is rebuilt from the
-    header's level and margin; once the checksum holds, equal counts and body
-    make the file byte for byte the one save_graph writes.
+    header's level and margin, and the file must equal its encoding.
     """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
         raise CorruptCacheError("graph cache truncated before header")
-    magic, version, level, margin, n_self, n_edges, digest = _HEADER.unpack(raw[:_HEADER.size])
+    magic, version, level, margin, digest = _HEADER.unpack_from(raw)
     if magic != _MAGIC or version != _FORMAT_VERSION:
         raise CorruptCacheError(f"bad magic/version in graph cache: {magic!r} v{version}")
-    body = memoryview(raw)[_HEADER.size:]
-    expect = 4 * n_self + 8 * n_edges
-    if len(body) != expect:
-        raise CorruptCacheError(f"graph cache body is {len(body)} bytes, expected {expect}")
-    if hashlib.sha256(body).digest() != digest:
+    if hashlib.sha256(memoryview(raw)[_HEADER.size:]).digest() != digest:
         raise CorruptCacheError("graph cache checksum mismatch")
     if level > MAX_LEVEL or not 0.0 <= margin < math.inf:
         raise CorruptCacheError(f"graph cache header level {level} margin {margin} is out "
                                 f"of range (level <= {MAX_LEVEL}, finite margin >= 0)")
     graph = build_conflict_graph(level, margin)
-    if (n_self, n_edges) != (len(graph.self_conflicts), len(graph.edges)) \
-            or not np.array_equal(np.frombuffer(body, "<u4"), _lists(graph)):
+    if raw != _encode(graph):
         raise CorruptCacheError(f"graph cache differs from the level {level} "
                                 f"margin {margin:g} graph it names")
-    # a fresh graph, without the edge list and windows the comparison cached
-    return ConflictGraph(level, margin, graph.first, graph.last)
+    return graph

@@ -73,7 +73,7 @@ def _rewrite_header(path, field, value):
 
 @pytest.mark.parametrize("level", [12, 25, 65535])
 def test_conflicts_rebuilds_cache_with_oversized_header_level(tmp_path, capsys, level):
-    # the checksum covers the lists, not the header level: a level above the
+    # the checksum covers the intervals, not the header level: a level above the
     # build cap is a corrupt cache, not a huge build
     cache = tmp_path / "level3_margin0.opfg"
     args = ["conflicts", "--level", "3", "--cache-dir", str(tmp_path)]
@@ -129,17 +129,18 @@ def test_conflicts_rebuilds_cache_with_rewritten_header_margin(tmp_path, capsys)
 
 
 def test_conflicts_rebuilds_non_circulant_cache(tmp_path, capsys):
-    # drop one edge and rewrite the count and checksum: only the rebuild can tell
+    # widen one run and rewrite the checksum: only the rebuild can tell
     args = ["conflicts", "--level", "2", "--cache-dir", str(tmp_path)]
     assert main(args) == EXIT_OK
     capsys.readouterr()
     path = tmp_path / "level2_margin0.opfg"
     raw = path.read_bytes()
     size = conflicts._HEADER.size
+    first, last = np.frombuffer(raw[size:], "<u2").reshape(2, 8, 8).copy()
+    last[1, 2] = last[2, 1] = last[1, 2] + 1
+    body = np.stack((first, last)).astype("<u2").tobytes()
     fields = conflicts._HEADER.unpack(raw[:size])
-    body = raw[size:-8]
-    path.write_bytes(conflicts._HEADER.pack(*fields[:5], fields[5] - 1,
-                                            hashlib.sha256(body).digest()) + body)
+    path.write_bytes(conflicts._HEADER.pack(*fields[:4], hashlib.sha256(body).digest()) + body)
     assert main(args) == EXIT_OK
     captured = capsys.readouterr()
     assert "rebuilding cache (graph cache differs from the level 2 margin 0 graph" \
@@ -148,6 +149,30 @@ def test_conflicts_rebuilds_non_circulant_cache(tmp_path, capsys):
     assert "cached graph" in captured.out
     assert main(args) == EXIT_OK
     assert "cached graph" not in capsys.readouterr().out
+
+
+def test_os_errors_are_usage_errors(tmp_path, capsys):
+    # each used to end in a traceback and exit 1
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    assert main(["conflicts", "--level", "1", "--cache-dir", str(a_file)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    (tmp_path / "level1_margin0.opfg").mkdir()
+    assert main(["conflicts", "--level", "1", "--cache-dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    out = tmp_path / "missing_dir" / "s.json"
+    assert main(["search", "--level", "1", "--method", "baseline",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_flags_are_not_abbreviated(tmp_path, monkeypatch, capsys):
+    # --cache used to parse as --cache-dir and create the directory g.opfg/
+    monkeypatch.chdir(tmp_path)
+    assert main(["conflicts", "--level", "1", "--cache", "g.opfg"]) == EXIT_USAGE
+    assert main(["conflicts", "--lev", "1"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert not list(tmp_path.iterdir())
 
 
 def test_conflicts_resource_cap(capsys):

@@ -21,14 +21,21 @@ from opfsets.scaling import (choose_constants, largest_feasible_epsilon, scale_s
 from opfsets.search import double_cap_cellset, selection_graph_violations
 from opfsets.sphere import TWO_PI, Cap, from_polar
 
-# sha256 of save_graph output at margin 0, as written when graphs were still
-# built by the pairwise scan, so .opfg bytes stay fixed across the table and
-# interval builds
+# sha256 of the self-conflicts followed by the edge list, as <u4, at margin 0:
+# the body checksums of the version-1 cache files, whose bytes were pinned when
+# graphs were still built by the pairwise scan
+EDGE_LIST_SHA256 = {
+    2: "280e166669f4331f6d8ff9a0ed3097c5978e90b8d8daf6896a04b5d9fcdcf30c",
+    3: "d99326b27cb2f78833d6a56bed03e8a051752862d3db1011fcd2623ff6252a60",
+    4: "76470fb7e02c3a903607139979c50cb38777c4cb795e282fe3feef7308bf617f",
+    5: "bd8a596572d4cfc547608d5a2456e6da1e004408225d3cd3457abfdd9f7d0bfb",
+}
+# sha256 of save_graph output (version 2: the interval arrays) at margin 0
 SAVED_GRAPH_SHA256 = {
-    2: "d4635b106c20de966a650394155606057bb6e13ca50df611ccd19e2abc8d9845",
-    3: "c2ed466773dda75d95057ae4c9a080782c80e34787a47cb67b2c06e9fd8022a7",
-    4: "ed066589e25a70e7b367d4c130e8bc64ceb1d0ae27fddac13b4f7ed1c9150433",
-    5: "ca90026ccdc6aaf741fd5422d88e5b8e8c10cc0d03d8b64edd96876c81939490",
+    2: "1f9acc19a3869271132d7e1bd7d03b05a4d23cfbfb679e597a27c2d98f21174f",
+    3: "0724f265d89edc497deb22a980b97f52880fa65f9ad1cd5d610ddbfb629b6944",
+    4: "284fef758ac4b1d4779f542cf80603a087460fea5e8500d2dfdd77350f466cd4",
+    5: "e737c462b1ffbd0de05e3eb71bbced5b081810d7fe8ee9daf0b68d9a96f7ae0e",
 }
 
 
@@ -374,7 +381,10 @@ def test_cache_round_trip(tmp_path):
         for margin in (0.0, 0.05):
             g = build_conflict_graph(level, margin)
             save_graph(g, path)
-            assert load_graph(path) == g, (level, margin)
+            loaded = load_graph(path)
+            assert loaded == g, (level, margin)
+            assert "edges" not in vars(loaded) and "windows" not in vars(loaded)
+    assert path.stat().st_size == 4 * n_bands(6) ** 2 + conflicts._HEADER.size
 
 
 def test_cache_corruption_detected(tmp_path):
@@ -398,14 +408,14 @@ def _rewrite_header(path, **fields):
     """Replace named header fields of a saved cache; the checksum covers only the body."""
     raw = path.read_bytes()
     header = conflicts._HEADER.unpack(raw[:conflicts._HEADER.size])
-    names = ("magic", "version", "level", "margin", "n_self", "n_edges", "digest")
+    names = ("magic", "version", "level", "margin", "digest")
     header = [fields.get(name, value) for name, value in zip(names, header)]
     path.write_bytes(conflicts._HEADER.pack(*header) + raw[conflicts._HEADER.size:])
 
 
 @pytest.mark.parametrize("level", [12, 25, 65535])
 def test_cache_header_level_beyond_body_rejected(tmp_path, level):
-    # only the lists are checksummed; a level-3 body under a header level above
+    # only the intervals are checksummed; a level-3 body under a header level above
     # MAX_LEVEL is refused before anything is built
     path = tmp_path / "g3.opfg"
     save_graph(build_conflict_graph(3), path)
@@ -437,46 +447,38 @@ def test_graph_deterministic():
     assert isinstance(a, ConflictGraph)
 
 
-def _rewrite_lists(path, selfs, edges):
-    """Replace a saved cache's lists, with matching counts and checksum."""
-    edges = np.asarray(edges, "<u4").reshape(-1, 2)
-    body = np.asarray(selfs, "<u4").tobytes() + edges.tobytes()
+def _rewrite_intervals(path, first, last):
+    """Replace a saved cache's interval arrays, with a matching checksum."""
+    body = np.stack((first, last)).astype("<u2").tobytes()
     header = conflicts._HEADER.unpack(path.read_bytes()[:conflicts._HEADER.size])
-    path.write_bytes(conflicts._HEADER.pack(*header[:4], len(selfs), len(edges),
-                                            hashlib.sha256(body).digest()) + body)
+    path.write_bytes(conflicts._HEADER.pack(*header[:4], hashlib.sha256(body).digest()) + body)
 
 
 def test_cache_not_circulant_rejected(tmp_path):
     g = build_conflict_graph(2)
     path = tmp_path / "g2.opfg"
     save_graph(g, path)
-    # every list below has a matching checksum and counts: only the rebuild tells
+    assert (g.first[1, 2], g.last[1, 2]) == (2, 3) and g.last[0, 1] == 4
+    assert (g.first[0, 0], g.last[0, 0]) == (1, 0)
+    # every body below has a matching checksum: only the rebuild tells
     differs = "differs from the level 2 margin 0 graph"
-    # one edge missing: the rest still holds its rotations
-    dropped = np.delete(g.edges, 5, axis=0)
-    _rewrite_lists(path, g.self_conflicts, dropped)
-    with pytest.raises(CorruptCacheError, match=differs):
-        load_graph(path)
-    # one edge missing and another repeated: the count matches, the order does not
-    _rewrite_lists(path, g.self_conflicts, np.insert(dropped, 0, g.edges[0], axis=0))
-    with pytest.raises(CorruptCacheError, match=differs):
-        load_graph(path)
-    # an ordinal beyond the level
-    _rewrite_lists(path, [], [[0, g.n_cells()]])
-    with pytest.raises(CorruptCacheError, match=differs):
-        load_graph(path)
-    # the original lists load back to the same graph
-    _rewrite_lists(path, g.self_conflicts, g.edges)
+    widened, asymmetric, beyond = (g.last.copy() for _ in range(3))
+    widened[1, 2] = widened[2, 1] = 4  # one run widened by one
+    asymmetric[1, 2] = 4
+    beyond[0, 1] = beyond[1, 0] = 5    # past the largest distance n/2 = 4
+    empty = g.first.copy()
+    empty[0, 0] = 2                    # the empty run stored as (2, 0)
+    for first, last in ((g.first, widened), (g.first, asymmetric), (empty, g.last),
+                        (g.first, beyond)):
+        _rewrite_intervals(path, first, last)
+        with pytest.raises(CorruptCacheError, match=differs):
+            load_graph(path)
+    # the original arrays load back to the same graph
+    _rewrite_intervals(path, g.first, g.last)
     assert load_graph(path) == g
-    # the same body split differently: two self-conflicts, one edge fewer
-    _rewrite_header(path, n_self=2, n_edges=len(g.edges) - 1)
-    with pytest.raises(CorruptCacheError, match=differs):
-        load_graph(path)
-    # a self-conflict list that does not cover whole bands
-    g1 = build_conflict_graph(1)
-    save_graph(g1, path)
-    _rewrite_lists(path, g1.self_conflicts[1:], g1.edges)
-    with pytest.raises(CorruptCacheError, match="differs from the level 1 margin 0 graph"):
+    # a version-1 file is refused by its header, before any checksum
+    _rewrite_header(path, version=1)
+    with pytest.raises(CorruptCacheError, match=r"bad magic/version .* v1"):
         load_graph(path)
 
 
@@ -642,6 +644,13 @@ def test_table_symmetric_and_views_agree(margin):
         assert np.array_equal(g.first, g.first.T) and np.array_equal(g.last, g.last.T)
         degrees = np.bincount(g.edges.ravel(), minlength=g.n_cells())
         assert np.array_equal(g.degrees(), degrees)
+
+
+@pytest.mark.parametrize("level", sorted(EDGE_LIST_SHA256))
+def test_edge_list_pinned(level):
+    g = build_conflict_graph(level)
+    lists = np.concatenate((g.self_conflicts, g.edges.ravel())).astype("<u4")
+    assert hashlib.sha256(lists.tobytes()).hexdigest() == EDGE_LIST_SHA256[level]
 
 
 @pytest.mark.parametrize("level", sorted(SAVED_GRAPH_SHA256))
