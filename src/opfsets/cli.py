@@ -62,16 +62,19 @@ def cmd_conflicts(args) -> int:
     path = (Path(args.cache_dir) / f"level{args.level}_margin{args.margin:g}.opfg"
             if args.cache_dir else None)
     graph = None
-    if path is not None and path.exists():
-        try:
-            graph = conflicts.load_graph(path)
-            if graph.level != args.level or graph.margin != args.margin:
-                print(f"warning: rebuilding cache (it holds level {graph.level} "
-                      f"margin {graph.margin:g}, not level {args.level} "
-                      f"margin {args.margin:g})", file=sys.stderr)
-                graph = None
-        except conflicts.CorruptCacheError as exc:
-            print(f"warning: rebuilding cache ({exc})", file=sys.stderr)
+    if path is not None:
+        # before any build, so a --cache-dir that cannot be a directory fails at once
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.exists():
+            try:
+                graph = conflicts.load_graph(path)
+                if graph.level != args.level or graph.margin != args.margin:
+                    print(f"warning: rebuilding cache (it holds level {graph.level} "
+                          f"margin {graph.margin:g}, not level {args.level} "
+                          f"margin {args.margin:g})", file=sys.stderr)
+                    graph = None
+            except conflicts.CorruptCacheError as exc:
+                print(f"warning: rebuilding cache ({exc})", file=sys.stderr)
     if graph is None:
         try:
             graph = conflicts.build_conflict_graph(args.level, args.margin)
@@ -79,7 +82,6 @@ def cmd_conflicts(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
             conflicts.save_graph(graph, path)
             print(f"cached graph at {path}")
     degrees = graph.degrees()

@@ -96,21 +96,22 @@ def _extremize_u_box(u1lo, u1hi, u2lo, u2hi, c, maximize: bool) -> np.ndarray:
     best = np.full(np.broadcast(np.asarray(u1lo), np.asarray(u2lo), np.asarray(c)).shape, fill)
     for a in (u1lo, u1hi):
         for b in (u2lo, u2hi):
-            best = reduce_fn(best, _g(a, b, c))
+            reduce_fn(best, _g(a, b, c), out=best)
     # stationary points along each box edge: with the other coordinate fixed at
     # u, the edge restriction is A*cos(t) + B*sin(t) with A = u, B = c*sqrt(1-u^2),
     # extremal at (cos t, sin t) = +-(A, B)/R with value +-R; valid when the
     # sine component is nonnegative and the cosine component lies in the interval.
+    # The -R point's cosine is exactly -A/R, so one quotient serves both signs.
     for vlo, vhi, ufix in ((u1lo, u1hi, u2lo), (u1lo, u1hi, u2hi),
                            (u2lo, u2hi, u1lo), (u2lo, u2hi, u1hi)):
         a = np.asarray(ufix, dtype=float)
+        vlo, vhi = np.asarray(vlo, dtype=float), np.asarray(vhi, dtype=float)
         b = c * np.sqrt(np.maximum(0.0, 1.0 - a * a))
         r = np.hypot(a, b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for sign in (1.0, -1.0):
-                ucrit = np.where(r > 0.0, sign * a / np.where(r > 0.0, r, 1.0), np.nan)
-                valid = (r > 0.0) & (sign * b >= 0.0) & (ucrit >= vlo) & (ucrit <= vhi)
-                best = reduce_fn(best, np.where(valid, sign * r, fill))
+        with np.errstate(invalid="ignore"):
+            q = a / r  # NaN exactly where R = 0 (then A = 0), which fails every test
+        reduce_fn(best, r, out=best, where=(b >= 0.0) & (q >= vlo) & (q <= vhi))
+        reduce_fn(best, -r, out=best, where=(b <= 0.0) & (q <= -vlo) & (q >= -vhi))
     return best
 
 
@@ -233,11 +234,18 @@ class ConflictGraph:
         """Sorted (m, 2) uint32 array of the conflicting ordinal pairs (a, b), a < b."""
         return self._neighbour_pairs(upper=True)
 
-    def neighbours(self, o: int) -> np.ndarray:
-        """Mask by ordinal of the cells that conflict with cell o, o itself cleared."""
+    def conflict_view(self, o: int) -> np.ndarray:
+        """(n, n) view [band, sector] of the cells that conflict with cell o,
+        o itself included when its band self-conflicts: ORed, added or
+        subtracted into a reshaped (n, n) view of a mask by ordinal, it needs
+        no copy."""
         n = n_bands(self.level)
         b, s = divmod(int(o), n)
-        mask = self.windows[b, :, n - s:2 * n - s].ravel()  # a copy: rows lie 2n apart
+        return self.windows[b, :, n - s:2 * n - s]
+
+    def neighbours(self, o: int) -> np.ndarray:
+        """Mask by ordinal of the cells that conflict with cell o, o itself cleared."""
+        mask = self.conflict_view(o).ravel()  # a copy: rows lie 2n apart
         mask[o] = False
         return mask
 
@@ -346,29 +354,63 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
 
     Sector boundaries are exact dyadic turns and the kernel reads azimuths only
     through their differences taken mod 1, so the decision for cells (b1, s1)
-    and (b2, s2) is the one for (b1, d) and (b2, 0), d = (s1 - s2) mod n, and
-    the one for d equals the one for n - d, bit for bit.  The dot range is
+    and (b2, s2) is the one for (b1, d) and (b2, 0), d = (s1 - s2) mod n, bit
+    for bit.  The one for n - d is the one for d: the cosine is even, and the
+    two ranges agree to a few ulps, exact zeros included.  The dot range is
     monotone in the cosine of the azimuth gap, so the conflicting distances
     are one run; a row that is not is an error.
+
+    The kernel runs only on the northern band pairs b1 <= b2 < n/2, an eighth
+    of the table; three isometries of the sphere give the rest:
+
+    - the transpose, (b2, b1) = (b1, b2): the kernel is symmetric in its two
+      boxes.  It forms the same corner and edge candidates either way round,
+      in another order of float operations, so the ranges agree to 2 ulps
+      and an extreme of exactly zero is exactly zero both ways;
+    - the band flip z -> -z on both cells, (n-1-b1, n-1-b2) = (b1, b2): it
+      negates every u bound, which is exact on dyadic bounds, and the kernel
+      sees u only through products of two u's and through 1 - u^2, so each
+      candidate extreme is the same double and the decision is exact;
+    - the antipodal map on one cell, a band flip and a half turn, negates
+      every inner product: (b1, n-1-b2) and (n-1-b1, b2) take the run of
+      (b1, b2) at distances n/2 - t, i.e. (n/2 - last, n/2 - first), and an
+      empty run stays (1, 0).  The tests check this map against the full
+      kernel table at every level, at margins 0, 1e-3, 0.05 and 0.3 and at
+      seeded random margins.
+
+    So a decision can differ from a direct kernel call only where a range end
+    lies within a few ulps of -margin or margin (the d <-> n - d map already
+    allows that); the graph is symmetric there all the same.
     """
     _check_margin(margin)
     n = n_bands(level)
-    t = np.arange(n // 2 + 1)
-    (ulo, uhi), _ = cell_bounds_batch(level, np.arange(n), 0)
-    first, last = np.empty((2, n, n), dtype=np.int64)
-    step = max(1, _CHUNK // (n * len(t)))
-    for r0 in range(0, n, step):
-        r = slice(r0, r0 + step)
-        lo, hi = dot_range_boxes_u(ulo[r, None, None], uhi[r, None, None], t / n, (t + 1) / n,
-                                   ulo[None, :, None], uhi[None, :, None], 0.0, 1.0 / n)
+    h = n // 2
+    t = np.arange(h + 1)
+    (ulo, uhi), _ = cell_bounds_batch(level, np.arange(h), 0)
+    b1, b2 = np.triu_indices(h)
+    octant = np.empty((2, len(b1)), dtype=np.int64)  # (first, last) of each pair
+    step = max(1, _CHUNK // len(t))
+    for p0 in range(0, len(b1), step):
+        p = slice(p0, p0 + step)
+        i, j = b1[p, None], b2[p, None]
+        lo, hi = dot_range_boxes_u(ulo[i], uhi[i], t / n, (t + 1) / n,
+                                   ulo[j], uhi[j], 0.0, 1.0 / n)
         hit = (lo - margin <= 0.0) & (hi + margin >= 0.0)
-        count = hit.sum(axis=2)
-        first[r] = np.where(count > 0, hit.argmax(axis=2), 1)  # the empty run is (1, 0)
-        last[r] = first[r] + count - 1
-        if not np.array_equal(hit, (first[r, :, None] <= t) & (t <= last[r, :, None])):
+        count = hit.sum(axis=1)
+        octant[0, p] = np.where(count > 0, hit.argmax(axis=1), 1)  # the empty run is (1, 0)
+        octant[1, p] = octant[0, p] + count - 1
+        if not np.array_equal(hit, (octant[0, p, None] <= t) & (t <= octant[1, p, None])):
             raise RuntimeError(f"level {level} margin {margin:g}: a band pair's "
                                "conflicting sector distances are not one run")
-    return first, last
+    north = np.empty((2, h, h), dtype=np.int64)
+    north[:, b1, b2] = north[:, b2, b1] = octant
+    across = np.where(north[0] > north[1], [[[1]], [[0]]], h - north[::-1])
+    runs = np.empty((2, n, n), dtype=np.int64)
+    runs[:, :h, :h] = north
+    runs[:, h:, h:] = north[:, ::-1, ::-1]
+    runs[:, :h, h:] = across[:, :, ::-1]
+    runs[:, h:, :h] = across[:, ::-1, :]
+    return runs[0], runs[1]
 
 
 # The largest level build_conflict_graph accepts: its 43.3 M edges make a

@@ -4,10 +4,14 @@ All cells at a level have equal area, so maximizing measure is maximizing
 cardinality: an unweighted maximum-independent-set problem on the conflict
 graph.  Provided methods: the double-cap baseline, greedy construction,
 (1,2)-swap local search, and exact branch-and-bound for small levels.  They
-read each cell's neighbour mask as one slice of ConflictGraph.windows, the
+read each cell's conflicts as one (n, n) slice of ConflictGraph.windows, the
 graph's band-pair sector intervals expanded over doubled sector offsets,
-never building an adjacency dict.  Every result is re-verified against the
-graph and compared with the published bounds on the largest
+and OR, add or subtract it into an (n, n) view of their masks by ordinal,
+never building an adjacency dict or copying a mask.  Every result is
+re-verified against the graph, from the intervals: each member's conflicts
+in a band lie on two sector arcs, counted from prefix counts of the
+selection, so the check does no work on pairs that do not conflict.  The
+results are compared with the published bounds on the largest
 orthogonal-pair-free measure fraction.
 """
 
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import conflicts
 from .conflicts import ConflictGraph
 from .grid import CellSet, cell_bounds_batch, n_bands, write_json
 
@@ -56,25 +59,49 @@ def double_cap_cellset(level: int) -> CellSet:
 
 def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list:
     """Sorted ordinal pairs (a, b), a <= b, of a selection that conflict in a built
-    graph, a == b for a self-conflict; window lookups go in row tiles of <= _CHUNK."""
+    graph, a == b for a self-conflict.
+
+    Member (b, s) conflicts with the members of band b2 whose sector offset
+    d = (s2 - s) mod n has circular distance in the run [first, last] of
+    (b, b2): d in [first, last] or in [n - last, n - first].  The second arc
+    drops d = n/2 and d = n (that is, 0), which the first holds when they are
+    in the run, so the two never overlap.  Each arc starts at s + lo, lo in [0, n], so
+    prefix counts of each band's members over the doubled sector axis count
+    it, and a nonzero count names its members by rank, mod the band's size.
+    Only band pairs with members on both sides and a nonempty run are read.
+    """
     if selection.level != graph.level:
         raise ValueError(f"selection level {selection.level} != graph level {graph.level}")
     n = n_bands(graph.level)
-    bands, sectors = selection.array().T
+    bands, sectors = selection.array().T  # ascending ordinals: by band, then sector
+    start = np.searchsorted(bands, np.arange(n + 1))  # each band's members
+    size = np.diff(start)
+    below = np.zeros((n, 2 * n + 1), dtype=np.int64)  # [b, j]: members at doubled sector < j
+    below[bands, sectors + 1] = below[bands, sectors + n + 1] = 1
+    np.cumsum(below, axis=1, out=below)
+    first, last = graph.first, graph.last
+    arc_lo = np.stack((first, n - np.minimum(last, n // 2 - 1)))  # [arc, b, b2]
+    arc_end = np.stack((last, n - np.maximum(first, 1))) + 1      # past the arc
+    occupied = np.flatnonzero(size)
+    k = len(bands)
+    keys = [np.empty(0, dtype=np.int64)]  # i * k + j for each conflicting member pair i <= j
+    for band in occupied.tolist():
+        others = occupied[first[band, occupied] <= last[band, occupied]]
+        if not len(others):
+            continue
+        members = np.arange(start[band], start[band + 1])
+        s = sectors[members, None]
+        before = below[others, s + arc_lo[:, band][:, None, others]]  # [arc, member, other]
+        count = below[others, s + arc_end[:, band][:, None, others]] - before
+        arc, i, o = np.nonzero(count)
+        c = count[arc, i, o]
+        rank = np.repeat(before[arc, i, o] - np.cumsum(c) + c, c) + np.arange(c.sum())
+        b2 = np.repeat(others[o], c)
+        i, j = np.repeat(members[i], c), start[b2] + rank % size[b2]
+        keys.append(i[j >= i] * k + j[j >= i])  # members ascend, so i <= j is a <= b
+    i, j = np.divmod(np.sort(np.concatenate(keys)), k)
     ords = bands * n + sectors
-    # member i's mask over member j's band is graph.windows[bi, bj, n - si:2n - si],
-    # so pair (i, j) sits at flat offset row[i] + col[j]
-    row = bands * (2 * n * n) + n - sectors
-    col = bands * (2 * n) + sectors
-    windows = graph.windows.reshape(-1)
-    bad = []
-    k = len(ords)
-    step = max(1, conflicts._CHUNK // max(k, 1))
-    for r0 in range(0, k, step):
-        ii, jj = np.nonzero(windows[row[r0:r0 + step, None] + col[None, r0:]])
-        keep = jj >= ii  # members come ascending, so i <= j is a <= b
-        bad.extend(zip(ords[r0 + ii[keep]].tolist(), ords[r0 + jj[keep]].tolist()))
-    return bad
+    return list(zip(ords[i].tolist(), ords[j].tolist()))
 
 
 @dataclass(frozen=True)
@@ -158,7 +185,9 @@ def greedy_mis(graph: ConflictGraph, order: str = "min-degree",
     if order not in ("random", "min-degree"):
         raise ValueError(f"unknown order {order!r}")
     _check_non_negative(seed=seed)
+    n = n_bands(graph.level)
     blocked = graph.self_conflicting()
+    blocked_view = blocked.reshape(n, n)  # by [band, sector], as conflict_view gives
     free = np.flatnonzero(~blocked)
     chosen = []
     if order == "random":
@@ -168,20 +197,21 @@ def greedy_mis(graph: ConflictGraph, order: str = "min-degree",
         for o in sequence:
             if not blocked[o]:
                 chosen.append(o)
-                blocked |= graph.neighbours(o)
+                blocked_view |= graph.conflict_view(o)  # o's own entry is clear: o is free
     else:
         # degree[v]: v's neighbours among the unblocked cells, kept up to date
         # as cells get blocked; only read for unblocked cells
         degree = graph.degrees() - sum(graph.neighbours(r) for r in graph.self_conflicts)
+        degree_view = degree.reshape(n, n)
         while not blocked.all():
             # ties to the lowest ordinal
             o = int(np.argmin(np.where(blocked, graph.n_cells(), degree)))
             chosen.append(o)
-            newly = graph.neighbours(o) & ~blocked
+            newly = (graph.conflict_view(o) & ~blocked_view).ravel()
             newly[o] = True
             blocked |= newly
-            for r in np.flatnonzero(newly):
-                degree -= graph.neighbours(r)
+            for r in np.flatnonzero(newly):  # unblocked, so free: r's own entry is clear
+                degree_view -= graph.conflict_view(r)
     return SearchResult(_cellset_from_ordinals(graph.level, chosen),
                         f"greedy-{order}", seed, iterations=len(free))
 
@@ -193,15 +223,18 @@ def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
     bad = selection_graph_violations(init, graph)
     if bad:
         raise InfeasibleSelectionError(bad)
+    n = n_bands(graph.level)
     free = ~graph.self_conflicting()
     current = np.zeros(graph.n_cells(), dtype=bool)
     # count[o]: how many cells of the current selection conflict with o
     count = np.zeros(graph.n_cells(), dtype=np.int64)
+    count_view = count.reshape(n, n)  # by [band, sector], as conflict_view gives
     rng = np.random.default_rng(seed)
 
     def toggle(o: int, sign: int) -> None:
+        # every cell toggled is free, so o's own entry of its view is clear
         current[o] = sign > 0
-        count[:] += sign * graph.neighbours(o)
+        (np.add if sign > 0 else np.subtract)(count_view, graph.conflict_view(o), out=count_view)
 
     def fill() -> None:
         # insert, in ascending order, any cell with no conflicts against the
@@ -221,10 +254,11 @@ def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
             break
         r = int(rng.choice(np.flatnonzero(current)))
         # candidates blocked only by r become insertable after its removal
-        cands = np.flatnonzero(graph.neighbours(r) & free & ~current & (count == 1))
+        cands = np.flatnonzero(graph.conflict_view(r)
+                               & (free & ~current & (count == 1)).reshape(n, n))
         for i, a in enumerate(cands):
             later = cands[i + 1:]
-            compatible = later[~graph.neighbours(a)[later]]
+            compatible = later[~graph.conflict_view(a)[np.divmod(later, n)]]
             if len(compatible):
                 toggle(r, -1)
                 toggle(a, 1)

@@ -166,6 +166,19 @@ def test_os_errors_are_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cache_dir_that_is_a_file_fails_before_the_build(tmp_path, monkeypatch, capsys):
+    # the command used to build the whole graph and only then fail in mkdir
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_conflict_graph called")
+    monkeypatch.setattr(conflicts, "build_conflict_graph", no_build)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    assert main(["conflicts", "--level", "7", "--cache-dir", str(a_file)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert a_file.read_text() == ""
+
+
 def test_flags_are_not_abbreviated(tmp_path, monkeypatch, capsys):
     # --cache used to parse as --cache-dir and create the directory g.opfg/
     monkeypatch.chdir(tmp_path)

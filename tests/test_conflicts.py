@@ -335,22 +335,64 @@ def random_selections(graph, rng):
         yield CellSet.from_cells(graph.level, np.stack(np.divmod(ords, n), axis=1))
 
 
-def test_selection_graph_violations_match_reference(monkeypatch):
+def test_selection_graph_violations_match_reference():
     rng = np.random.default_rng(41)
     seen_self = False
     for level in range(7):
-        for margin in VIEW_MARGINS:
+        for margin in (*VIEW_MARGINS, 0.3):
             g = build_conflict_graph(level, margin)
             for sel in random_selections(g, rng):
                 want = reference_graph_violations(sel, g)
                 seen_self |= any(a == b for a, b in want)
                 assert selection_graph_violations(sel, g) == want
-                if level == 3:  # one or two member rows per lookup tile
-                    for chunk in (1, 2 * len(sel) + 1):
-                        monkeypatch.setattr(conflicts, "_CHUNK", chunk)
-                        assert selection_graph_violations(sel, g) == want
-                    monkeypatch.undo()
     assert seen_self
+
+
+def run_end_selections(graph, rng):
+    """(case name, selection, pairs it must report): for band pairs whose run
+    starts at t = 0, ends at t = n/2 or is empty, a random sector of the first
+    band with the sectors of the second at distances 0, 1, n/2 and the run's
+    far end (each side), then both bands whole."""
+    n = n_bands(graph.level)
+    f, l = graph.first, graph.last
+    for name, mask in (("t = 0", f == 0), ("t = n/2", l == n // 2), ("empty", f > l)):
+        pairs = np.argwhere(mask)
+        for b1, b2 in pairs[rng.choice(len(pairs), size=min(4, len(pairs)), replace=False)]:
+            s = int(rng.integers(n))
+            offsets = {0, n // 2, int(l[b1, b2]), n - int(l[b1, b2]), 1, n - 1}
+            cells = [(b1, s)] + [(b2, (s + d) % n) for d in offsets]
+            must = [(b1 * n + s, b2 * n + (s + d) % n) for d in offsets
+                    if f[b1, b2] <= min(d % n, n - d % n) <= l[b1, b2]]
+            yield name, CellSet.from_cells(graph.level, cells), must
+        if len(pairs):
+            b1, b2 = pairs[0]
+            yield name, CellSet.from_cells(graph.level, [(b, s) for b in {b1, b2}
+                                                         for s in range(n)]), []
+
+
+def test_selection_graph_violations_at_run_ends():
+    # runs that touch t = 0 (both arcs hold d = 0) or t = n/2 (both hold
+    # d = n/2), empty runs, whole bands and the empty selection
+    rng = np.random.default_rng(18)
+    seen = set()
+    for level in range(7):
+        for margin in (0.0, 1e-3, 0.05, 0.3):
+            g = build_conflict_graph(level, margin)
+            assert selection_graph_violations(CellSet.from_cells(level, []), g) == []
+            for name, sel, must in run_end_selections(g, rng):
+                got = selection_graph_violations(sel, g)
+                assert got == reference_graph_violations(sel, g), (level, margin, name)
+                pairs = {tuple(sorted(p)) for p in must}
+                assert pairs <= set(got), (level, margin, name)
+                if pairs or name == "empty":
+                    seen.add(name)
+    assert {"t = 0", "t = n/2", "empty"} <= seen
+
+
+def test_double_caps_have_no_graph_violations():
+    for level in (5, 7):
+        assert selection_graph_violations(double_cap_cellset(level),
+                                          build_conflict_graph(level)) == []
 
 
 def test_margin_monotone():
@@ -501,6 +543,62 @@ def test_intervals_match_kernel_table(level, margin):
     diagonal = table[d, d, 0]
     assert np.array_equal(g.self_conflicting(), np.repeat(diagonal, n))
     assert np.array_equal(g.degrees(), np.repeat(table.sum(axis=(1, 2)) - diagonal, n))
+
+
+# margins log-spread over [1e-12, 0.5]: the octant build's maps at generic margins
+OCTANT_MARGINS = np.exp(np.random.default_rng(18).uniform(math.log(1e-12), math.log(0.5), 24))
+
+
+def test_octant_build_matches_kernel_table_at_random_margins():
+    for i, margin in enumerate(OCTANT_MARGINS.tolist()):
+        for level in range(7 if i % 4 == 0 else 6):  # level 6 at six of the margins
+            table = reference_table.__wrapped__(level, margin)
+            g = build_conflict_graph(level, margin)
+            n = n_bands(level)
+            t = np.minimum(np.arange(n), n - np.arange(n))
+            assert np.array_equal((g.first[:, :, None] <= t) & (t <= g.last[:, :, None]),
+                                  table), (level, margin)
+            empty = g.first > g.last
+            assert (g.first[empty] == 1).all() and (g.last[empty] == 0).all()
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_octant_build_runs_the_kernel_on_one_octant(monkeypatch, level):
+    n = n_bands(level)
+    seen = []
+
+    def counting(*args):
+        lo, hi = dot_range_boxes_u(*args)
+        seen.append(lo.size // lo.shape[-1])  # band pairs; the last axis is t
+        return lo, hi
+    monkeypatch.setattr(conflicts, "dot_range_boxes_u", counting)
+    build_conflict_graph(level, 0.05)
+    assert sum(seen) <= (n // 2) * (n // 2 + 1) // 2
+
+
+def test_graph_symmetric_at_range_end_margins():
+    # a margin equal to the end of some kernel range puts decisions on their
+    # rounding edge, where the transpose, d <-> n - d and half-turn maps need
+    # not hold bit for bit; the graph is still symmetric and flip-invariant
+    # there, and its northern octant is the kernel's decision
+    rng = np.random.default_rng(5)
+    for level in range(2, 6):
+        n = n_bands(level)
+        h = n // 2
+        t = np.arange(h + 1)
+        (ulo, uhi), _ = cell_bounds_batch(level, np.arange(n), 0)
+        lo, hi = dot_range_boxes_u(ulo[:h, None, None], uhi[:h, None, None], t / n,
+                                   (t + 1) / n, ulo[None, :h, None], uhi[None, :h, None],
+                                   0.0, 1.0 / n)
+        ends = np.unique(np.concatenate((-lo[lo < 0], -hi[hi < 0])))
+        for margin in rng.choice(ends[ends < 0.6], size=8, replace=False).tolist():
+            g = build_conflict_graph(level, margin)
+            for a in (g.first, g.last):
+                assert np.array_equal(a, a.T) and np.array_equal(a, a[::-1, ::-1])
+            hit = (lo - margin <= 0.0) & (hi + margin >= 0.0)
+            b1, b2 = np.triu_indices(h)
+            runs = (g.first[b1, b2, None] <= t) & (t <= g.last[b1, b2, None])
+            assert np.array_equal(runs, hit[b1, b2]), (level, margin)
 
 
 def test_interval_build_rejects_a_split_run(monkeypatch):
@@ -692,8 +790,8 @@ def test_selection_checks_match_brute_force():
 
 
 def test_chunked_evaluation_matches_single_pass(monkeypatch):
-    # a tiny chunk forces one band per interval-build kernel call, several
-    # kernel calls per tree level and two rows per graph lookup tile
+    # a tiny chunk forces two kernel calls in the interval build and several
+    # per tree level
     rng = np.random.default_rng(3)
     sel = CellSet.from_cells(3, [(int(b), int(s)) for b, s in rng.integers(0, 16, (40, 2))])
     graph = build_conflict_graph(3, 0.05)
