@@ -70,8 +70,8 @@ def cmd_conflicts(args) -> int:
                 graph = conflicts.load_graph(path)
                 if graph.level != args.level or graph.margin != args.margin:
                     print(f"warning: rebuilding cache (it holds level {graph.level} "
-                          f"margin {graph.margin:g}, not level {args.level} "
-                          f"margin {args.margin:g})", file=sys.stderr)
+                          f"margin {graph.margin!r}, not level {args.level} "
+                          f"margin {args.margin!r})", file=sys.stderr)
                     graph = None
             except conflicts.CorruptCacheError as exc:
                 print(f"warning: rebuilding cache ({exc})", file=sys.stderr)

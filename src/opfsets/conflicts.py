@@ -19,6 +19,7 @@ which the closed-cell conflict semantics at margin 0 relies on.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import struct
@@ -188,9 +189,10 @@ class ConflictGraph:
         t = np.minimum(k, n - k)
         return (self.first[:, :, None] <= t) & (t <= self.last[:, :, None])
 
-    def _neighbour_pairs(self, upper: bool) -> np.ndarray:
-        """Sorted (k, 2) uint32 array of the pairs (cell, neighbour): every
-        neighbour of every cell, or with upper only those of higher ordinal.
+    def _band_neighbours(self, upper: bool):
+        """For each band b in turn, (counts, neighbours): counts[s] is the number
+        of neighbours of cell (b, s), or with upper of those of higher ordinal,
+        and neighbours their ordinals, cell by cell and each cell's ascending.
 
         Cell (b, s)'s neighbours in band b2 are the columns c of the sector-0
         row of (b, b2), rotated to (c + s) mod n.  Ascending, they are a window
@@ -211,11 +213,6 @@ class ConflictGraph:
         # with upper: the bands above whole; in its own band, cell s keeps the
         # c in [1, n - s), the first #{c < n - s} entries of the second copy
         whole = np.triu(size, 1) if upper else size
-        counts = np.repeat(whole.sum(axis=1), n).reshape(n, n)
-        if upper:
-            counts += below[bands, bands]
-        bounds = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))  # each band's pairs
-        pairs = np.empty((bounds[-1], 2), dtype=np.uint32)
         for b in range(n):  # one band's cells at a time, to keep the temporaries small
             start = first[b, :, None] + below[b]                  # [b2, s]
             length = np.repeat(whole[b, :, None], n, axis=1)
@@ -223,16 +220,21 @@ class ConflictGraph:
                 start[b] = first[b, b] + size[b, b]
                 length[b] = below[b, b]
             start, length = start.T.ravel(), length.T.ravel()     # windows by (s, b2)
-            out = pairs[bounds[b]:bounds[b + 1]]
-            idx = np.repeat(start + length - np.cumsum(length), length) + np.arange(len(out))
-            out[:, 0] = np.repeat(b * n + bands, counts[b])
-            out[:, 1] = pool[idx] + np.repeat(bands, counts[b])
-        return pairs
+            counts = length.reshape(n, n).sum(axis=1)
+            idx = np.repeat(start + length - np.cumsum(length), length) + np.arange(length.sum())
+            yield counts, pool[idx] + np.repeat(bands, counts)
 
     @cached_property
     def edges(self) -> np.ndarray:
         """Sorted (m, 2) uint32 array of the conflicting ordinal pairs (a, b), a < b."""
-        return self._neighbour_pairs(upper=True)
+        n = n_bands(self.level)
+        pairs = np.empty((self.degrees().sum() // 2, 2), dtype=np.uint32)
+        end = 0
+        for b, (counts, neighbours) in enumerate(self._band_neighbours(upper=True)):
+            start, end = end, end + len(neighbours)
+            pairs[start:end, 0] = np.repeat(np.arange(b * n, (b + 1) * n), counts)
+            pairs[start:end, 1] = neighbours
+        return pairs
 
     def conflict_view(self, o: int) -> np.ndarray:
         """(n, n) view [band, sector] of the cells that conflict with cell o,
@@ -261,14 +263,31 @@ class ConflictGraph:
         return np.repeat(per_pair.sum(axis=1) - (np.diag(first) == 0), n)
 
     def adjacency(self) -> dict[int, set[int]]:
-        """{ordinal: set of neighbouring ordinals}, each set filled in ascending order."""
-        pairs = self._neighbour_pairs(upper=False)
-        # one int object per ordinal, shared by every set that holds it
-        ints = np.array(range(self.n_cells()), dtype=object)[pairs[:, 1]].tolist()
-        del pairs  # the sets are the peak: keep nothing else of this size alive
-        degrees = self.degrees()
-        ends = np.cumsum(degrees).tolist()
-        return {o: set(ints[e - d:e]) for o, (d, e) in enumerate(zip(degrees.tolist(), ends))}
+        """{ordinal: set of neighbouring ordinals}, built one band at a time.
+
+        Every set is filled by ascending inserts, so the sets and their
+        iteration order are those of sets grown from the sorted edge list.
+        The cells of a band share one degree: the band's neighbour lists are
+        the rows of one array, mapped through one shared int object per
+        ordinal, so no temporary spans more than a band.  The cyclic collector
+        is paused for the build (the new sets hold only ints, and a collection
+        would only walk their tables), and the caller's setting is restored.
+        A caller that keeps the dict pays one walk of the sets at its next
+        collection; one that drops it first pays none.
+        """
+        n = n_bands(self.level)
+        ints = np.array(range(self.n_cells()), dtype=object)
+        adj = {}
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for b, (_, neighbours) in enumerate(self._band_neighbours(upper=False)):
+                for o, row in enumerate(ints[neighbours].reshape(n, -1).tolist(), b * n):
+                    adj[o] = set(row)
+        finally:
+            if enabled:
+                gc.enable()
+        return adj
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConflictGraph)
@@ -414,7 +433,8 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The largest level build_conflict_graph accepts: its 43.3 M edges make a
-# 346 MB edge list in memory, and adjacency() sets with twice as many entries.
+# 346 MB edge list in memory.  adjacency() holds each edge twice, in set
+# tables of 2 048 or 8 192 slots: ~6.7 GB at level 7, ~540 MB at level 6.
 MAX_LEVEL = 7
 
 

@@ -97,16 +97,34 @@ def test_conflicts_warns_before_replacing_another_graph(tmp_path, capsys):
     shutil.copy(tmp_path / "level2_margin0.opfg", level3)
     assert main(["conflicts", "--level", "3", *cache]) == EXIT_OK
     captured = capsys.readouterr()
-    assert "warning: rebuilding cache (it holds level 2 margin 0," in captured.err
+    assert "warning: rebuilding cache (it holds level 2 margin 0.0," in captured.err
     assert "level 3 margin 0:" in captured.out and "cached graph" in captured.out
     assert conflicts.load_graph(level3).level == 3
     shutil.copy(level3, tmp_path / "level3_margin0.1.opfg")
     assert main(["conflicts", "--level", "3", "--margin", "0.1", *cache]) == EXIT_OK
-    assert "it holds level 3 margin 0, not level 3 margin 0.1" in capsys.readouterr().err
+    assert "it holds level 3 margin 0.0, not level 3 margin 0.1" in capsys.readouterr().err
     # the matching graph loads silently
     assert main(["conflicts", "--level", "3", "--margin", "0.1", *cache]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.err == "" and "cached graph" not in captured.out
+
+
+def test_conflicts_warning_tells_apart_margins_that_share_a_file(tmp_path, capsys):
+    # 0.001 and 0.0010000001 both print as 0.001 under {margin:g}, so they share
+    # the cache file name; the warning used to name both as "margin 0.001"
+    name = tmp_path / "level3_margin0.001.opfg"
+    for margin, held in (("0.001", None), ("0.0010000001", "0.001"), ("0.001", "0.0010000001")):
+        args = ["conflicts", "--level", "3", "--margin", margin, "--cache-dir", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        captured = capsys.readouterr()
+        if held is None:
+            assert captured.err == ""
+        else:
+            assert captured.err == (f"warning: rebuilding cache (it holds level 3 margin {held}, "
+                                    f"not level 3 margin {margin})\n")
+        assert "cached graph" in captured.out
+        assert conflicts.load_graph(name).margin == float(margin)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name.name]
 
 
 def test_conflicts_rebuilds_cache_with_rewritten_header_margin(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 from functools import lru_cache
@@ -306,6 +307,68 @@ def test_adjacency_consistency():
             adj = g.adjacency()
             assert adj == expect
             assert [list(adj[i]) for i in adj] == [list(expect[i]) for i in expect]
+
+
+def test_adjacency_pauses_and_restores_the_collector(monkeypatch):
+    g = build_conflict_graph(3)
+    expect = g.adjacency()
+    during = []
+    band_neighbours = ConflictGraph._band_neighbours
+
+    def spy(self, upper):
+        for band in band_neighbours(self, upper):
+            during.append(gc.isenabled())
+            yield band
+
+    def failing(self, upper):
+        yield next(band_neighbours(self, upper))
+        raise MemoryError
+
+    enabled = gc.isenabled()
+    try:
+        for on in (True, False):
+            gc.enable() if on else gc.disable()
+            monkeypatch.setattr(ConflictGraph, "_band_neighbours", spy)
+            assert g.adjacency() == expect
+            assert gc.isenabled() is on
+            monkeypatch.setattr(ConflictGraph, "_band_neighbours", failing)
+            with pytest.raises(MemoryError):
+                g.adjacency()
+            assert gc.isenabled() is on
+    finally:
+        gc.enable() if enabled else gc.disable()
+    assert len(during) == 2 * n_bands(3) and not any(during)
+
+
+def test_adjacency_sets_are_separate_objects():
+    g = build_conflict_graph(3)
+    adj = g.adjacency()
+    before = [list(adj[o]) for o in adj]
+    assert len({id(s) for s in adj.values()}) == len(adj) == g.n_cells()
+    last = g.n_cells() - 1
+    adj[0].clear()
+    adj[1].add(-1)
+    adj[last].discard(before[last][0])
+    for o in range(2, last):
+        assert list(adj[o]) == before[o], o
+    fresh = g.adjacency()
+    assert [list(fresh[o]) for o in fresh] == before
+
+
+def test_level6_adjacency_matches_sorted_edges():
+    # each set against a set grown by ascending inserts from the edge list,
+    # one cell at a time so only one dict of this size is alive
+    g = build_conflict_graph(6)
+    m = g.n_cells()
+    pairs = np.sort(np.concatenate((g.edges, g.edges[:, ::-1])).astype(np.int64) @ [m, 1])
+    cells, neighbours = np.divmod(pairs, m)
+    ends = np.cumsum(np.bincount(cells, minlength=m))
+    del pairs, cells
+    adj = g.adjacency()
+    assert list(adj) == list(range(m))
+    for o, (start, end) in enumerate(zip(ends - np.diff(ends, prepend=0), ends)):
+        expect = set(neighbours[start:end].tolist())
+        assert adj[o] == expect and list(adj[o]) == list(expect), o
 
 
 def test_rotated_views_match_reference():
