@@ -4,8 +4,8 @@ scaling, and convexification.
 Exit codes: 0 success, 2 usage error, 3 infeasibility, 4 resource cap
 exceeded, 5 certification violation.  Primary artifacts are deterministic
 (seeds fixed, keys sorted, no timestamps); run metadata goes to a
-"<artifact>.meta.json" sidecar.  `opfsets conflicts --cache-dir` keeps graph
-caches, one file per level and margin.
+"<artifact>.meta.json" sidecar.  `opfsets conflicts --cache-dir` writes the
+built graph's .opfg file, one per level and margin; no command reads it back.
 """
 
 from __future__ import annotations
@@ -61,29 +61,14 @@ def cmd_grid(args) -> int:
 def cmd_conflicts(args) -> int:
     path = (Path(args.cache_dir) / f"level{args.level}_margin{args.margin:g}.opfg"
             if args.cache_dir else None)
-    graph = None
     if path is not None:
         # before any build, so a --cache-dir that cannot be a directory fails at once
         path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            try:
-                graph = conflicts.load_graph(path)
-                if graph.level != args.level or graph.margin != args.margin:
-                    print(f"warning: rebuilding cache (it holds level {graph.level} "
-                          f"margin {graph.margin!r}, not level {args.level} "
-                          f"margin {args.margin!r})", file=sys.stderr)
-                    graph = None
-            except conflicts.CorruptCacheError as exc:
-                print(f"warning: rebuilding cache ({exc})", file=sys.stderr)
-    if graph is None:
-        try:
-            graph = conflicts.build_conflict_graph(args.level, args.margin)
-        except conflicts.ResourceCapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
-        if path is not None:
-            conflicts.save_graph(graph, path)
-            print(f"cached graph at {path}")
+    try:
+        graph = conflicts.build_conflict_graph(args.level, args.margin)
+    except conflicts.ResourceCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     degrees = graph.degrees()
     print(f"level {graph.level} margin {graph.margin:g}: "
           f"{degrees.sum() // 2} edges, {len(graph.self_conflicts)} self-conflicts")
@@ -92,6 +77,9 @@ def cmd_conflicts(args) -> int:
     for d, c in enumerate(hist):
         if c:
             print(f"  {d}: {c}")
+    if path is not None:
+        conflicts.save_graph(graph, path)
+        print(f"cached graph at {path}")
     return EXIT_OK
 
 
@@ -239,6 +227,10 @@ def cmd_report(args) -> int:
     if not args.inputs and not args.sweep:
         print("error: nothing to report (give --inputs and/or --sweep)", file=sys.stderr)
         return EXIT_USAGE
+    if args.sweep and args.sweep[0] > args.sweep[1]:
+        print(f"error: --sweep LO HI needs LO <= HI, got {args.sweep[0]} {args.sweep[1]}",
+              file=sys.stderr)
+        return EXIT_USAGE
     rows = []
     for path in args.inputs:
         try:
@@ -259,8 +251,7 @@ def cmd_report(args) -> int:
     series = []
     if args.sweep:
         lo, hi = args.sweep
-        for level in range(lo, hi + 1):
-            series.append((level, search.double_cap_cellset(level).fraction()))
+        series = [(level, search.double_cap_fraction(level)) for level in range(lo, hi + 1)]
         print("double-cap baseline sweep (level, fraction):")
         for level, fraction in series:
             print(f"  {level}, {fraction:.9f}")
@@ -308,10 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the all-cells selection as JSON")
     p.set_defaults(func=cmd_grid)
 
-    p = add("conflicts", help="build or load a conflict graph")
+    p = add("conflicts", help="build a conflict graph")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--margin", type=float, default=0.0)
-    p.add_argument("--cache-dir", help="graph cache directory")
+    p.add_argument("--cache-dir", help="directory to write the graph's .opfg file to "
+                                       "(overwritten, never read)")
     p.set_defaults(func=cmd_conflicts)
 
     p = add("search", help="search for conflict-free selections")

@@ -273,8 +273,12 @@ class ConflictGraph:
         is paused for the build (the new sets hold only ints, and a collection
         would only walk their tables), and the caller's setting is restored.
         A caller that keeps the dict pays one walk of the sets at its next
-        collection; one that drops it first pays none.
+        collection; one that drops it first pays none.  Above
+        ADJACENCY_MAX_LEVEL it raises ResourceCapError before allocating.
         """
+        if self.level > ADJACENCY_MAX_LEVEL:
+            raise ResourceCapError(f"adjacency at level {self.level} exceeds "
+                                   f"the maximum {ADJACENCY_MAX_LEVEL}")
         n = n_bands(self.level)
         ints = np.array(range(self.n_cells()), dtype=object)
         adj = {}
@@ -433,9 +437,11 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The largest level build_conflict_graph accepts: its 43.3 M edges make a
-# 346 MB edge list in memory.  adjacency() holds each edge twice, in set
-# tables of 2 048 or 8 192 slots: ~6.7 GB at level 7, ~540 MB at level 6.
+# 346 MB edge list in memory.
 MAX_LEVEL = 7
+# The largest level adjacency() accepts.  The dict holds each edge twice, in
+# set tables of 2 048 or 8 192 slots: ~540 MB at level 6, ~6.7 GB at level 7.
+ADJACENCY_MAX_LEVEL = 6
 
 
 def build_conflict_graph(level: int, margin: float = 0.0) -> ConflictGraph:
@@ -479,7 +485,9 @@ def _encode(graph: ConflictGraph) -> bytes:
 
 
 def save_graph(graph: ConflictGraph, path) -> None:
-    """Write the binary cache: header with checksum, then the interval arrays."""
+    """Write the graph's .opfg file, _encode(graph): the header with the body's
+    checksum, then the interval arrays.  No command reads it back; load_graph
+    checks a file against a rebuild."""
     with open(path, "wb") as f:
         f.write(_encode(graph))
 

@@ -45,16 +45,31 @@ class InfeasibleSelectionError(ValueError):
                          f"{self.violations[:10]}")
 
 
-def double_cap_cellset(level: int) -> CellSet:
-    """All cells strictly inside either open polar cap of radius pi/4."""
+def _double_cap_bands(level: int) -> np.ndarray:
+    """The bands strictly inside either open polar cap of radius pi/4, ascending."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    n = n_bands(level)
     threshold = math.sqrt(2.0) / 2.0
-    (cos_lo, cos_hi), _ = cell_bounds_batch(level, np.arange(n), 0)
-    bands = np.flatnonzero((cos_lo > threshold) | (cos_hi < -threshold))  # north | south
+    (cos_lo, cos_hi), _ = cell_bounds_batch(level, np.arange(n_bands(level)), 0)
+    return np.flatnonzero((cos_lo > threshold) | (cos_hi < -threshold))  # north | south
+
+
+def double_cap_cellset(level: int) -> CellSet:
+    """All cells strictly inside either open polar cap of radius pi/4."""
+    n = n_bands(level)
+    bands = _double_cap_bands(level)
     return CellSet.from_cells(level, np.stack(
         [np.repeat(bands, n), np.tile(np.arange(n), len(bands))], axis=1))
+
+
+def double_cap_fraction(level: int) -> float:
+    """double_cap_cellset(level).fraction() without building the cells.
+
+    The set is whole bands of n cells each, so its n * |bands| / n^2 cells
+    are the rational |bands| / n; both quotients round it correctly, to the
+    same double.
+    """
+    return len(_double_cap_bands(level)) / n_bands(level)
 
 
 def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list:

@@ -1,12 +1,11 @@
 import hashlib
 import json
 import math
-import shutil
 
 import numpy as np
 import pytest
 
-from opfsets import conflicts
+from opfsets import conflicts, search
 from opfsets.cli import (EXIT_CERTIFICATION, EXIT_INFEASIBLE, EXIT_OK,
                          EXIT_RESOURCE, EXIT_USAGE, main)
 from opfsets.density import cap_union_oracle, select_dense_cells
@@ -30,143 +29,66 @@ def test_grid_summary_and_artifact(tmp_path, capsys):
     assert doc["level"] == 2 and len(doc["cells"]) == 64
 
 
-def test_conflicts_build_cache_and_reload(tmp_path, capsys):
-    cache = tmp_path / "graphs"
-    args = ["conflicts", "--level", "2", "--cache-dir", str(cache)]
-    assert main(args) == EXIT_OK
-    first = capsys.readouterr().out
-    assert "1328 edges" in first
-    assert "cached graph" in first
-    # histogram lines "  degree: cells" cover all 64 cells and both ends of each edge
-    hist = [tuple(map(int, line.split(":"))) for line in first.splitlines()
-            if line.startswith("  ")]
-    assert sum(c for _, c in hist) == 64
-    assert sum(d * c for d, c in hist) == 2 * 1328
-    # second run loads the cache instead of rebuilding
-    assert main(args) == EXIT_OK
-    second = capsys.readouterr().out
-    assert "1328 edges" in second
-    assert "cached graph" not in second
+def _encoded(level, margin=0.0):
+    return conflicts._encode(conflicts.build_conflict_graph(level, margin))
 
 
-def test_conflicts_cache_dir_and_corruption(tmp_path, capsys):
-    args = ["conflicts", "--level", "1", "--cache-dir", str(tmp_path)]
-    assert main(args) == EXIT_OK
-    capsys.readouterr()
-    path = tmp_path / "level1_margin0.opfg"
-    assert path.exists()
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    assert main(args) == EXIT_OK
-    captured = capsys.readouterr()
-    assert "rebuilding cache" in captured.err
-
-
-def _rewrite_header(path, field, value):
-    """Set one header field of a saved cache; the checksum covers only the body."""
-    raw = path.read_bytes()
-    fields = list(conflicts._HEADER.unpack(raw[:conflicts._HEADER.size]))
+def _with_header(raw, field, value):
+    """Set one header field of a graph file; the checksum covers only the body."""
+    fields = list(conflicts._HEADER.unpack_from(raw))
     fields[field] = value
-    path.write_bytes(conflicts._HEADER.pack(*fields) + raw[conflicts._HEADER.size:])
+    return conflicts._HEADER.pack(*fields) + raw[conflicts._HEADER.size:]
 
 
-@pytest.mark.parametrize("level", [12, 25, 65535])
-def test_conflicts_rebuilds_cache_with_oversized_header_level(tmp_path, capsys, level):
-    # the checksum covers the intervals, not the header level: a level above the
-    # build cap is a corrupt cache, not a huge build
-    cache = tmp_path / "level3_margin0.opfg"
-    args = ["conflicts", "--level", "3", "--cache-dir", str(tmp_path)]
-    assert main(args) == EXIT_OK
-    built = capsys.readouterr().out
-    _rewrite_header(cache, 2, level)
-    assert main(args) == EXIT_OK
-    captured = capsys.readouterr()
-    assert f"warning: rebuilding cache (graph cache header level {level}" in captured.err
-    assert captured.out == built
-    assert conflicts.load_graph(cache).level == 3
+def _flip_last_byte(raw):
+    return raw[:-1] + bytes([raw[-1] ^ 0xFF])
 
 
-def test_conflicts_warns_before_replacing_another_graph(tmp_path, capsys):
-    # a cache file named for one graph may hold another, e.g. when two margins
-    # print alike under {margin:g}; here the files are copied under other names
-    cache = ["--cache-dir", str(tmp_path)]
-    assert main(["conflicts", "--level", "2", *cache]) == EXIT_OK
-    assert capsys.readouterr().err == ""
-    level3 = tmp_path / "level3_margin0.opfg"
-    shutil.copy(tmp_path / "level2_margin0.opfg", level3)
-    assert main(["conflicts", "--level", "3", *cache]) == EXIT_OK
-    captured = capsys.readouterr()
-    assert "warning: rebuilding cache (it holds level 2 margin 0.0," in captured.err
-    assert "level 3 margin 0:" in captured.out and "cached graph" in captured.out
-    assert conflicts.load_graph(level3).level == 3
-    shutil.copy(level3, tmp_path / "level3_margin0.1.opfg")
-    assert main(["conflicts", "--level", "3", "--margin", "0.1", *cache]) == EXIT_OK
-    assert "it holds level 3 margin 0.0, not level 3 margin 0.1" in capsys.readouterr().err
-    # the matching graph loads silently
-    assert main(["conflicts", "--level", "3", "--margin", "0.1", *cache]) == EXIT_OK
-    captured = capsys.readouterr()
-    assert captured.err == "" and "cached graph" not in captured.out
-
-
-def test_conflicts_warning_tells_apart_margins_that_share_a_file(tmp_path, capsys):
-    # 0.001 and 0.0010000001 both print as 0.001 under {margin:g}, so they share
-    # the cache file name; the warning used to name both as "margin 0.001"
-    name = tmp_path / "level3_margin0.001.opfg"
-    for margin, held in (("0.001", None), ("0.0010000001", "0.001"), ("0.001", "0.0010000001")):
-        args = ["conflicts", "--level", "3", "--margin", margin, "--cache-dir", str(tmp_path)]
-        assert main(args) == EXIT_OK
-        captured = capsys.readouterr()
-        if held is None:
-            assert captured.err == ""
-        else:
-            assert captured.err == (f"warning: rebuilding cache (it holds level 3 margin {held}, "
-                                    f"not level 3 margin {margin})\n")
-        assert "cached graph" in captured.out
-        assert conflicts.load_graph(name).margin == float(margin)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [name.name]
-
-
-def test_conflicts_rebuilds_cache_with_rewritten_header_margin(tmp_path, capsys):
-    # the checksum skips the header margin: a level-3 margin-0 cache relabelled
-    # 0.05 used to print the margin-0 graph's 10 848 edges as margin 0.05's
-    assert main(["conflicts", "--level", "3", "--cache-dir", str(tmp_path)]) == EXIT_OK
-    capsys.readouterr()
-    path = tmp_path / "level3_margin0.05.opfg"
-    shutil.copy(tmp_path / "level3_margin0.opfg", path)
-    _rewrite_header(path, 3, 0.05)
-    args = ["conflicts", "--level", "3", "--margin", "0.05", "--cache-dir", str(tmp_path)]
-    assert main(args) == EXIT_OK
-    captured = capsys.readouterr()
-    assert "warning: rebuilding cache (graph cache differs from" in captured.err
-    assert "level 3 margin 0.05: 12192 edges" in captured.out
-    assert "cached graph" in captured.out
-    assert main(args) == EXIT_OK
-    captured = capsys.readouterr()
-    assert captured.err == "" and "level 3 margin 0.05: 12192 edges" in captured.out
-
-
-def test_conflicts_rebuilds_non_circulant_cache(tmp_path, capsys):
-    # widen one run and rewrite the checksum: only the rebuild can tell
-    args = ["conflicts", "--level", "2", "--cache-dir", str(tmp_path)]
-    assert main(args) == EXIT_OK
-    capsys.readouterr()
-    path = tmp_path / "level2_margin0.opfg"
-    raw = path.read_bytes()
+def _widened_run(raw):
+    """Widen one run by a sector and rewrite the checksum to match."""
     size = conflicts._HEADER.size
-    first, last = np.frombuffer(raw[size:], "<u2").reshape(2, 8, 8).copy()
+    first, last = np.frombuffer(raw[size:], "<u2").reshape(2, 8, 8).copy()  # level 2
     last[1, 2] = last[2, 1] = last[1, 2] + 1
     body = np.stack((first, last)).astype("<u2").tobytes()
-    fields = conflicts._HEADER.unpack(raw[:size])
-    path.write_bytes(conflicts._HEADER.pack(*fields[:4], hashlib.sha256(body).digest()) + body)
+    fields = conflicts._HEADER.unpack_from(raw)
+    return conflicts._HEADER.pack(*fields[:4], hashlib.sha256(body).digest()) + body
+
+
+@pytest.mark.parametrize("level, margin, prior", [
+    pytest.param(2, "0", lambda: None, id="absent"),
+    pytest.param(2, "0", lambda: _encoded(2), id="same-graph"),
+    pytest.param(1, "0", lambda: _flip_last_byte(_encoded(1)), id="flipped-body-byte"),
+    *(pytest.param(3, "0", lambda level=level: _with_header(_encoded(3), 2, level),
+                   id=f"header-level-{level}") for level in (12, 25, 65535)),
+    pytest.param(3, "0", lambda: _encoded(2), id="level-2-under-level-3-name"),
+    # 0.001 and 0.0010000001 both print as 0.001 under {margin:g}
+    pytest.param(3, "0.001", lambda: _encoded(3, 0.0010000001), id="margin-sharing-the-name"),
+    pytest.param(3, "0.05", lambda: _with_header(_encoded(3), 3, 0.05),
+                 id="header-margin-rewritten"),
+    pytest.param(2, "0", lambda: _widened_run(_encoded(2)), id="widened-run-valid-checksum"),
+])
+def test_conflicts_cache_dir_writes_the_built_graph(tmp_path, capsys, level, margin, prior):
+    # whatever the file held, the run builds the graph, prints what a run
+    # without --cache-dir prints, then overwrites the file and names it
+    args = ["conflicts", "--level", str(level), "--margin", margin]
     assert main(args) == EXIT_OK
+    plain = capsys.readouterr().out
+    path = tmp_path / f"level{level}_margin{float(margin):g}.opfg"
+    raw = prior()
+    if raw is not None:
+        path.write_bytes(raw)
+    assert main([*args, "--cache-dir", str(tmp_path)]) == EXIT_OK
     captured = capsys.readouterr()
-    assert "rebuilding cache (graph cache differs from the level 2 margin 0 graph" \
-        in captured.err
-    assert "1328 edges" in captured.out
-    assert "cached graph" in captured.out
-    assert main(args) == EXIT_OK
-    assert "cached graph" not in capsys.readouterr().out
+    assert captured.err == ""
+    assert captured.out == plain + f"cached graph at {path}\n"
+    assert path.read_bytes() == _encoded(level, float(margin))
+    assert list(tmp_path.iterdir()) == [path]
+    # histogram lines "  degree: cells" cover every cell and both ends of each edge
+    edges = int(plain.split(": ")[1].split()[0])
+    hist = [tuple(map(int, line.split(":"))) for line in plain.splitlines()
+            if line.startswith("  ")]
+    assert sum(c for _, c in hist) == 4 * 4**level
+    assert sum(d * c for d, c in hist) == 2 * edges
 
 
 def test_os_errors_are_usage_errors(tmp_path, capsys):
@@ -398,16 +320,33 @@ def test_convexify_double_cap(tmp_path, capsys):
     assert doc["decomposition"]["pairwise_min_distance"] > math.pi / 2
 
 
-def test_report_sweep_and_csv(tmp_path, capsys):
+def test_report_sweep_and_csv(tmp_path, capsys, monkeypatch):
     assert main(["report"]) == EXIT_USAGE
     capsys.readouterr()
+    # the sweep reads each fraction off the cap's bands and builds no cells:
+    # the level-12 double cap has 19.6 M of them
+    def no_cells(level):
+        raise AssertionError("double_cap_cellset called")
+    monkeypatch.setattr(search, "double_cap_cellset", no_cells)
     csv_path = tmp_path / "sweep.csv"
     assert main(["report", "--sweep", "2", "4", "--csv", str(csv_path)]) == EXIT_OK
-    text = capsys.readouterr().out
-    assert "2, 0.250000000" in text
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "level,method,cells,fraction"
-    assert len(lines) == 4
+    assert capsys.readouterr().out == (
+        "double-cap baseline sweep (level, fraction):\n"
+        "  2, 0.250000000\n  3, 0.250000000\n  4, 0.250000000\n"
+        "limit 1 - 1/sqrt(2) = 0.292893219\n")
+    assert csv_path.read_text() == ("level,method,cells,fraction\n"
+                                    "2,baseline-sweep,,0.2500000000\n"
+                                    "3,baseline-sweep,,0.2500000000\n"
+                                    "4,baseline-sweep,,0.2500000000\n")
+
+
+def test_report_sweep_rejects_a_reversed_range(tmp_path, capsys):
+    # it used to print an empty sweep and exit 0
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["report", "--sweep", "3", "1", "--csv", str(csv_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not csv_path.exists()
 
 
 def test_report_consumes_search_artifacts(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -353,6 +354,24 @@ def test_adjacency_sets_are_separate_objects():
         assert list(adj[o]) == before[o], o
     fresh = g.adjacency()
     assert [list(fresh[o]) for o in fresh] == before
+
+
+def test_adjacency_refuses_level_7_before_allocating(monkeypatch):
+    # the level-7 sets would need ~6.7 GB
+    def unreachable(self, upper):
+        raise AssertionError("_band_neighbours reached")
+        yield
+
+    g = build_conflict_graph(7)
+    monkeypatch.setattr(ConflictGraph, "_band_neighbours", unreachable)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="adjacency at level 7 exceeds the maximum 6"):
+            g.adjacency()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_level6_adjacency_matches_sorted_edges():

@@ -13,7 +13,8 @@ from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_from_ordinal,
 from opfsets.search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION, EXACT_MAX_CELLS,
                             ExactSearchCapError, InfeasibleSelectionError,
                             PUBLISHED_UPPER_BOUNDS,
-                            SearchResult, double_cap_cellset, evaluate,
+                            SearchResult, double_cap_cellset, double_cap_fraction,
+                            evaluate,
                             exact_mis, greedy_mis, local_search,
                             selection_graph_violations, write_leaderboard)
 
@@ -191,6 +192,14 @@ def test_double_cap_cellset_matches_band_loop():
         members = double_cap_cellset(level).members
         assert members == reference(level), level
         assert all(type(x) is int for m in members[:1] + members[-1:] for x in m)
+
+
+def test_double_cap_fraction_is_the_cellsets():
+    # the report sweep's fraction, read off the bands without building the cells
+    with pytest.raises(ValueError):
+        double_cap_fraction(0)
+    for level in range(1, 11):
+        assert double_cap_fraction(level).hex() == double_cap_cellset(level).fraction().hex()
 
 
 def test_double_cap_is_conflict_free():
