@@ -10,10 +10,9 @@ indicates a predicate bug).
 import argparse
 import sys
 
-from opfsets.conflicts import build_conflict_graph
-from opfsets.search import (BEST_UPPER_BOUND, ExactSearchCapError,
-                            double_cap_cellset, evaluate, exact_mis, greedy_mis,
-                            local_search, write_leaderboard)
+from opfsets.conflicts import ResourceCapError, build_conflict_graph
+from opfsets.search import (BEST_UPPER_BOUND, double_cap_cellset, evaluate,
+                            exact_mis, greedy_mis, local_search, write_leaderboard)
 
 
 def main() -> int:
@@ -41,7 +40,7 @@ def main() -> int:
             results.append(greedy_mis(graph, "random", seed=seed))
         try:
             results.append(exact_mis(graph))
-        except ExactSearchCapError:
+        except ResourceCapError:
             pass  # too many cells for exact search: no row
         best = max((r for r in results if r.selection.level == level),
                    key=lambda r: r.fraction)

@@ -30,10 +30,9 @@ from .scaling import (InfeasibleEpsilonError, OpfCertification, ScaleConstants,
                       scale_set, scaled_measure_lower_bound, shrink_cell,
                       verify_scaled_opf)
 from .search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION,
-                     ExactSearchCapError, InfeasibleSelectionError,
-                     PUBLISHED_UPPER_BOUNDS, SearchResult, double_cap_cellset,
-                     evaluate, exact_mis, greedy_mis, local_search,
-                     write_leaderboard)
+                     InfeasibleSelectionError, PUBLISHED_UPPER_BOUNDS,
+                     SearchResult, double_cap_cellset, evaluate, exact_mis,
+                     greedy_mis, local_search, write_leaderboard)
 from .sphere import (Cap, GeodesicSegment, InfeasibleShrinkError,
                      OutOfHemisphereError, cap_area, from_polar,
                      geodesic_distance, gnomonic_project_batch,

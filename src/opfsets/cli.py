@@ -2,10 +2,13 @@
 scaling, and convexification.
 
 Exit codes: 0 success, 2 usage error, 3 infeasibility, 4 resource cap
-exceeded, 5 certification violation.  Primary artifacts are deterministic
-(seeds fixed, keys sorted, no timestamps); run metadata goes to a
-"<artifact>.meta.json" sidecar.  `opfsets conflicts --cache-dir` writes the
-built graph's .opfg file, one per level and margin; no command reads it back.
+exceeded, 5 certification violation.  `_EXIT_CODES` is the one place that
+policy lives: a command returns 0 or 5 and raises for everything else, and
+`main` alone prints the error and picks its code from the table.  Primary
+artifacts are deterministic (seeds fixed, keys sorted, no timestamps); run
+metadata goes to a "<artifact>.meta.json" sidecar.  `opfsets conflicts
+--cache-dir` writes the built graph's .opfg file, one per level and margin; no
+command reads it back.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
 EXIT_CERTIFICATION = 5
+
+# matched in order, first match wins; any other exception is a bug and keeps its traceback
+_EXIT_CODES = (
+    (conflicts.ResourceCapError, EXIT_RESOURCE),
+    ((search.InfeasibleSelectionError, scaling.InfeasibleEpsilonError,
+      convexify.HullInfeasibleError), EXIT_INFEASIBLE),
+    ((OSError, ValueError), EXIT_USAGE),
+)
 
 
 def _write_artifact(path: str, doc: dict, meta: dict | None = None) -> None:
@@ -64,11 +75,7 @@ def cmd_conflicts(args) -> int:
     if path is not None:
         # before any build, so a --cache-dir that cannot be a directory fails at once
         path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        graph = conflicts.build_conflict_graph(args.level, args.margin)
-    except conflicts.ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    graph = conflicts.build_conflict_graph(args.level, args.margin)
     degrees = graph.degrees()
     print(f"level {graph.level} margin {graph.margin:g}: "
           f"{degrees.sum() // 2} edges, {len(graph.self_conflicts)} self-conflicts")
@@ -84,30 +91,19 @@ def cmd_conflicts(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        graph = conflicts.build_conflict_graph(args.level)
-    except conflicts.ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    try:
-        if args.method == "baseline":
-            result = search.evaluate(search.double_cap_cellset(args.level), graph,
-                                     method="baseline")
-        elif args.method in ("greedy-min-degree", "greedy-random"):
-            result = search.greedy_mis(graph, args.method.removeprefix("greedy-"),
-                                       seed=args.seed)
-        elif args.method == "local":
-            init = (search.double_cap_cellset(args.level) if args.init == "double-cap"
-                    else CellSet.from_cells(args.level, []))
-            result = search.local_search(graph, init, iters=args.iters, seed=args.seed)
-        else:  # exact; argparse's choices admit no other method
-            result = search.exact_mis(graph, node_budget=args.node_budget)
-    except search.InfeasibleSelectionError as exc:
-        print(f"error: infeasible initial selection: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except search.ExactSearchCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    graph = conflicts.build_conflict_graph(args.level)
+    if args.method == "baseline":
+        result = search.evaluate(search.double_cap_cellset(args.level), graph,
+                                 method="baseline")
+    elif args.method in ("greedy-min-degree", "greedy-random"):
+        result = search.greedy_mis(graph, args.method.removeprefix("greedy-"),
+                                   seed=args.seed)
+    elif args.method == "local":
+        init = (search.double_cap_cellset(args.level) if args.init == "double-cap"
+                else CellSet.from_cells(args.level, []))
+        result = search.local_search(graph, init, iters=args.iters, seed=args.seed)
+    else:  # exact; argparse's choices admit no other method
+        result = search.exact_mis(graph)
     print(f"method {result.method}: {len(result.selection)} cells, "
           f"{_both(result.measure_sr)}")
     for name, gap in sorted(result.bound_gaps().items()):
@@ -145,17 +141,12 @@ def _build_oracle(args) -> density.MembershipOracle:
 
 def cmd_filter(args) -> int:
     if not 0.0 < args.epsilon < 0.25:
-        print(f"error: epsilon {args.epsilon} outside the supported range (0, 0.25); "
-              f"the density guarantee needs epsilon < 1/64", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"epsilon {args.epsilon} outside the supported range (0, 0.25); "
+                         "the density guarantee needs epsilon < 1/64")
     if args.epsilon >= density.THEOREM_BETA:
         print(f"warning: epsilon {args.epsilon} >= 1/64; the captured-measure "
               "guarantee no longer applies", file=sys.stderr)
-    try:
-        oracle = _build_oracle(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    oracle = _build_oracle(args)
     report = density.select_dense_cells(oracle, args.level, args.epsilon,
                                         samples=args.samples, seed=args.seed)
     print(f"selected {len(report.selected)} cells at level {args.level}, "
@@ -171,16 +162,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    try:
-        selection = CellSet.load(args.selection)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: cannot load selection: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        constants = scaling.choose_constants(args.epsilon, selection.measure())
-    except scaling.InfeasibleEpsilonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    selection = CellSet.load(args.selection)
+    constants = scaling.choose_constants(args.epsilon, selection.measure())
     summary = scaling.scale_set(selection, constants)
     lhs1, rhs1 = constants.inequality1
     lhs2, rhs2 = constants.inequality2
@@ -196,56 +179,38 @@ def cmd_scale(args) -> int:
         doc = summary.to_json()
         doc["certification"] = {"violations": [list(v) for v in cert.violations]}
         _write_artifact(args.out, doc, {"pairs_evaluated": cert.pairs_evaluated})
-    if not cert.ok:
-        return EXIT_CERTIFICATION
-    return EXIT_OK
+    return EXIT_OK if cert.ok else EXIT_CERTIFICATION
 
 
 def cmd_convexify(args) -> int:
-    try:
-        selection = CellSet.load(args.selection)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: cannot load selection: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = convexify.conv(selection, arc_samples=args.arc_samples)
-    except convexify.HullInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    result = convexify.conv(CellSet.load(args.selection), arc_samples=args.arc_samples)
     print(f"{len(result.decomposition)} polygons after {result.merge_count} merges")
     print(f"measure before {_both(result.input_measure)}, "
           f"after {_both(result.output_measure)}")
     print(f"orthogonal-pair certification: {len(result.opf_violations)} violations")
     if args.out:
         _write_artifact(args.out, result.to_json())
-    if result.opf_violations:
-        return EXIT_CERTIFICATION
-    return EXIT_OK
+    return EXIT_CERTIFICATION if result.opf_violations else EXIT_OK
 
 
 def cmd_report(args) -> int:
     if not args.inputs and not args.sweep:
-        print("error: nothing to report (give --inputs and/or --sweep)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("nothing to report (give --inputs and/or --sweep)")
     if args.sweep and args.sweep[0] > args.sweep[1]:
-        print(f"error: --sweep LO HI needs LO <= HI, got {args.sweep[0]} {args.sweep[1]}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--sweep LO HI needs LO <= HI, got {args.sweep[0]} {args.sweep[1]}")
     rows = []
     for path in args.inputs:
         try:
             with open(path) as f:
                 doc = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"cannot read {path}: {exc}") from exc
         try:
             rows.append((doc["fraction"], doc["method"], doc["selection"]["level"],
                          len(doc["selection"]["cells"])))
         except (KeyError, TypeError) as exc:
-            print(f"error: {path} is not an `opfsets search --out` artifact "
-                  f"({type(exc).__name__}: {exc})", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"{path} is not an `opfsets search --out` artifact "
+                             f"({type(exc).__name__}: {exc})") from exc
     for fraction, method, level, cells in sorted(rows, reverse=True):
         print(f"level {level} {method}: {cells} cells, fraction {fraction:.9f}")
     series = []
@@ -314,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--init", choices=["double-cap", "empty"], default="double-cap")
-    p.add_argument("--node-budget", type=int, default=1_000_000)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_search)
@@ -387,16 +351,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(_splice_config(parser, argv))
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except SystemExit as exc:  # argparse has printed its own message
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except Exception as exc:
+        code = next((code for types, code in _EXIT_CODES if isinstance(exc, types)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return code
 
 
 if __name__ == "__main__":

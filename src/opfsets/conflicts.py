@@ -33,7 +33,9 @@ from .sphere import TWO_PI
 
 
 class ResourceCapError(RuntimeError):
-    """Graph construction refused above MAX_LEVEL."""
+    """A request above a size cap: a graph above MAX_LEVEL, adjacency() above
+    ADJACENCY_MAX_LEVEL, or an exact search over more than
+    search.EXACT_MAX_CELLS candidate cells."""
 
 
 class CorruptCacheError(RuntimeError):
@@ -436,8 +438,12 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
     return runs[0], runs[1]
 
 
-# The largest level build_conflict_graph accepts: its 43.3 M edges make a
-# 346 MB edge list in memory.
+# The largest level build_conflict_graph accepts.  The build holds only (n, n)
+# arrays: level 7 takes 0.35 s and level 8 2.4 s, at 118 and 142 MB process peak
+# (one thread of a 2-core box).  What caps it is `windows`, which every search method reads:
+# 2n^3 bytes, 34 MB at level 7, 268 MB at level 8 (590 MB peak while it is
+# built) and 2.1 GB at level 9.  `edges`, built only when asked for, is 346 MB
+# at level 7.
 MAX_LEVEL = 7
 # The largest level adjacency() accepts.  The dict holds each edge twice, in
 # set tables of 2 048 or 8 192 slots: ~540 MB at level 6, ~6.7 GB at level 7.

@@ -23,17 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conflicts import ConflictGraph
+from .conflicts import ConflictGraph, ResourceCapError
 from .grid import CellSet, cell_bounds_batch, n_bands, write_json
 
 PUBLISHED_UPPER_BOUNDS = (1.0 / 3.0, 0.313, 0.308, 0.30153, 0.297742)
 BEST_UPPER_BOUND = 0.297742
 DOUBLE_CAP_FRACTION = 1.0 - math.sqrt(2.0) / 2.0  # two polar caps of radius pi/4
 EXACT_MAX_CELLS = 64  # the most candidate cells exact_mis accepts
-
-
-class ExactSearchCapError(ValueError):
-    """More candidate cells than exact search accepts."""
+# the most branch-and-bound nodes exact_mis visits before it stops with optimal False;
+# under the cell cap the largest run takes 123 (level 2)
+EXACT_NODE_BUDGET = 1_000_000
 
 
 class InfeasibleSelectionError(ValueError):
@@ -284,12 +283,11 @@ def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
                         "local-search", seed, iterations=steps)
 
 
-def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000) -> SearchResult:
+def exact_mis(graph: ConflictGraph) -> SearchResult:
     """Branch-and-bound maximum conflict-free selection for small levels."""
-    _check_non_negative(node_budget=node_budget)
     free = np.flatnonzero(~graph.self_conflicting())
     if len(free) > EXACT_MAX_CELLS:
-        raise ExactSearchCapError(
+        raise ResourceCapError(
             f"{len(free)} candidate cells exceed the exact-search cap {EXACT_MAX_CELLS}")
     # conflicts among the candidate cells, indexed by position in free
     conflict = np.array([graph.neighbours(o)[free] for o in free],
@@ -301,7 +299,7 @@ def exact_mis(graph: ConflictGraph, node_budget: int = 1_000_000) -> SearchResul
     def recurse(chosen: list[int], candidates: np.ndarray) -> None:
         nonlocal incumbent, nodes, exhausted
         nodes += 1
-        if nodes > node_budget:
+        if nodes > EXACT_NODE_BUDGET:
             exhausted = True
             return
         if len(chosen) + len(candidates) <= len(incumbent):

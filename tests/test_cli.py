@@ -65,6 +65,7 @@ def _widened_run(raw):
     pytest.param(3, "0.001", lambda: _encoded(3, 0.0010000001), id="margin-sharing-the-name"),
     pytest.param(3, "0.05", lambda: _with_header(_encoded(3), 3, 0.05),
                  id="header-margin-rewritten"),
+    pytest.param(3, "0", lambda: _with_header(_encoded(3), 1, 1), id="header-version-1"),
     pytest.param(2, "0", lambda: _widened_run(_encoded(2)), id="widened-run-valid-checksum"),
 ])
 def test_conflicts_cache_dir_writes_the_built_graph(tmp_path, capsys, level, margin, prior):
@@ -177,17 +178,47 @@ def test_search_usage_error_and_exact_cap(capsys):
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["--method", "local", "--iters", "-5"], "iters"),
-    (["--method", "exact", "--node-budget", "-1"], "node_budget"),
-    (["--method", "greedy-random", "--seed", "-3"], "seed"),
-    (["--method", "local", "--seed", "-3"], "seed"),
+    pytest.param(["--method", "local", "--iters", "-5"], "iters", id="argv0-iters"),
+    pytest.param(["--method", "greedy-random", "--seed", "-3"], "seed", id="argv2-seed"),
+    pytest.param(["--method", "local", "--seed", "-3"], "seed", id="argv3-seed"),
 ])
 def test_search_rejects_negative_budgets(capsys, argv, name):
-    # -1 once ran exact search to "optimal: False (nodes 1)", and a negative
-    # seed failed inside numpy without naming the flag
+    # a negative seed once failed inside numpy without naming the flag
     assert main(["search", "--level", "1", *argv]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert f"{name} must be >= 0" in captured.err and not captured.out
+
+
+def _selection_file(tmp_path, cells):
+    path = tmp_path / "sel.json"
+    cells.save(path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(lambda tmp: ["conflicts", "--level", "8"], EXIT_RESOURCE,
+                 id="graph-level-cap"),
+    pytest.param(lambda tmp: ["search", "--level", "3", "--method", "exact"], EXIT_RESOURCE,
+                 id="exact-search-cap"),
+    pytest.param(lambda tmp: [
+        "scale", "--selection", _selection_file(tmp, double_cap_cellset(3)), "--epsilon",
+        f"{2.0 * largest_feasible_epsilon(double_cap_cellset(3).measure())}"],
+        EXIT_INFEASIBLE, id="infeasible-epsilon"),
+    # the full level-2 band next to the equator circles the sphere: no hemisphere holds it
+    pytest.param(lambda tmp: [
+        "convexify", "--selection",
+        _selection_file(tmp, CellSet.from_cells(2, [(3, s) for s in range(8)]))],
+        EXIT_INFEASIBLE, id="hull-outside-a-hemisphere"),
+    pytest.param(lambda tmp: ["conflicts", "--level", "2", "--margin=-1"], EXIT_USAGE,
+                 id="bad-margin"),
+    pytest.param(lambda tmp: ["report"], EXIT_USAGE, id="report-without-inputs"),
+])
+def test_exit_code_table(tmp_path, capsys, argv, code):
+    # one run per row of cli._EXIT_CODES; main alone prints the error
+    assert main(argv(tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_search_local_and_csv(tmp_path, capsys):

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from opfsets.conflicts import ConflictGraph, build_conflict_graph
+from opfsets import search
+from opfsets.conflicts import ConflictGraph, ResourceCapError, build_conflict_graph
 from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_from_ordinal,
                           n_bands)
 from opfsets.search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION, EXACT_MAX_CELLS,
-                            ExactSearchCapError, InfeasibleSelectionError,
-                            PUBLISHED_UPPER_BOUNDS,
+                            InfeasibleSelectionError, PUBLISHED_UPPER_BOUNDS,
                             SearchResult, double_cap_cellset, double_cap_fraction,
                             evaluate,
                             exact_mis, greedy_mis, local_search,
@@ -278,12 +278,13 @@ def test_exact_mis_level0_optimum_is_zero():
     assert len(result.selection) == 0
 
 
-def test_exact_mis_respects_caps():
+def test_exact_mis_respects_caps(monkeypatch):
     graph = build_conflict_graph(3)
     assert np.count_nonzero(~graph.self_conflicting()) > EXACT_MAX_CELLS
-    with pytest.raises(ExactSearchCapError, match=f"cap {EXACT_MAX_CELLS}"):
+    with pytest.raises(ResourceCapError, match=f"cap {EXACT_MAX_CELLS}"):
         exact_mis(graph)
-    limited = exact_mis(build_conflict_graph(1), node_budget=2)
+    monkeypatch.setattr(search, "EXACT_NODE_BUDGET", 2)
+    limited = exact_mis(build_conflict_graph(1))
     assert limited.optimal is False
     # even when the budget runs out the incumbent is feasible
     assert selection_graph_violations(limited.selection,
@@ -321,14 +322,12 @@ def test_negative_budgets_rejected():
     start = greedy_mis(graph, "min-degree").selection
     calls = [("iters", lambda: local_search(graph, start, iters=-1)),
              ("seed", lambda: local_search(graph, start, seed=-2)),
-             ("seed", lambda: greedy_mis(graph, "random", seed=-3)),
-             ("node_budget", lambda: exact_mis(graph, node_budget=-1))]
+             ("seed", lambda: greedy_mis(graph, "random", seed=-3))]
     for name, call in calls:
         with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
             call()
-    # zero budgets are allowed: no swap, or a search stopped at its first node
+    # a zero budget is allowed: no swap
     assert local_search(graph, start, iters=0).iterations == 0
-    assert exact_mis(graph, node_budget=0).optimal is False
 
 
 def test_ordinal_helpers_round_trip():
