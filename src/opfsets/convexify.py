@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .grid import CellSet, cell_bounds_batch, n_bands, write_json
 from .sphere import (GeodesicSegment, NORMALIZATION_TOL, PREDICATE_TOL,
@@ -36,14 +36,16 @@ FOOT_SLACK = 1e-6
 # dot-product margin by which a bounding-cap shortcut must clear its limit,
 # far above the rounding of the cap radii (~1e-8 near 0) and of any dot
 CAP_MARGIN = 1e-6
-# rows per tile of a vertex Gram matrix pass.  Tiles start at multiples of it
-# and the last one takes the remainder, so no tile has a single row (numpy
-# sends those to gemv, which rounds differently).  It is a multiple of every
-# common gemm unroll (2, 4, 8, 12, 16, 24): measured with single-threaded
-# OpenBLAS, each tile's entries are then the full product's bit for bit,
-# while unaligned tiles of 64 rows and more were not.  Multi-threaded BLAS
-# splits a product by its shape, so there a few entries may round otherwise
-# unless the column count is a multiple of 8 (as for 2^k-vertex polygons).
+# rows per tile of a vertex Gram matrix pass (contains_batch,
+# certify_opf_polygons) and of a k-d tree query of polygon_distance, which so
+# pairs no more rows at once than a Gram tile holds.  Tiles start at
+# multiples of it and the last one takes the remainder, so no tile has a
+# single row (numpy sends those to gemv, which rounds differently).  It is a
+# multiple of every common gemm unroll (2, 4, 8, 12, 16, 24): measured with
+# single-threaded OpenBLAS, each tile's entries are then the full product's
+# bit for bit, while unaligned tiles of 64 rows and more were not.
+# Multi-threaded BLAS splits a product by its shape, so there a few entries
+# may round otherwise unless the column count is a multiple of 8.
 GRAM_TILE = 192
 
 
@@ -59,32 +61,29 @@ def _gram_tiles(x: np.ndarray, y: np.ndarray):
         yield r0, x[r0:r1] @ y.T
 
 
-def _gram_col_tiles(x: np.ndarray, y: np.ndarray):
-    """(start, a column tile of x @ y.T, transposed) per tile of y's rows."""
-    for c0, c1 in _tiles(len(y)):
-        yield c0, (x @ y[c0:c1].T).T
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the last axis as (x0 y0 + x1 y1) + x2 y2, in numpy ufuncs.
+
+    Not BLAS: each value is the same double whatever the array shapes, the
+    broadcasting or the thread count, and _dot(x, y) == _dot(y, x).
+    """
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
-def _gram_maxima(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column maxima of x @ y.T, one tile at a time."""
-    rowmax, colmax = np.empty(len(x)), np.full(len(y), -np.inf)
-    for r0, g in _gram_tiles(x, y):
-        rowmax[r0:r0 + len(g)] = g.max(axis=1)
-        np.maximum(colmax, g.max(axis=0), out=colmax)
-    return rowmax, colmax
+def _angles(dots):
+    return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
-def _gram_tiles_next(x: np.ndarray, y: np.ndarray):
-    """As _gram_tiles, each tile with one more row: the next tile's first
-    (row 0 after the last), taken from that tile's own product."""
-    first = prev = None
-    for r0, g in _gram_tiles(x, y):
-        if prev is None:
-            first = g[:1]
-        else:
-            yield prev[0], np.vstack([prev[1], g[:1]])
-        prev = r0, g
-    yield prev[0], np.vstack([prev[1], first])
+def _chord(angle: float) -> float:
+    """Chord length of a geodesic distance; inf from pi on, where every pair is in reach."""
+    return 2.0 * math.sin(angle / 2.0) if angle < math.pi else math.inf
+
+
+def _pairs_within(x: np.ndarray, tree: cKDTree, radius: float):
+    """(i, j, chord) of each row x[i] and tree point j at most radius apart, by row tiles."""
+    for r0, r1 in _tiles(len(x)):
+        hits = cKDTree(x[r0:r1]).sparse_distance_matrix(tree, radius, output_type="ndarray")
+        yield hits["i"] + r0, hits["j"], hits["v"]
 
 
 def _cross2(u, v) -> float:
@@ -145,6 +144,29 @@ class ConvexPolygon:
         n = np.cross(a, b)
         norms = np.linalg.norm(n, axis=1, keepdims=True)
         return a, b, n / np.maximum(norms, NORMALIZATION_TOL)
+
+    @cached_property
+    def vertex_tree(self) -> cKDTree:
+        """k-d tree of the vertices: their chords order geodesic distances."""
+        return cKDTree(self.vertices)
+
+    @cached_property
+    def arc_tree(self) -> tuple[np.ndarray, np.ndarray, float, cKDTree]:
+        """(edge lengths, edge of each tree point, longest piece, k-d tree).
+
+        Each edge is cut into max(1, floor(len / mean len)) equal pieces, at
+        most 2 n in all, and the tree holds the midpoint of every piece: a
+        point of an edge is within half a piece of one of them.
+        """
+        a, b, n = self.edges
+        length = _arc_lengths(a, b)
+        pieces = np.divide(length, length.mean(), out=np.zeros_like(length), where=length > 0)
+        pieces = np.maximum(1.0, np.floor(pieces))
+        edge = np.repeat(np.arange(len(a)), pieces.astype(int))
+        first = np.searchsorted(edge, edge)             # where each edge's pieces start
+        t = (np.arange(len(edge)) - first + 0.5) * (length / pieces)[edge]
+        mid = np.cos(t)[:, None] * a[edge] + np.sin(t)[:, None] * np.cross(n[edge], a[edge])
+        return length, edge, float((length / pieces).max()), cKDTree(mid)
 
     @cached_property
     def bounding_cap(self) -> tuple[np.ndarray, float]:
@@ -318,8 +340,7 @@ class ConvexDecomposition:
 def _on_arcs(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Rowwise: does point x lie on the minor arc a -> b with unit normal n?"""
     tol = PREDICATE_TOL
-    return (np.einsum("ki,ki->k", np.cross(a, x), n) >= -tol) \
-        & (np.einsum("ki,ki->k", np.cross(x, b), n) >= -tol)
+    return (_dot(np.cross(a, x), n) >= -tol) & (_dot(np.cross(x, b), n) >= -tol)
 
 
 def _feet_on_arcs(points: np.ndarray, s: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -332,7 +353,7 @@ def _feet_on_arcs(points: np.ndarray, s: np.ndarray, a: np.ndarray, b: np.ndarra
 
 
 def _arc_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.arccos(np.clip(np.einsum("ei,ei->e", a, b), -1.0, 1.0))
+    return _angles(_dot(a, b))
 
 
 def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -350,106 +371,73 @@ def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     out = np.empty(len(points))
     length = _arc_lengths(a, b)
     for r0 in range(0, len(points), ARC_TILE):
-        p = points[r0:r0 + ARC_TILE]                   # (t, 3)
-        start = np.arccos(np.clip(p @ a.T, -1.0, 1.0))  # (t, e)
+        p = points[r0:r0 + ARC_TILE, None]             # (t, 1, 3)
+        start = _angles(_dot(p, a))                    # (t, e)
         near = np.minimum(start, np.roll(start, -1, axis=1))
         pmin = near.min(axis=1)
-        s = p @ n.T                                    # signed sine of circle distance
+        s = _dot(p, n)                                 # signed sine of circle distance
         circ = np.arcsin(np.minimum(1.0, np.abs(s)))
         ii, ee = np.nonzero((circ < pmin[:, None]) & (near <= circ + length + FOOT_SLACK))
-        on = _feet_on_arcs(p[ii], s[ii, ee], a[ee], b[ee], n[ee])
+        on = _feet_on_arcs(p[ii, 0], s[ii, ee], a[ee], b[ee], n[ee])
         np.minimum.at(pmin, ii[on], circ[ii[on], ee[on]])
         out[r0:r0 + ARC_TILE] = pmin
     return out
 
 
-def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, columns) of a 2-D mask's True entries, in storage order.
+def _near_min(points: np.ndarray, poly: ConvexPolygon, dmin: float) -> float:
+    """min(dmin, the distances from points to the vertices of poly and to
+    their feet on its arcs), dmin being the distance of some vertex pair.
 
-    A flat scan and a divmod take a fifth of the time of a 2-D np.nonzero,
-    which also walks a transposed mask against its storage order.
+    A vertex starts its arc's first piece, and a foot on an arc lies on one
+    of its pieces, so either is within half a piece of a piece midpoint m.
+    So the tree gives every vertex and foot below dmin: m within dmin +
+    piece/2 + FOOT_SLACK (which covers the rounding of arccos and arcsin,
+    ~1e-8, and the on-arc tolerance), and of the feet only those within
+    circ + piece/2 + 2 FOOT_SLACK of m go on to _points_arcs_min's tests
+    and values.  A foot counts below the running minimum, not below its
+    point's nearest vertex: the feet this adds or drops lie at or above a
+    value the exhaustive scan also reaches.
     """
-    if mask.flags.f_contiguous and not mask.flags.c_contiguous:
-        cols, rows = np.divmod(np.flatnonzero(mask.T), mask.shape[0])
-        return rows, cols
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
-
-
-def _foot_min(points: np.ndarray, arcs, gram, rowmax: np.ndarray, dmin: float) -> float:
-    """min(dmin, the least point-to-arc foot distance below it).
-
-    gram yields (start, rows of points @ a.T) tile by tile: the start dots
-    of the arcs, their column roll the end dots; rowmax is each point's
-    largest dot.  A foot on an arc lies within len/2 of one of its
-    endpoints, so only pairs with an endpoint dot >= cos(dmin + len/2 +
-    FOOT_SLACK) can go below dmin.  Each such dot clears the lowest of these
-    limits, so one scan per tile finds them all, each as the start of arc k
-    or the end of arc k - 1.  On those pairs, the tests and values are
-    _points_arcs_min's.  The signed sines s are read from a gemm tile of
-    points @ n.T, as the full product gives them, and only in tiles where
-    rowwise dots, within ~1e-15 of those (so their arcsin within ~5e-8),
-    leave some pair inside the tests widened by FOOT_SLACK.
-    """
-    a, b, n = arcs
-    length = _arc_lengths(a, b)
-    limit = np.cos(np.minimum(math.pi, dmin + length / 2.0 + FOOT_SLACK))
-    lowest = limit.min()
-    closest = np.arccos(np.clip(rowmax, -1.0, 1.0))
+    a, b, n = poly.edges
+    length, edge, piece, tree = poly.arc_tree
     best = dmin
-    for r0, g in gram:
-        ii, kk = _nonzero(g >= lowest)
-        dots = g[ii, kk]
-        prev = (kk - 1) % len(a)
-        start = dots >= limit[kk]
-        # an arc whose start dot passed is already listed by that start
-        end = (dots >= limit[prev]) & ~(g[ii, prev] >= limit[prev])
-        ii = np.concatenate([ii[start], ii[end]])
-        ee = np.concatenate([kk[start], prev[end]])
-        if len(ii) == 0:
-            continue
-        p = points[r0:r0 + len(g)]
-        pmin = closest[r0 + ii]
-        near = np.arccos(np.clip(np.maximum(g[ii, ee], g[ii, (ee + 1) % len(a)]), -1.0, 1.0))
-        rough = np.arcsin(np.minimum(1.0, np.abs(np.einsum("ki,ki->k", p[ii], n[ee]))))
-        maybe = np.flatnonzero((rough < pmin + FOOT_SLACK)
-                               & (near <= rough + length[ee] + 2.0 * FOOT_SLACK))
-        if len(maybe) == 0:
-            continue
-        ii, ee, pmin, near = ii[maybe], ee[maybe], pmin[maybe], near[maybe]
-        s = (p @ n.T)[ii, ee]
+    for i, e, chord in _pairs_within(points, tree, _chord(dmin + piece / 2.0 + FOOT_SLACK)):
+        # take gathers rows ~3x faster than fancy indexing
+        p, e = points.take(i, axis=0), edge.take(e)
+        best = min(best, float(_angles(_dot(p, a.take(e, axis=0)).max(initial=-1.0))))
+        s = _dot(p, n.take(e, axis=0))
         circ = np.arcsin(np.minimum(1.0, np.abs(s)))
-        keep = np.flatnonzero((circ < pmin) & (near <= circ + length[ee] + FOOT_SLACK))
-        ii, ee, s, circ = ii[keep], ee[keep], s[keep], circ[keep]
-        on = _feet_on_arcs(p[ii], s, a[ee], b[ee], n[ee])
-        best = min(best, float(circ[on].min(initial=math.inf)))
+        foot = np.flatnonzero((circ < best) & (2.0 * np.arcsin(np.minimum(1.0, chord / 2.0))
+                                               <= circ + piece / 2.0 + 2.0 * FOOT_SLACK))
+        if len(foot) == 0:
+            continue
+        p, e, s, circ = p[foot], e[foot], s[foot], circ[foot]
+        near = _angles(np.maximum(_dot(p, a[e]), _dot(p, b[e])))
+        hit = (near <= circ + length[e] + FOOT_SLACK) & _feet_on_arcs(p, s, a[e], b[e], n[e])
+        best = min(best, float(circ[hit].min(initial=math.inf)))
     return best
 
 
-def _arcs_cross(arcs1, arcs2) -> bool:
-    """Does some arc of arcs1 meet some arc of arcs2?
+def _arcs_cross(p1: ConvexPolygon, p2: ConvexPolygon) -> bool:
+    """Does some arc of p1 meet some arc of p2?
 
     Two minor arcs that do not cross are nearest at an endpoint of one of
     them, which the point-to-arc pass already covers, so a crossing is the
-    only arc-arc event that can lower the minimum distance.  Crossing arcs
-    have an endpoint pair no farther apart than the sum of their lengths,
-    which prunes almost every pair of short arcs before the vector work; the
-    four endpoint dots of an arc pair are a tile of g = a1 @ a2.T, its next
-    row and their column rolls.
+    only arc-arc event that can lower the minimum distance.  A crossing
+    point lies within half a piece of a piece midpoint of each arc, so the
+    trees give every crossing pair from the midpoints within (piece1 +
+    piece2) / 2; on those the endpoint prune and the crossing test are the
+    exhaustive scan's.
     """
-    a1, b1, n1 = arcs1
-    a2, b2, n2 = arcs2
-    l1 = _arc_lengths(a1, b1)
-    l2 = _arc_lengths(a2, b2)
-    limit = math.cos(min(math.pi, l1.max() + l2.max() + PREDICATE_TOL + FOOT_SLACK))
-    for r0, g in _gram_tiles_next(a1, a2):
-        near = g >= limit
-        near = near[:-1] | near[1:]               # then (i, j) stands for all four
-        near |= np.roll(near, -1, axis=1)         # endpoint pairs of arcs i and j
-        ii, jj = _nonzero(near)
-        j1 = (jj + 1) % len(a2)
-        maxend = np.maximum.reduce([g[ii, jj], g[ii, j1], g[ii + 1, jj], g[ii + 1, j1]])
-        ii = ii + r0
-        keep = np.arccos(np.clip(maxend, -1.0, 1.0)) <= l1[ii] + l2[jj] + PREDICATE_TOL
+    a1, b1, n1 = p1.edges
+    a2, b2, n2 = p2.edges
+    (l1, edge1, piece1, tree1), (l2, edge2, piece2, tree2) = p1.arc_tree, p2.arc_tree
+    reach = _chord((piece1 + piece2) / 2.0 + PREDICATE_TOL + FOOT_SLACK)
+    for ii, jj, _ in _pairs_within(tree1.data, tree2, reach):
+        ii, jj = edge1.take(ii), edge2.take(jj)
+        maxend = np.maximum.reduce([_dot(x.take(ii, axis=0), y.take(jj, axis=0))
+                                    for x in (a1, b1) for y in (a2, b2)])
+        keep = _angles(maxend) <= l1[ii] + l2[jj] + PREDICATE_TOL
         ii, jj = ii[keep], jj[keep]
         if len(ii) == 0:
             continue
@@ -478,22 +466,26 @@ def polygon_distance(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
     """Min geodesic distance between closures; 0 iff they intersect.
 
     Candidates: vertex-vertex pairs, vertex-arc feet, a vertex inside the
-    other polygon, and arc crossings.  All endpoint dots come from the
-    vertex Gram matrix g = V1 V2^T and its rolls (arc k runs from vertex k
-    to k + 1), walked in row tiles of V1 and of V2 (column tiles of g), so
-    no n1 x n2 array is built; the containment and crossing tests run only
-    when the bounding caps, widened by each polygon's reach, meet.
+    other polygon, and arc crossings.  The pairs come from k-d trees
+    (Bentley 1975): each vertex's nearest-chord vertex gives a first
+    distance, and radius queries about the arc pieces, in row tiles, give
+    the rest, so no n1 x n2 array is built; _near_min and _arcs_cross say
+    why no pair a radius drops can pass their exact tests.
+    Every dot is _dot's, so the result is the minimum over the values an
+    exhaustive scan takes, whatever the BLAS thread count.  The containment
+    and crossing tests run only when the bounding caps, widened by each
+    polygon's reach, meet.
     """
     apart = _caps_apart(p1, p2)
     if not apart and any(other.contains_batch(poly.vertices).any()
                          for poly, other in ((p1, p2), (p2, p1))):
         return 0.0
     v1, v2 = p1.vertices, p2.vertices
-    rowmax, colmax = _gram_maxima(v1, v2)
-    dmin = float(np.arccos(np.clip(rowmax.max(), -1.0, 1.0)))
-    dmin = _foot_min(v1, p2.edges, _gram_tiles(v1, v2), rowmax, dmin)
-    dmin = _foot_min(v2, p1.edges, _gram_col_tiles(v1, v2), colmax, dmin)
-    if dmin > 0.0 and not apart and _arcs_cross(p1.edges, p2.edges):
+    _, nearest = p2.vertex_tree.query(v1)
+    dmin = float(_angles(_dot(v1, v2[nearest]).max()))
+    dmin = _near_min(v1, p2, dmin)
+    dmin = _near_min(v2, p1, dmin)
+    if dmin > 0.0 and not apart and _arcs_cross(p1, p2):
         return 0.0
     return dmin
 

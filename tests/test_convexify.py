@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +26,16 @@ from opfsets.sphere import PREDICATE_TOL, from_polar, unit_vector
 def ring_polygon(axis: np.ndarray, alpha: float, n: int = 4,
                  offset: float = 0.0) -> ConvexPolygon:
     """Regular n-gon inscribed in the circle of angular radius alpha about axis."""
+    return circle_polygon(axis, alpha, offset + 2.0 * math.pi * np.arange(n) / n)
+
+
+def circle_polygon(axis: np.ndarray, alpha: float, angles: np.ndarray) -> ConvexPolygon:
+    """Polygon of the points at increasing angles on the circle of radius alpha about axis."""
     axis = axis / np.linalg.norm(axis)
     # build about +z then rotate z onto the axis
-    angles = offset + 2.0 * math.pi * np.arange(n) / n
     local = np.stack([math.sin(alpha) * np.cos(angles),
                       math.sin(alpha) * np.sin(angles),
-                      np.full(n, math.cos(alpha))], axis=1)
+                      np.full(len(angles), math.cos(alpha))], axis=1)
     z = np.array([0.0, 0.0, 1.0])
     v = np.cross(z, axis)
     s = np.linalg.norm(v)
@@ -302,17 +310,29 @@ def test_polygon_json_and_samples():
 
 
 # --- dense references: polygon_distance, its point-to-arc pass and crossing
-# test before the Gram matrix and the bounding caps, kept to pin the new code
+# test before the k-d trees and the bounding caps, kept to pin the new code.
+# Every dot is dot3's row-wise formula, the one polygon_distance evaluates on
+# its candidate pairs, so the two take the minimum over the same doubles.
+
+def dot3(x, y):
+    """x . y over the last axis as (x0 y0 + x1 y1) + x2 y2, broadcasting; not BLAS."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def dense_dots(x, y):
+    """Every x[i] . y[j], an (n1, n2) table of dot3 values."""
+    return dot3(x[:, None], y[None])
+
 
 def dense_points_arcs_min(points, a, b, n, tile=512):
     out = np.empty(len(points))
-    length = np.arccos(np.clip(np.einsum("ei,ei->e", a, b), -1.0, 1.0))
+    length = np.arccos(np.clip(dot3(a, b), -1.0, 1.0))
     for r0 in range(0, len(points), tile):
         p = points[r0:r0 + tile]
-        near = np.minimum(np.arccos(np.clip(p @ a.T, -1.0, 1.0)),
-                          np.arccos(np.clip(p @ b.T, -1.0, 1.0)))
+        near = np.minimum(np.arccos(np.clip(dense_dots(p, a), -1.0, 1.0)),
+                          np.arccos(np.clip(dense_dots(p, b), -1.0, 1.0)))
         pmin = near.min(axis=1)
-        s = p @ n.T
+        s = dense_dots(p, n)
         circ = np.arcsin(np.minimum(1.0, np.abs(s)))
         ii, ee = np.nonzero((circ < pmin[:, None])
                             & (near <= circ + length + convexify.FOOT_SLACK))
@@ -329,9 +349,9 @@ def dense_points_arcs_min(points, a, b, n, tile=512):
 def dense_arcs_cross(arcs1, arcs2):
     a1, b1, n1 = arcs1
     a2, b2, n2 = arcs2
-    l1 = np.arccos(np.clip(np.einsum("ei,ei->e", a1, b1), -1.0, 1.0))
-    l2 = np.arccos(np.clip(np.einsum("ei,ei->e", a2, b2), -1.0, 1.0))
-    minend = np.arccos(np.clip(np.maximum.reduce([x @ y.T for x in (a1, b1)
+    l1 = np.arccos(np.clip(dot3(a1, b1), -1.0, 1.0))
+    l2 = np.arccos(np.clip(dot3(a2, b2), -1.0, 1.0))
+    minend = np.arccos(np.clip(np.maximum.reduce([dense_dots(x, y) for x in (a1, b1)
                                                   for y in (a2, b2)]), -1.0, 1.0))
     ii, jj = np.nonzero(minend <= l1[:, None] + l2[None, :] + PREDICATE_TOL)
     if len(ii) == 0:
@@ -354,7 +374,7 @@ def dense_edge_arrays(poly):
 
 
 def dense_polygon_distance(p1, p2):
-    dmin = float(np.arccos(np.clip(p1.vertices @ p2.vertices.T, -1.0, 1.0).max()))
+    dmin = float(np.arccos(np.clip(dense_dots(p1.vertices, p2.vertices), -1.0, 1.0).max()))
     e1 = dense_edge_arrays(p1)
     e2 = dense_edge_arrays(p2)
     for poly, other, arcs in ((p1, p2, e2), (p2, p1, e1)):
@@ -421,6 +441,130 @@ def test_polygon_distance_bit_identical_to_dense():
     assert {("touch", True), ("touch", False), ("crossing", True), ("nested", True),
             ("far", False)} <= seen
     assert 200 <= zeros and 300 <= apart <= 2100 - 300
+
+
+def _rotated(v, axis, angle):
+    """v turned by angle about the unit axis (counterclockwise seen from outside)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return v * c + np.cross(axis, v) * s + (v @ axis) * (1.0 - c) * axis
+
+
+def _reach_cases(seed, count):
+    """Seeded pairs at the ends of the chord radii: nearly antipodal small
+    rings (within 1e-3 of pi apart, some within FOOT_SLACK, where the radius
+    is infinite), a vertex within 1e-9 of the containment tolerance of an
+    edge midpoint, a vertex 1e-9 to 1e-6 past a vertex (arccos rounds by
+    ~1e-8 there), and a ring just outside the one long arc of a polygon
+    whose other arcs are short."""
+    rng = np.random.default_rng(seed)
+    kinds = ("antipodal", "graze", "corner", "long-arc")
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        c1 = _random_axis(rng)
+        n1, n2 = (int(x) for x in rng.integers(3, 41, size=2))
+        o1, o2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        if kind == "antipodal":
+            # half of them so small that d + FOOT_SLACK passes pi
+            r1, r2, g = 10.0 ** rng.uniform(-9.0, (-3.5, -6.5)[k // len(kinds) % 2], size=3)
+            yield kind, ring_polygon(c1, r1, n1, o1), \
+                ring_polygon(_axis_at(rng, c1, math.pi - g), r2, n2, o2)
+            continue
+        if kind == "long-arc":
+            # the closing arc spans an azimuth gap of 1-2.5 rad, the rest are short
+            r1, gap = rng.uniform(0.3, 1.0), rng.uniform(1.0, 2.5)
+            turn = np.sort(rng.uniform(0.0, 2.0 * math.pi - gap, size=int(rng.integers(20, 200))))
+            p1 = circle_polygon(c1, r1, np.concatenate([[0.0], turn, [2.0 * math.pi - gap]]))
+            a, b, n = (x[-1] for x in p1.edges)
+            mid = (a + b) / np.linalg.norm(a + b)
+            r2, past = rng.uniform(0.01, 0.3), rng.uniform(1e-4, 0.3)
+            c2 = math.cos(past + r2) * mid - math.sin(past + r2) * n
+            yield kind, p1, ring_polygon(c2, r2, n2, o2)
+            continue
+        r1, r2 = rng.uniform(0.02, 1.0, size=2)
+        p1 = ring_polygon(c1, r1, n1, o1)
+        a, b = p1.vertices[0], p1.vertices[1]
+        if kind == "graze":
+            # the vertex sits on the perpendicular through the edge midpoint,
+            # where contains_batch's tolerance ends, give or take 1e-9
+            foot = (a + b) / np.linalg.norm(a + b)
+            edge_cross = np.linalg.norm(np.cross(a, b))
+            past = PREDICATE_TOL / edge_cross + rng.uniform(-1e-9, 1e-9)
+        else:
+            foot, past = a, 10.0 ** rng.uniform(-9.0, -6.0)
+        # w is past beyond foot on the circle from c1, and p2's vertex
+        # nearest p1: its centre is r2 farther along
+        out = (foot @ c1) * foot - c1
+        out /= np.linalg.norm(out)
+        w = math.cos(past) * foot + math.sin(past) * out
+        c2 = math.cos(past + r2) * foot + math.sin(past + r2) * out
+        verts = np.stack([_rotated(w, c2, 2.0 * math.pi * j / n2) for j in range(n2)])
+        yield kind, p1, ConvexPolygon(verts, c2)
+
+
+def test_polygon_distance_at_the_chord_radius_ends():
+    seen = set()
+    for kind, p1, p2 in _reach_cases(seed=7, count=400):
+        got = polygon_distance(p1, p2)
+        assert got == dense_polygon_distance(p1, p2) == polygon_distance(p2, p1), kind
+        vertex_min = float(np.arccos(np.clip(dense_dots(p1.vertices, p2.vertices),
+                                             -1.0, 1.0).max()))
+        seen.add((kind, got == 0.0, got < vertex_min,
+                  math.isinf(convexify._chord(got + convexify.FOOT_SLACK))))
+    # a finite and an infinite radius near pi, both sides of the containment
+    # tolerance, and feet on the long arc nearer than any vertex
+    assert {("antipodal", False, False, False), ("antipodal", False, False, True),
+            ("graze", True, True, False), ("graze", False, True, False),
+            ("corner", True, False, False), ("corner", False, False, False),
+            ("long-arc", False, True, False)} <= seen
+
+
+THREADS_SCRIPT = """
+import sys
+import numpy as np
+from opfsets.convexify import ConvexPolygon, polygon_distance
+pairs = np.load(sys.argv[1])
+for k in range(len(pairs.files) // 4):
+    p1 = ConvexPolygon(pairs[f"v1_{k}"], pairs[f"c1_{k}"])
+    p2 = ConvexPolygon(pairs[f"v2_{k}"], pairs[f"c2_{k}"])
+    print(polygon_distance(p1, p2).hex())
+"""
+
+
+def _nearest_last_but_two(poly, towards):
+    """poly with its vertices turned so the one nearest towards is third from last."""
+    k = len(poly) - 3 - int(np.argmax(poly.vertices @ towards))
+    return ConvexPolygon(np.roll(poly.vertices, k, axis=0), poly.hemisphere_center)
+
+
+def test_polygon_distance_bits_do_not_depend_on_blas_threads(tmp_path):
+    # vertex counts off a multiple of 8, up to ~2 400, and the nearest
+    # vertices in the last columns of a product, the gemm kernels' remainder:
+    # there the products of the earlier code rounded some entries otherwise
+    # with 2 OpenBLAS threads than with 1, and 2 of these distances moved
+    rng = np.random.default_rng(88)
+    arrays, expected = {}, []
+    for k in range(120):
+        n1, n2 = (int(x) for x in 8 * rng.integers(1, 300, size=2) + rng.integers(1, 8, size=2))
+        r1, r2 = rng.uniform(0.05, 0.6, size=2)
+        c1 = _random_axis(rng)
+        gap = (r1 + r2 + rng.uniform(1e-6, 1.0),
+               r1 * math.cos(math.pi / n1) + r2 + rng.uniform(-1e-3, 1e-3))[k % 2]
+        p1 = ring_polygon(c1, r1, n1, rng.uniform(0, 1))
+        p2 = ring_polygon(_axis_at(rng, c1, gap), r2, n2, rng.uniform(0, 1))
+        p1 = _nearest_last_but_two(p1, p2.hemisphere_center)
+        p2 = _nearest_last_but_two(p2, c1)
+        arrays.update({f"v1_{k}": p1.vertices, f"c1_{k}": p1.hemisphere_center,
+                       f"v2_{k}": p2.vertices, f"c2_{k}": p2.hemisphere_center})
+        expected.append(polygon_distance(p1, p2).hex())
+    np.savez(tmp_path / "pairs.npz", **arrays)
+    src = str(Path(convexify.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", THREADS_SCRIPT, str(tmp_path / "pairs.npz")],
+                             env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.split() == expected, threads
+    assert sum(float.fromhex(d) > 0.0 for d in expected) >= 60
 
 
 def test_double_cap_distance_bit_identical_to_dense():
@@ -613,6 +757,21 @@ def test_conv_double_cap_level7_pinned_in_bounded_memory():
         "95616971307276f5ef42f0e258efbbbacb120d7d8ff3025936577590de79f082"
 
 
+def test_conv_double_cap_level8_pinned_in_bounded_memory():
+    # two 16 384-vertex polygons; pinned, at a 184 MB traced peak, when
+    # polygon_distance still walked the vertex Gram matrix in row tiles
+    selection = double_cap_cellset(8)
+    tracemalloc.start()
+    try:
+        result = conv(selection)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 2**20
+    assert _conv_sha256(result) == \
+        "21bdfafc354fed78ea5a6b92e4fd7eab52630de303eeb6aaf0b57a37b5c1691f"
+
+
 def old_polygon_json(poly) -> dict:
     """ConvexPolygon.to_json as it was, through a 17-digit round trip."""
     return {"vertices": [[float(f"{x:.17g}") for x in v] for v in poly.vertices],
@@ -665,16 +824,11 @@ def test_gram_tiles_cover_the_product(n):
     y = rng.integers(-9, 10, size=(37, 3)).astype(float)
     full = x @ y.T
     assert np.array_equal(np.vstack([g for _, g in convexify._gram_tiles(x, y)]), full)
-    starts = []
-    for r0, g in convexify._gram_tiles_next(x, y):
-        starts.append(r0)
-        assert np.array_equal(g, full[np.arange(r0, r0 + len(g)) % n])
-    assert starts == [r0 for r0, _ in tiles]
 
 
 def test_multi_tile_distances_match_dense():
-    # 2^k-vertex rings (so the full product rounds every entry alike) of
-    # several Gram tiles, placed far, all but touching, overlapping and crossing
+    # rings of 256-1024 vertices, several row tiles of the tree queries,
+    # placed far, all but touching, overlapping and crossing
     rng = np.random.default_rng(31)
     kinds = set()
     for k in range(12):
