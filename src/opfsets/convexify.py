@@ -38,7 +38,8 @@ FOOT_SLACK = 1e-6
 CAP_MARGIN = 1e-6
 # rows per tile of a vertex Gram matrix pass (contains_batch,
 # certify_opf_polygons) and of a k-d tree query of polygon_distance, which so
-# pairs no more rows at once than a Gram tile holds.  Tiles start at
+# pairs no more rows at once than a Gram tile holds, and cells per tile of
+# convex_hull's samples (~300 kB at 32 samples an arc).  Tiles start at
 # multiples of it and the last one takes the remainder, so no tile has a
 # single row (numpy sends those to gemv, which rounds differently).  It is a
 # multiple of every common gemm unroll (2, 4, 8, 12, 16, 24): measured with
@@ -211,16 +212,19 @@ class ConvexPolygon:
         }
 
 
+def _unit_sum(total: np.ndarray) -> np.ndarray:
+    """The hemisphere centre of points that sum to total."""
+    norm = np.linalg.norm(total)
+    if norm < NORMALIZATION_TOL:
+        raise HullInfeasibleError("points do not determine a hemisphere")
+    return total / norm
+
+
 def convex_polygon_from_points(points: np.ndarray,
                                center: np.ndarray | None = None) -> ConvexPolygon:
     """Spherical convex hull of points via gnomonic projection about their centroid."""
     pts = np.asarray(points, dtype=float)
-    if center is None:
-        c = pts.sum(axis=0)
-        norm = np.linalg.norm(c)
-        if norm < NORMALIZATION_TOL:
-            raise HullInfeasibleError("points do not determine a hemisphere")
-        center = c / norm
+    center = _unit_sum(pts.sum(axis=0)) if center is None else center
     dots = pts @ center
     if np.any(dots <= math.sin(HEMISPHERE_MARGIN)):
         raise HullInfeasibleError(
@@ -236,15 +240,25 @@ def convex_polygon_from_points(points: np.ndarray,
     return ConvexPolygon(verts, center)
 
 
-def _component_boundary_points(component: CellSet, arc_samples: int) -> np.ndarray:
-    """Cell corners plus sampled latitude arcs (small circles need sampling).
+def _component_boundary_points(component: CellSet, arc_samples: int):
+    """Cell corners plus sampled latitude arcs (small circles need sampling),
+    as (points, hull) per tile of GRAM_TILE cells.
 
     Per cell in member order: its top then its bottom latitude arc, as
     arc_samples + 1 points from phi_lo to phi_hi, or one point at a pole.
     Sines and cosines come from math on each distinct angle and multiply as
     in from_polar, so every point is from_polar's bit for bit.
+
+    hull is False strictly inside an arc that the cell shares with the
+    member above or below it: such a sample lies inside the meridian segment
+    (< pi) between the top and bottom samples of its sector's run of
+    members, which are kept, so it is no hull vertex.  Corners stay: qhull
+    starts its vertex list elsewhere on some components without them.
     """
     cells = component.array()
+    member = np.zeros((n_bands(component.level) + 2,) * 2, dtype=bool)  # band b at row b + 1
+    member[cells[:, 0] + 1, cells[:, 1]] = True
+    shared = np.stack([member[cells[:, 0] + d, cells[:, 1]] for d in (0, 2)], axis=1)
     bands, band_of = np.unique(cells[:, 0], return_inverse=True)
     sectors, sector_of = np.unique(cells[:, 1], return_inverse=True)
     (cos_lo, cos_hi), _ = cell_bounds_batch(component.level, bands, 0)
@@ -257,13 +271,17 @@ def _component_boundary_points(component: CellSet, arc_samples: int) -> np.ndarr
     def mapped(fn, x):
         return np.array([[fn(v) for v in row] for row in np.asarray(x).tolist()])
 
-    st = mapped(math.sin, theta)[band_of][:, :, None]
-    pts = np.empty((len(cells), 2, len(j), 3))
-    pts[..., 0] = st * mapped(math.cos, phis)[sector_of][:, None, :]
-    pts[..., 1] = st * mapped(math.sin, phis)[sector_of][:, None, :]
-    pts[..., 2] = mapped(math.cos, theta)[band_of][:, :, None]
-    pole = np.isin(theta, (0.0, math.pi))[band_of][:, :, None]
-    return pts[~pole | (j == 0)]
+    st, ct = mapped(math.sin, theta)[:, :, None], mapped(math.cos, theta)[:, :, None]
+    cp, sp = mapped(math.cos, phis)[:, None, :], mapped(math.sin, phis)[:, None, :]
+    pole = np.isin(theta, (0.0, math.pi))[:, :, None]
+    for r0, r1 in _tiles(len(cells)):
+        b, s = band_of[r0:r1], sector_of[r0:r1]
+        pts = np.empty((r1 - r0, 2, len(j), 3))
+        pts[..., 0] = st[b] * cp[s]
+        pts[..., 1] = st[b] * sp[s]
+        pts[..., 2] = ct[b]
+        keep = ~pole[b] | (j == 0)
+        yield pts[keep], ~(shared[r0:r1, :, None] & (j > 0) & (j < arc_samples))[keep]
 
 
 def connected_components(selection: CellSet) -> list[CellSet]:
@@ -304,12 +322,18 @@ def convex_hull(component: CellSet, arc_samples: int = 32) -> ConvexPolygon:
     """Hull of a component, its latitude arcs sampled at arc_samples points.
 
     Hulls are inner approximations that converge as arc_samples grows.
+    qhull gets the samples _component_boundary_points marks; the centre sums
+    them all, left to right tile by tile as pts.sum(axis=0) adds rows.
     """
     if len(component) == 0:
         raise ValueError("cannot hull an empty component")
     if arc_samples < 1:
         raise ValueError(f"arc_samples must be at least 1, got {arc_samples}")
-    return convex_polygon_from_points(_component_boundary_points(component, arc_samples))
+    total, kept = np.empty((0, 3)), []
+    for pts, hull in _component_boundary_points(component, arc_samples):
+        total = np.concatenate([total, pts]).sum(axis=0, keepdims=True)
+        kept.append(pts[hull])
+    return convex_polygon_from_points(np.concatenate(kept), _unit_sum(total[0]))
 
 
 @dataclass(frozen=True)
@@ -384,27 +408,25 @@ def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _near_min(points: np.ndarray, poly: ConvexPolygon, dmin: float) -> float:
-    """min(dmin, the distances from points to the vertices of poly and to
-    their feet on its arcs), dmin being the distance of some vertex pair.
+def _near_min(points: np.ndarray, poly: ConvexPolygon, best: float) -> float:
+    """min(best, the distances from points to their feet on the arcs of
+    poly), best being at most the distance of every vertex pair.
 
-    A vertex starts its arc's first piece, and a foot on an arc lies on one
-    of its pieces, so either is within half a piece of a piece midpoint m.
-    So the tree gives every vertex and foot below dmin: m within dmin +
-    piece/2 + FOOT_SLACK (which covers the rounding of arccos and arcsin,
-    ~1e-8, and the on-arc tolerance), and of the feet only those within
-    circ + piece/2 + 2 FOOT_SLACK of m go on to _points_arcs_min's tests
-    and values.  A foot counts below the running minimum, not below its
-    point's nearest vertex: the feet this adds or drops lie at or above a
-    value the exhaustive scan also reaches.
+    A foot f counts below best at circle distance circ = asin |s| <= pi/2,
+    within t <= piece/2 of its piece's midpoint m, so by the right-triangle
+    law cos d(p, m) = cos(circ) cos(t) >= cos(min(best, pi/2)) cos(piece/2).
+    The arc tree gives the midpoints within that arccos, both angles padded
+    by FOOT_SLACK (arccos and arcsin round by ~1e-8; the on-arc tolerance),
+    and only feet within circ + piece/2 + 2 FOOT_SLACK of m go on to
+    _points_arcs_min's tests and values.  A foot counts below the running
+    minimum, not below its point's nearest vertex: the feet this adds or
+    drops lie at or above a value the exhaustive scan also reaches.
     """
     a, b, n = poly.edges
     length, edge, piece, tree = poly.arc_tree
-    best = dmin
-    for i, e, chord in _pairs_within(points, tree, _chord(dmin + piece / 2.0 + FOOT_SLACK)):
-        # take gathers rows ~3x faster than fancy indexing
+    reach = math.acos(math.cos(min(best, math.pi / 2.0)) * math.cos(piece / 2.0 + FOOT_SLACK))
+    for i, e, chord in _pairs_within(points, tree, _chord(reach + FOOT_SLACK)):
         p, e = points.take(i, axis=0), edge.take(e)
-        best = min(best, float(_angles(_dot(p, a.take(e, axis=0)).max(initial=-1.0))))
         s = _dot(p, n.take(e, axis=0))
         circ = np.arcsin(np.minimum(1.0, np.abs(s)))
         foot = np.flatnonzero((circ < best) & (2.0 * np.arcsin(np.minimum(1.0, chord / 2.0))
@@ -468,9 +490,10 @@ def polygon_distance(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
     Candidates: vertex-vertex pairs, vertex-arc feet, a vertex inside the
     other polygon, and arc crossings.  The pairs come from k-d trees
     (Bentley 1975): each vertex's nearest-chord vertex gives a first
-    distance, and radius queries about the arc pieces, in row tiles, give
-    the rest, so no n1 x n2 array is built; _near_min and _arcs_cross say
-    why no pair a radius drops can pass their exact tests.
+    distance, the pairs within it + FOOT_SLACK the vertex minimum, and radius
+    queries about the arc pieces the rest, all in row tiles, so no n1 x n2
+    array is built; _near_min and _arcs_cross say why no pair a radius
+    drops can pass their exact tests.
     Every dot is _dot's, so the result is the minimum over the values an
     exhaustive scan takes, whatever the BLAS thread count.  The containment
     and crossing tests run only when the bounding caps, widened by each
@@ -483,8 +506,14 @@ def polygon_distance(p1: ConvexPolygon, p2: ConvexPolygon) -> float:
     v1, v2 = p1.vertices, p2.vertices
     _, nearest = p2.vertex_tree.query(v1)
     dmin = float(_angles(_dot(v1, v2[nearest]).max()))
-    dmin = _near_min(v1, p2, dmin)
-    dmin = _near_min(v2, p1, dmin)
+    for i, k, _ in _pairs_within(v1, p2.vertex_tree, _chord(dmin + FOOT_SLACK)):
+        # take gathers rows ~3x faster than fancy indexing
+        dots = _dot(v1.take(i, axis=0), v2.take(k, axis=0))
+        dmin = min(dmin, float(_angles(dots.max(initial=-1.0))))
+    # past pi/2 no foot is nearer: at its arc's nearer end, cos d = cos(circ) cos(t) >= 0
+    if dmin <= math.pi / 2.0 + FOOT_SLACK:
+        dmin = _near_min(v1, p2, dmin)
+        dmin = _near_min(v2, p1, dmin)
     if dmin > 0.0 and not apart and _arcs_cross(p1, p2):
         return 0.0
     return dmin

@@ -449,15 +449,29 @@ def _rotated(v, axis, angle):
     return v * c + np.cross(axis, v) * s + (v @ axis) * (1.0 - c) * axis
 
 
+def _counterclockwise(verts):
+    """A triangle's vertices, counterclockwise seen from outside, with their centre."""
+    if np.linalg.det(verts) < 0.0:
+        verts = verts[::-1]
+    return ConvexPolygon(verts, verts.sum(axis=0) / np.linalg.norm(verts.sum(axis=0)))
+
+
 def _reach_cases(seed, count):
     """Seeded pairs at the ends of the chord radii: nearly antipodal small
     rings (within 1e-3 of pi apart, some within FOOT_SLACK, where the radius
     is infinite), a vertex within 1e-9 of the containment tolerance of an
     edge midpoint, a vertex 1e-9 to 1e-6 past a vertex (arccos rounds by
     ~1e-8 there), and a ring just outside the one long arc of a polygon
-    whose other arcs are short."""
+    whose other arcs are short.  At the ends of the foot radius: a vertex
+    whose foot on the long arc is half a piece from the nearest midpoint,
+    at 1e-9 to 1e-6 under the nearest vertex pair ("half-piece"); a vertex
+    on the perpendicular through an edge midpoint, within 0.03 of pi/2 on
+    either side, so the vertex minimum is on either side of pi/2
+    ("right-angle"); and a polygon with two vertices 1e-9 to 1e-6 apart in
+    their distance from the other's nearest vertex ("vertex-pair")."""
     rng = np.random.default_rng(seed)
-    kinds = ("antipodal", "graze", "corner", "long-arc")
+    kinds = ("antipodal", "graze", "corner", "long-arc", "half-piece", "right-angle",
+             "vertex-pair")
     for k in range(count):
         kind = kinds[k % len(kinds)]
         c1 = _random_axis(rng)
@@ -480,6 +494,29 @@ def _reach_cases(seed, count):
             c2 = math.cos(past + r2) * mid - math.sin(past + r2) * n
             yield kind, p1, ring_polygon(c2, r2, n2, o2)
             continue
+        if kind == "half-piece":
+            # the closing arc a -> b spans 1-2.5 rad of azimuth and the others
+            # are equal and short, so its pieces are the longest.  w is circ
+            # out from a piece boundary, u circ + eps out from b, x farther
+            # out: every point of the triangle is at least circ from the
+            # arc's circle, so the foot of w is nearest and (u, b) is the
+            # nearest vertex pair
+            r1, gap = rng.uniform(0.3, 1.0), rng.uniform(1.0, 2.5)
+            turn = np.linspace(0.0, 2.0 * math.pi - gap, int(rng.integers(20, 200)))
+            p1 = circle_polygon(c1, r1, turn)
+            a, b, n = (x[-1] for x in p1.edges)
+            length, edge, piece, _ = p1.arc_tree
+            pieces = int(np.count_nonzero(edge == len(p1) - 1))
+            assert float(length[-1]) / pieces == piece
+            t = piece * int(rng.integers(1, pieces))
+            foot = math.cos(t) * a + math.sin(t) * np.cross(n, a)
+            circ, eps = rng.uniform(0.02, 1.2), 10.0 ** rng.uniform(-9.0, -6.0)
+            far = (foot + b) / np.linalg.norm(foot + b)
+            verts = np.stack([math.cos(circ) * foot - math.sin(circ) * n,
+                              math.cos(circ + eps) * b - math.sin(circ + eps) * n,
+                              math.cos(circ + 0.3) * far - math.sin(circ + 0.3) * n])
+            yield kind, p1, _counterclockwise(verts)
+            continue
         r1, r2 = rng.uniform(0.02, 1.0, size=2)
         p1 = ring_polygon(c1, r1, n1, o1)
         a, b = p1.vertices[0], p1.vertices[1]
@@ -489,6 +526,19 @@ def _reach_cases(seed, count):
             foot = (a + b) / np.linalg.norm(a + b)
             edge_cross = np.linalg.norm(np.cross(a, b))
             past = PREDICATE_TOL / edge_cross + rng.uniform(-1e-9, 1e-9)
+        elif kind == "right-angle":
+            foot = (a + b) / np.linalg.norm(a + b)
+            past = math.pi / 2.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -1.5)
+        elif kind == "vertex-pair":
+            # p2's vertex w is past out from a, and a second vertex of p1, at
+            # azimuth phi from a, is past + delta from w:
+            # cos d(w, a') = cos(past) - (1 - cos(phi)) sin(r1) sin(r1 + past)
+            foot, past = a, rng.uniform(1e-3, 0.5)
+            delta = 10.0 ** rng.uniform(-9.0, -6.0)
+            half = 2.0 * math.sin(past + delta / 2.0) * math.sin(delta / 2.0)
+            phi = 2.0 * math.asin(math.sqrt(half / (2.0 * math.sin(r1) * math.sin(r1 + past))))
+            p1 = circle_polygon(c1, r1, o1 + np.concatenate(
+                [[0.0, phi], 2.0 * math.pi * np.arange(1, n1) / n1]))
         else:
             foot, past = a, 10.0 ** rng.uniform(-9.0, -6.0)
         # w is past beyond foot on the circle from c1, and p2's vertex
@@ -503,19 +553,28 @@ def _reach_cases(seed, count):
 
 def test_polygon_distance_at_the_chord_radius_ends():
     seen = set()
-    for kind, p1, p2 in _reach_cases(seed=7, count=400):
+    for kind, p1, p2 in _reach_cases(seed=7, count=700):
         got = polygon_distance(p1, p2)
         assert got == dense_polygon_distance(p1, p2) == polygon_distance(p2, p1), kind
-        vertex_min = float(np.arccos(np.clip(dense_dots(p1.vertices, p2.vertices),
-                                             -1.0, 1.0).max()))
+        pairs = np.sort(np.arccos(np.clip(dense_dots(p1.vertices, p2.vertices),
+                                          -1.0, 1.0)), axis=None)
+        vertex_min = float(pairs[0])
+        if kind == "half-piece":
+            assert 5e-10 < vertex_min - got < 2e-6
+        if kind == "vertex-pair":
+            assert got == vertex_min and 5e-10 < pairs[1] - pairs[0] < 2e-6
         seen.add((kind, got == 0.0, got < vertex_min,
-                  math.isinf(convexify._chord(got + convexify.FOOT_SLACK))))
+                  math.isinf(convexify._chord(got + convexify.FOOT_SLACK)),
+                  kind == "right-angle" and vertex_min > math.pi / 2.0))
     # a finite and an infinite radius near pi, both sides of the containment
-    # tolerance, and feet on the long arc nearer than any vertex
-    assert {("antipodal", False, False, False), ("antipodal", False, False, True),
-            ("graze", True, True, False), ("graze", False, True, False),
-            ("corner", True, False, False), ("corner", False, False, False),
-            ("long-arc", False, True, False)} <= seen
+    # tolerance, feet on the long arc nearer than any vertex, and a vertex
+    # minimum on both sides of pi/2, with a foot nearer below it
+    assert {("antipodal", False, False, False, False), ("antipodal", False, False, True, False),
+            ("graze", True, True, False, False), ("graze", False, True, False, False),
+            ("corner", True, False, False, False), ("corner", False, False, False, False),
+            ("long-arc", False, True, False, False), ("half-piece", False, True, False, False),
+            ("right-angle", False, True, False, False), ("right-angle", False, False, False, True),
+            ("vertex-pair", False, False, False, False)} <= seen
 
 
 THREADS_SCRIPT = """
@@ -705,13 +764,49 @@ def test_components_and_boundary_points_match_loops():
         assert comps == loop_components(sel)
         for comp in comps:
             for samples in (1, 8, 32):
-                assert np.array_equal(convexify._component_boundary_points(comp, samples),
+                # the stream convex_hull sums for the centre, tile by tile
+                tiles = convexify._component_boundary_points(comp, samples)
+                assert np.array_equal(np.concatenate([pts for pts, _ in tiles]),
                                       loop_boundary_points(comp, samples))
                 cases += 1
     assert cases > 1000
     assert connected_components(CellSet.from_cells(2, [])) == []
     # level 0: two bands, both at a pole
     assert len(connected_components(CellSet.from_cells(0, [(0, 0), (1, 1)]))) == 1
+
+
+def _hull_or_error(hull, *args):
+    """(vertices, centre) of hull(*args), or the HullInfeasibleError it raises."""
+    try:
+        poly = hull(*args)
+    except HullInfeasibleError as exc:
+        return str(exc)
+    return poly.vertices, poly.hemisphere_center
+
+
+def test_convex_hull_is_the_hull_of_every_sample():
+    # qhull gets no sample strictly inside an arc that two member cells
+    # share, yet the polygon, down to qhull's first vertex, and the
+    # exception are those of the full sample array
+    cases = errors = stacked = at_pole = 0
+    for sel in _random_selections(seed=23, count=150):
+        n = 2 ** (sel.level + 1)
+        for comp in connected_components(sel):
+            cells = comp.array()
+            stacked += len(comp) == 2 and cells[0, 1] == cells[1, 1]
+            at_pole += bool(np.isin(cells[:, 0], (0, n - 1)).any())
+            for samples in (1, 8, 32):
+                got = _hull_or_error(convex_hull, comp, samples)
+                want = _hull_or_error(convex_polygon_from_points,
+                                      loop_boundary_points(comp, samples))
+                if isinstance(want, str):
+                    assert got == want
+                    errors += 1
+                else:
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                cases += 1
+    assert cases >= 1000 and 100 <= errors <= cases - 500
+    assert stacked >= 20 and at_pole >= 50
 
 
 # sha256 of the write_json bytes of conv(double_cap_cellset(level)).to_json(),
@@ -759,7 +854,9 @@ def test_conv_double_cap_level7_pinned_in_bounded_memory():
 
 def test_conv_double_cap_level8_pinned_in_bounded_memory():
     # two 16 384-vertex polygons; pinned, at a 184 MB traced peak, when
-    # polygon_distance still walked the vertex Gram matrix in row tiles
+    # polygon_distance still walked the vertex Gram matrix in row tiles.
+    # Hulled from tiles of cells, without the samples inside shared arcs,
+    # conv peaks at ~25 MB
     selection = double_cap_cellset(8)
     tracemalloc.start()
     try:
@@ -767,9 +864,25 @@ def test_conv_double_cap_level8_pinned_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 200 * 2**20
+    assert peak <= 60 * 2**20
     assert _conv_sha256(result) == \
         "21bdfafc354fed78ea5a6b92e4fd7eab52630de303eeb6aaf0b57a37b5c1691f"
+
+
+def test_conv_double_cap_level9_pinned_in_bounded_memory():
+    # two 32 768-vertex polygons; pinned when convex_hull still held every
+    # sample of a cap in one array and sent it all to qhull, at a 744 MB
+    # traced peak
+    selection = double_cap_cellset(9)
+    tracemalloc.start()
+    try:
+        result = conv(selection)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2**20
+    assert _conv_sha256(result) == \
+        "531c8ca8fcb58229c305675befa94986180866128fa2c34cd0b7299b61085b9a"
 
 
 def old_polygon_json(poly) -> dict:
