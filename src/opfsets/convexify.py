@@ -256,9 +256,9 @@ def _component_boundary_points(component: CellSet, arc_samples: int):
     starts its vertex list elsewhere on some components without them.
     """
     cells = component.array()
-    member = np.zeros((n_bands(component.level) + 2,) * 2, dtype=bool)  # band b at row b + 1
-    member[cells[:, 0] + 1, cells[:, 1]] = True
-    shared = np.stack([member[cells[:, 0] + d, cells[:, 1]] for d in (0, 2)], axis=1)
+    n = n_bands(component.level)
+    o = cells[:, 0] * n + cells[:, 1]  # the cells above and below are o - n and o + n
+    shared = np.stack([np.isin(o + d, o) for d in (-n, n)], axis=1)
     bands, band_of = np.unique(cells[:, 0], return_inverse=True)
     sectors, sector_of = np.unique(cells[:, 1], return_inverse=True)
     (cos_lo, cos_hi), _ = cell_bounds_batch(component.level, bands, 0)
@@ -412,20 +412,18 @@ def _near_min(points: np.ndarray, poly: ConvexPolygon, best: float) -> float:
     """min(best, the distances from points to their feet on the arcs of
     poly), best being at most the distance of every vertex pair.
 
-    A foot f counts below best at circle distance circ = asin |s| <= pi/2,
-    within t <= piece/2 of its piece's midpoint m, so by the right-triangle
-    law cos d(p, m) = cos(circ) cos(t) >= cos(min(best, pi/2)) cos(piece/2).
-    The arc tree gives the midpoints within that arccos, both angles padded
-    by FOOT_SLACK (arccos and arcsin round by ~1e-8; the on-arc tolerance),
-    and only feet within circ + piece/2 + 2 FOOT_SLACK of m go on to
-    _points_arcs_min's tests and values.  A foot counts below the running
-    minimum, not below its point's nearest vertex: the feet this adds or
-    drops lie at or above a value the exhaustive scan also reaches.
+    A foot on an arc lies on one of its pieces, so within half a piece of a
+    piece midpoint m.  So the tree gives every foot below best: m within
+    best + piece/2 + FOOT_SLACK (which covers the rounding of arccos and
+    arcsin, ~1e-8, and the on-arc tolerance), and only feet within circ +
+    piece/2 + 2 FOOT_SLACK of m go on to _points_arcs_min's tests and
+    values.  A foot counts below the running minimum, not below its point's
+    nearest vertex: the feet this adds or drops lie at or above a value the
+    exhaustive scan also reaches.
     """
     a, b, n = poly.edges
     length, edge, piece, tree = poly.arc_tree
-    reach = math.acos(math.cos(min(best, math.pi / 2.0)) * math.cos(piece / 2.0 + FOOT_SLACK))
-    for i, e, chord in _pairs_within(points, tree, _chord(reach + FOOT_SLACK)):
+    for i, e, chord in _pairs_within(points, tree, _chord(best + piece / 2.0 + FOOT_SLACK)):
         p, e = points.take(i, axis=0), edge.take(e)
         s = _dot(p, n.take(e, axis=0))
         circ = np.arcsin(np.minimum(1.0, np.abs(s)))
