@@ -30,7 +30,10 @@ from .grid import (CellSet, DyadicCell, cell_area, cell_bounds, cell_bounds_batc
 from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, _running_sum, cap_area
 
 THEOREM_BETA = 1.0 / 64.0
-_CHUNK = 1 << 20  # Monte Carlo points per contains_batch call
+# Monte Carlo points per contains_batch call.  At 1 << 16 the (points, 3)
+# array is 1.5 MB and each temporary of the trig and the oracle 0.5 MB, so a
+# chunk stays in cache; at 1 << 20 the point array alone was 24 MB.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,10 @@ def _polar_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.arctan2 may differ from math.atan2 by an ulp, so a point within an ulp
     of a sector edge may land in the neighbouring closed cell.
     """
-    phi = np.mod(np.arctan2(points[:, 1], points[:, 0]), TWO_PI)
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    # arctan2 gives [-pi, pi], so a turn added to the signed values is the
+    # float mod; -0.0 becomes 2 pi, then 0.0 below, the +0.0 np.mod makes it
+    phi += TWO_PI * np.signbit(phi)
     phi[phi >= TWO_PI] = 0.0
     return np.clip(points[:, 2], -1.0, 1.0), phi
 
@@ -165,22 +171,33 @@ def _lens_area(theta_c: float, radius: float, v: np.ndarray) -> np.ndarray:
 
 
 def _corner_lattice(level: int, band: np.ndarray, sector: np.ndarray):
-    """((u, phi) of each distinct cell corner, (4, m) corner positions per cell).
+    """((u, row), (phi, column), (4, m) corner nodes per cell) of the cells' corners.
 
     A cell's corners are listed as (uhi, phi_hi), (uhi, phi_lo), (ulo, phi_hi)
-    and (ulo, phi_lo).  Node (k, j) is u = 1 - k 2^-level, phi = j 2 pi / n,
-    taken from cell_bounds_batch as every cell's bounds are, so a node equals
-    the corresponding bound of each cell that has it as a corner bit for bit.
+    and (ulo, phi_lo).  Node (k, j) is u = 1 - k 2^-level, phi = j 2 pi / n;
+    u and phi hold the distinct heights and azimuths of the nodes in use, and
+    node i lies at u[row[i]], phi[column[i]].  They come from cell_bounds_batch
+    as every cell's bounds do, so a node equals the corresponding bound of
+    each cell that has it as a corner bit for bit.
     """
     n1 = n_bands(level) + 1
     ids = (band + np.array([[0], [0], [1], [1]])) * n1 + sector + np.array([[1], [0], [1], [0]])
-    # mark the nodes in use and number them in order, 8-12x faster than np.unique
-    # at levels 6-9; it takes 9 (n+1)^2 bytes whatever the number of cells
-    used = np.zeros(n1 * n1, dtype=bool)
+    nodes, corners = _number_used(ids, n1 * n1)
+    k, j = np.divmod(nodes, n1)
+    (rows, row), (columns, column) = _number_used(k, n1), _number_used(j, n1)
+    (_, u), (phi, _) = cell_bounds_batch(level, rows, columns)
+    return (u, row), (phi, column), corners.reshape(4, -1)
+
+
+def _number_used(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct ids in order, each id's position among them), ids in [0, size).
+
+    Marking and a running count take 9 size bytes and no sort: 8-12x faster
+    than np.unique on the corner nodes at levels 6-9.
+    """
+    used = np.zeros(size, dtype=bool)
     used[ids] = True
-    nodes, corners = np.flatnonzero(used), (np.cumsum(used) - 1)[ids]
-    (_, u), (phi, _) = cell_bounds_batch(level, *np.divmod(nodes, n1))
-    return (u, phi), corners.reshape(4, -1)
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[ids]
 
 
 def _cap_area(center: np.ndarray, radius: float, bounds, lattice) -> np.ndarray:
@@ -191,9 +208,11 @@ def _cap_area(center: np.ndarray, radius: float, bounds, lattice) -> np.ndarray:
     cell area is a signed sum over its corners (v, t) of that integrated over
     [v, 1].  For |t| <= pi this is the integral of w less that of w - |t| over
     {w > |t|}, one u-interval (the meridian's arc in a cap of radius <= pi/2);
-    integrals of w are half lens areas.  Each corner is evaluated once on the
-    lattice, and each distinct height's whole lens once.  Wider caps go
-    through their complement, caps around the south pole through z -> -z.
+    integrals of w are half lens areas.  The meridian's arc depends on t
+    alone, so it is found once per distinct azimuth, and the lens areas are
+    taken once per distinct height and arc end; each corner combines them.
+    Wider caps go through their complement, caps around the south pole
+    through z -> -z.
     """
     (ulo, uhi), (plo, phi) = bounds
     x, y, z = (float(a) for a in center)
@@ -206,25 +225,31 @@ def _cap_area(center: np.ndarray, radius: float, bounds, lattice) -> np.ndarray:
         rest = _cap_area(-center, math.pi - radius, bounds, lattice)
         return (uhi - ulo) * (phi - plo) - rest
     theta_c, phi_c = math.atan2(sc, z), math.atan2(y, x)
-    (v, t), corners = lattice()
+    (v, row), (t, column), corners = lattice()
     flip = theta_c + radius > math.pi
     if flip:  # ulo and uhi trade places: the cell's u-interval is [-uhi, -ulo]
         theta_c, z, v = math.pi - theta_c, -z, -v
-    heights, height_of = np.unique(v, return_inverse=True)
-    whole = _lens_area(theta_c, radius, heights)[height_of]
     t = t - phi_c
     turns = np.round(t / TWO_PI)
     t = t - TWO_PI * turns
     tau = np.abs(t)
-    # the meridian at offset tau is inside the cap where r cos(theta - beta) > cr
+    # the meridian at offset tau is inside the cap where r cos(theta - beta) > cr,
+    # the u-interval [bottom, top]
     m = sc * np.cos(tau)
     r, beta = np.hypot(m, z), np.arctan2(m, z)
     alpha = np.arctan2(np.sqrt(np.maximum((r - cr) * (r + cr), 0.0)), cr)
-    lo = np.maximum(v, np.cos(np.clip(beta + alpha, 0.0, math.pi)))
-    hi = np.maximum(v, np.cos(np.clip(beta - alpha, 0.0, math.pi)))
-    part = 0.5 * (whole - _lens_area(theta_c, radius, lo)
-                  + _lens_area(theta_c, radius, hi)) + tau * (hi - lo)
-    c = (np.sign(t) * part + turns * whole)[corners]
+    bottom = np.cos(np.clip(beta + alpha, 0.0, math.pi))
+    top = np.cos(np.clip(beta - alpha, 0.0, math.pi))
+    whole, at_bottom, at_top = np.split(
+        _lens_area(theta_c, radius, np.concatenate([v, bottom, top])), [len(v), len(v) + len(t)])
+    # per node the arc clipped to [v, 1] is [lo, hi]; the lens area at
+    # max(v, end) is the one at v or at the end, whichever np.maximum picks
+    vn, b, e, whole = v[row], bottom[column], top[column], whole[row]
+    lo, hi = np.maximum(vn, b), np.maximum(vn, e)
+    at_lo = np.where(vn >= b, whole, at_bottom[column])
+    at_hi = np.where(vn >= e, whole, at_top[column])
+    part = 0.5 * (whole - at_lo + at_hi) + tau[column] * (hi - lo)
+    c = (np.sign(t)[column] * part + turns[column] * whole)[corners]
     # corner(ulo, thi) - corner(ulo, tlo) - corner(uhi, thi) + corner(uhi, tlo)
     return c[0] - c[1] - c[2] + c[3] if flip else c[2] - c[3] - c[0] + c[1]
 
@@ -232,13 +257,11 @@ def _cap_area(center: np.ndarray, radius: float, bounds, lattice) -> np.ndarray:
 def sample_in_cell(cell: DyadicCell, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 3) points area-uniform in the cell: uniform in cos(theta) and phi."""
     (ulo, uhi), (plo, phi) = cell_bounds(cell)
-    return _sample_box(ulo, uhi, plo, phi, n, rng)
+    return _unit_points(rng.uniform(ulo, uhi, n), rng.uniform(plo, phi, n))
 
 
-def _sample_box(ulo: float, uhi: float, plo: float, phi: float, n: int,
-                rng: np.random.Generator) -> np.ndarray:
-    u = rng.uniform(ulo, uhi, n)
-    p = rng.uniform(plo, phi, n)
+def _unit_points(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(len(u), 3) unit vectors at heights u and azimuths p."""
     s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
     return np.stack([s * np.cos(p), s * np.sin(p), u], axis=1)
 
@@ -264,12 +287,17 @@ def cell_densities(oracle: MembershipOracle, level: int, cells, samples: int = 1
         boxes = list(zip((band * n + sector).tolist(), ulo.tolist(), uhi.tolist(),
                          plo.tolist(), phi.tolist()))
         hits, step = np.empty(len(cells)), max(1, _CHUNK // samples)
+        heights, azimuths = np.empty((2, min(step, len(cells)), samples))
         for i in range(0, len(cells), step):
+            chunk = boxes[i:i + step]
             # each cell has its own stream, so no other cell can change its estimate
-            points = [_sample_box(*box, samples, np.random.default_rng([seed, level, ordinal]))
-                      for ordinal, *box in boxes[i:i + step]]
-            inside = oracle.contains_batch(np.concatenate(points))
-            hits[i:i + step] = np.count_nonzero(inside.reshape(-1, samples), axis=1)
+            for row, (ordinal, u0, u1, p0, p1) in enumerate(chunk):
+                rng = np.random.default_rng([seed, level, ordinal])
+                heights[row] = rng.uniform(u0, u1, samples)
+                azimuths[row] = rng.uniform(p0, p1, samples)
+            m = len(chunk)
+            inside = oracle.contains_batch(_unit_points(heights[:m].ravel(), azimuths[:m].ravel()))
+            hits[i:i + m] = np.count_nonzero(inside.reshape(m, samples), axis=1)
         p = hits / samples
         return p, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / samples) / samples)
     if oracle.kind == "cap":

@@ -106,16 +106,20 @@ def locate_coords(cos_theta: float, phi: float, level: int) -> DyadicCell:
 
 
 def locate_coords_batch(cos_theta, phi, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(band, sector) arrays of locate_coords over arrays, with its tie rules."""
+    """(band, sector) arrays of locate_coords over arrays, with its tie rules.
+
+    ceil(x) - 1 is floor(x) off the integers and x - 1 on them, so a point on
+    an edge goes to the lower index, and the clip puts x = 0 in cell 0.
+    """
     n = n_bands(level)
     x = (1.0 - np.asarray(cos_theta, dtype=float)) * 2.0**level
-    band = np.floor(x)
-    band -= (band == x) & (band > 0)
-    y = np.mod(phi, TWO_PI) / (TWO_PI / n)
-    sector = np.floor(y)
-    sector -= (sector == y) & (sector > 0)
-    return (np.clip(band, 0, n - 1).astype(np.int64),
-            np.clip(sector, 0, n - 1).astype(np.int64))
+    phi = np.asarray(phi, dtype=float)
+    # np.mod returns an azimuth in [0, 2 pi) as it is, so it runs only if some is not
+    if phi.size and (phi.min() < 0.0 or phi.max() >= TWO_PI):
+        phi = np.mod(phi, TWO_PI)
+    y = phi / (TWO_PI / n)
+    return (np.clip(np.ceil(x) - 1.0, 0, n - 1).astype(np.int64),
+            np.clip(np.ceil(y) - 1.0, 0, n - 1).astype(np.int64))
 
 
 def locate_point(p: np.ndarray, level: int) -> DyadicCell:

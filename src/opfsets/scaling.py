@@ -204,6 +204,12 @@ class ScaledRegions(Sequence):
         """Boolean array: the region's bounds are inverted, as ScaledRegion.empty."""
         return (self.theta[0] >= self.theta[1]) | (self.phi[0] >= self.phi[1])
 
+    def to_json(self) -> list[dict]:
+        """[r.to_json() for r in self], built from the arrays with no region objects."""
+        columns = (x.tolist() for x in (self.empty, *self.cells.T, *self.theta, *self.phi))
+        return [{"parent": [b, s], "shrink": self.shrink, "theta": [t0, t1], "phi": [p0, p1],
+                 "empty": e} for e, b, s, t0, t1, p0, p1 in zip(*columns)]
+
     def _regions(self) -> tuple:
         if self._objects is None:
             columns = (x.tolist() for x in (*self.cells.T, *self.theta, *self.phi))
@@ -289,7 +295,7 @@ class ScaleSummary:
 
     def to_json(self) -> dict:
         return {"constants": self.constants.to_json(),
-                "regions": [r.to_json() for r in self.regions],
+                "regions": self.regions.to_json(),
                 "summary": {
                     "kept_cells": len(self.kept),
                     "removed_cells": self.removed_cells,

@@ -390,6 +390,29 @@ def test_cap_densities_pinned():
             for name, o in oracles.items()} == SUBSET_DENSITY_SHA256
 
 
+def test_lens_areas_once_per_distinct_height_and_arc_end(monkeypatch):
+    seen = []
+    lens_area = density._lens_area
+
+    def spy(theta_c, radius, v):
+        seen.append(np.array(v))
+        return lens_area(theta_c, radius, v)
+
+    monkeypatch.setattr(density, "_lens_area", spy)
+    sizes = []
+    for level, cells in [(6, all_band_sector(6)), *random_cell_subsets()]:
+        (u, row), (phi, column), _ = density._corner_lattice(level, *cells.T)
+        heights, azimuths = len(np.unique(u[row])), len(np.unique(phi[column]))
+        seen.clear()
+        cell_densities(rotcap_pair(), level, cells)
+        assert len(seen) == 2  # one call per cap
+        # the meridian's arc at each distinct azimuth has two ends
+        assert [len(values) for values in seen] == [heights + 2 * azimuths] * 2
+        sizes.append(len(seen[0]))
+    # level 6 in full: 3 * 129 lens areas a cap, not 3 for each of 16 641 corners
+    assert sizes[0] == 387
+
+
 def test_rotated_cap_cell_matches_high_precision_integral():
     # a 30-digit mpmath integral split at the kinks gives this value; one
     # quad per cell without the kinks returned 1.0
@@ -430,6 +453,73 @@ def test_monte_carlo_densities_pinned_and_chunk_free(monkeypatch):
     d1, e1 = cell_densities(o, 3, all_band_sector(3), samples=1000, seed=0,
                             method="monte_carlo")
     assert d1.tobytes() == d.tobytes() and e1.tobytes() == e.tobytes()
+
+
+def test_monte_carlo_partial_last_chunk(monkeypatch):
+    o, cells = sieve_fractal_oracle(3), all_band_sector(3)
+    d, e = cell_densities(o, 3, cells, samples=1000, seed=0, method="monte_carlo")
+    sizes = []
+    contains = density.MembershipOracle.contains_batch
+
+    def spy(self, points):
+        sizes.append(len(points))
+        return contains(self, points)
+
+    monkeypatch.setattr(density.MembershipOracle, "contains_batch", spy)
+    # 7 cells a chunk: 256 = 36 * 7 + 4, so the last chunk uses 4 rows of the buffer
+    monkeypatch.setattr(density, "_CHUNK", 7 * 1000 + 999)
+    d7, e7 = cell_densities(o, 3, cells, samples=1000, seed=0, method="monte_carlo")
+    assert sizes == [7000] * 36 + [4000]
+    assert d7.tobytes() == d.tobytes() and e7.tobytes() == e.tobytes()
+    # a subset whose one chunk is smaller than the buffer a full chunk would take
+    sizes.clear()
+    d3, e3 = cell_densities(o, 3, cells[[5, 77, 200]], samples=1000, seed=0,
+                            method="monte_carlo")
+    assert sizes == [3000]
+    assert d3.tolist() == d[[5, 77, 200]].tolist() and e3.tolist() == e[[5, 77, 200]].tolist()
+
+
+def test_polygon_monte_carlo_densities_chunk_free(monkeypatch):
+    # polygon sets test membership through BLAS Gram tiles of each chunk's
+    # points; a quad off the cell edges gives partial cells
+    quad = convex_polygon_from_points(np.stack(
+        [from_polar(t, f) for t in (1.1, 1.4) for f in (0.3, 1.2)]))
+    o = polygon_set_oracle([quad, *conv(double_cap_cellset(3)).decomposition.polygons])
+    cells = all_band_sector(3)
+    d, e = cell_densities(o, 3, cells, samples=200, seed=4)
+    assert (d == 1.0).sum() >= 64 and (d == 0.0).sum() > 64 and ((d > 0.0) & (d < 1.0)).sum() > 4
+    monkeypatch.setattr(density, "_CHUNK", 1)
+    d1, e1 = cell_densities(o, 3, cells, samples=200, seed=4)
+    assert d1.tobytes() == d.tobytes() and e1.tobytes() == e.tobytes()
+
+
+def reference_polar(points):
+    """_polar_batch's azimuths by float mod, as they were computed before."""
+    phi = np.mod(np.arctan2(points[:, 1], points[:, 0]), 2.0 * math.pi)
+    phi[phi >= 2.0 * math.pi] = 0.0
+    return np.clip(points[:, 2], -1.0, 1.0), phi
+
+
+def test_polar_batch_equals_float_mod():
+    tiny = np.nextafter(0.0, 1.0)
+    axis = [-1.0, -1e-300, -tiny, -0.0, 0.0, tiny, 1e-300, 1.0]
+    signed = np.array([(x, y, z) for x in axis for y in axis for z in (-1.0, 0.0, 0.5)])
+    edges = [np.arange(n_bands(level) + 1) * (2.0 * math.pi / n_bands(level))
+             for level in range(8)]
+    phi = np.concatenate(edges)
+    # each sector edge, and the azimuths an ulp to either side
+    phi = np.concatenate([phi, np.nextafter(phi, -1.0), np.nextafter(phi, 7.0),
+                          np.random.default_rng(3).uniform(-7.0, 7.0, 2000)])
+    pts = np.concatenate([signed, points_at(np.zeros(len(phi)), phi),
+                          points_at(np.full(len(phi), 0.3), phi)])
+    for got, want in zip(density._polar_batch(pts), reference_polar(pts)):
+        assert got.tobytes() == want.tobytes()
+    u, phi = density._polar_batch(pts)
+    assert ((phi >= 0.0) & (phi < 2.0 * math.pi)).all() and not np.signbit(phi).any()
+    for level in range(8):
+        got = locate_coords_batch(u, phi, level)
+        want = locate_coords_batch(*reference_polar(pts), level)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def scalar_sieve_density(depth, level, band, sector):

@@ -86,6 +86,27 @@ def test_locate_coords_batch_matches_scalar():
         assert on_edge.tolist() == [0] + list(range(n))
 
 
+def test_locate_coords_batch_reduces_azimuths_outside_one_turn():
+    # np.mod runs only when some azimuth lies outside [0, 2 pi): each batch
+    # below mixes reduced azimuths with ones below 0, at or past 2 pi, or -0.0
+    rng = np.random.default_rng(6)
+    two_pi = 2.0 * math.pi
+    for level in range(6):
+        n = n_bands(level)
+        edges = np.arange(n + 1) * (two_pi / n)
+        inside = np.concatenate([rng.uniform(0.0, two_pi, 200), edges[:-1]])
+        for extra in (-edges[1:], edges + two_pi, -rng.uniform(0.0, 20.0, 50),
+                      rng.uniform(two_pi, 20.0, 50), [-0.0, 0.0, two_pi, -two_pi]):
+            phi = np.concatenate([inside, extra])
+            u = rng.uniform(-1.0, 1.0, len(phi))
+            band, sector = locate_coords_batch(u, phi, level)
+            assert [(int(b), int(s)) for b, s in zip(band, sector)] == [
+                (c.band, c.sector) for c in (locate_coords(a, p, level) for a, p in zip(u, phi))]
+        # a batch of -0.0 alone needs no reduction and still lands in sector 0
+        assert locate_coords_batch([0.5], [-0.0], level)[1].tolist() == [0]
+        assert locate_coords(0.5, -0.0, level).sector == 0
+
+
 @given(cells(max_level=5))
 @settings(max_examples=200)
 def test_refine_partitions_parent(cell):

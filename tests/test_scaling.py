@@ -279,6 +279,13 @@ def reference_shrink_cell(cell, shrink):
     return ScaledRegion(cell, shrink, ntlo, nthi, nplo, nphi), "shrunk"
 
 
+class ReferenceRegions(tuple):
+    """The reference ScaledRegion objects, serialised one region.to_json() at a time."""
+
+    def to_json(self):
+        return [r.to_json() for r in self]
+
+
 def reference_scale_set(selection, constants):
     """(ScaleSummary, branch names hit) from the per-cell loop."""
     kept = []
@@ -290,7 +297,7 @@ def reference_scale_set(selection, constants):
     shrink = constants.shrink(selection.level)
     shrunk = [reference_shrink_cell(DyadicCell(selection.level, b, s), shrink)
               for b, s in kept]
-    regions = tuple(r for r, _ in shrunk)
+    regions = ReferenceRegions(r for r, _ in shrunk)
     # left to right, as sum() adds floats before Python 3.12
     total = bound_total = 0.0
     for b, s in kept:
