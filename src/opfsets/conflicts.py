@@ -19,10 +19,11 @@ which the closed-cell conflict semantics at margin 0 relies on.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import math
+import numbers
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,9 +34,8 @@ from .sphere import TWO_PI
 
 
 class ResourceCapError(RuntimeError):
-    """A request above a size cap: a graph above MAX_LEVEL, adjacency() above
-    ADJACENCY_MAX_LEVEL, or an exact search over more than
-    search.EXACT_MAX_CELLS candidate cells."""
+    """A request above a size cap: a graph above MAX_LEVEL, or an exact search
+    over more than search.EXACT_MAX_CELLS candidate cells."""
 
 
 class CorruptCacheError(RuntimeError):
@@ -191,10 +191,10 @@ class ConflictGraph:
         t = np.minimum(k, n - k)
         return (self.first[:, :, None] <= t) & (t <= self.last[:, :, None])
 
-    def _band_neighbours(self, upper: bool):
+    def _band_neighbours(self):
         """For each band b in turn, (counts, neighbours): counts[s] is the number
-        of neighbours of cell (b, s), or with upper of those of higher ordinal,
-        and neighbours their ordinals, cell by cell and each cell's ascending.
+        of neighbours of cell (b, s) of higher ordinal, and neighbours their
+        ordinals, cell by cell and each cell's ascending.
 
         Cell (b, s)'s neighbours in band b2 are the columns c of the sector-0
         row of (b, b2), rotated to (c + s) mod n.  Ascending, they are a window
@@ -212,15 +212,14 @@ class ConflictGraph:
         below = cum[:, :, ::-1]                                  # [b, b2, s]: #{c < n - s}
         size = cum[:, :, -1]
         first = 2 * (np.cumsum(size) - size.ravel()).reshape(n, n)  # pool start of (b, b2)
-        # with upper: the bands above whole; in its own band, cell s keeps the
-        # c in [1, n - s), the first #{c < n - s} entries of the second copy
-        whole = np.triu(size, 1) if upper else size
+        # the bands above whole; in its own band, cell s keeps the c in
+        # [1, n - s), the first #{c < n - s} entries of the second copy
+        whole = np.triu(size, 1)
         for b in range(n):  # one band's cells at a time, to keep the temporaries small
             start = first[b, :, None] + below[b]                  # [b2, s]
             length = np.repeat(whole[b, :, None], n, axis=1)
-            if upper:
-                start[b] = first[b, b] + size[b, b]
-                length[b] = below[b, b]
+            start[b] = first[b, b] + size[b, b]
+            length[b] = below[b, b]
             start, length = start.T.ravel(), length.T.ravel()     # windows by (s, b2)
             counts = length.reshape(n, n).sum(axis=1)
             idx = np.repeat(start + length - np.cumsum(length), length) + np.arange(length.sum())
@@ -232,7 +231,7 @@ class ConflictGraph:
         n = n_bands(self.level)
         pairs = np.empty((self.degrees().sum() // 2, 2), dtype=np.uint32)
         end = 0
-        for b, (counts, neighbours) in enumerate(self._band_neighbours(upper=True)):
+        for b, (counts, neighbours) in enumerate(self._band_neighbours()):
             start, end = end, end + len(neighbours)
             pairs[start:end, 0] = np.repeat(np.arange(b * n, (b + 1) * n), counts)
             pairs[start:end, 1] = neighbours
@@ -264,42 +263,42 @@ class ConflictGraph:
         per_pair = 2 * (last - first + 1) - (first == 0) - (last == n // 2)
         return np.repeat(per_pair.sum(axis=1) - (np.diag(first) == 0), n)
 
-    def adjacency(self) -> dict[int, set[int]]:
-        """{ordinal: set of neighbouring ordinals}, built one band at a time.
+    def adjacency(self) -> Mapping[int, set[int]]:
+        """Read-only {ordinal: set of neighbouring ordinals}, a view of the graph.
 
-        Every set is filled by ascending inserts, so the sets and their
-        iteration order are those of sets grown from the sorted edge list.
-        The cells of a band share one degree: the band's neighbour lists are
-        the rows of one array, mapped through one shared int object per
-        ordinal, so no temporary spans more than a band.  The cyclic collector
-        is paused for the build (the new sets hold only ints, and a collection
-        would only walk their tables), and the caller's setting is restored.
-        A caller that keeps the dict pays one walk of the sets at its next
-        collection; one that drops it first pays none.  Above
-        ADJACENCY_MAX_LEVEL it raises ResourceCapError before allocating.
+        Each read of a cell builds a new set from neighbours(o), filled by
+        ascending inserts, so the sets and their iteration order are those of
+        sets grown from the sorted edge list; the view itself holds no
+        per-cell state.
         """
-        if self.level > ADJACENCY_MAX_LEVEL:
-            raise ResourceCapError(f"adjacency at level {self.level} exceeds "
-                                   f"the maximum {ADJACENCY_MAX_LEVEL}")
-        n = n_bands(self.level)
-        ints = np.array(range(self.n_cells()), dtype=object)
-        adj = {}
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for b, (_, neighbours) in enumerate(self._band_neighbours(upper=False)):
-                for o, row in enumerate(ints[neighbours].reshape(n, -1).tolist(), b * n):
-                    adj[o] = set(row)
-        finally:
-            if enabled:
-                gc.enable()
-        return adj
+        return _Adjacency(self)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConflictGraph)
                 and self.level == other.level and self.margin == other.margin
                 and np.array_equal(self.first, other.first)
                 and np.array_equal(self.last, other.last))
+
+
+class _Adjacency(Mapping):
+    """ConflictGraph.adjacency(): keys range(n_cells()), values new sets."""
+
+    def __init__(self, graph: ConflictGraph):
+        self._graph = graph
+
+    def __getitem__(self, key) -> set[int]:
+        if key not in self:
+            raise KeyError(key)
+        return set(np.flatnonzero(self._graph.neighbours(int(key))).tolist())
+
+    def __contains__(self, key) -> bool:
+        return isinstance(key, numbers.Integral) and 0 <= key < len(self)
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __len__(self) -> int:
+        return self._graph.n_cells()
 
 
 # Kernel decisions per call: bounds the kernel's float temporaries to a
@@ -445,9 +444,6 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
 # built) and 2.1 GB at level 9.  `edges`, built only when asked for, is 346 MB
 # at level 7.
 MAX_LEVEL = 7
-# The largest level adjacency() accepts.  The dict holds each edge twice, in
-# set tables of 2 048 or 8 192 slots: ~540 MB at level 6, ~6.7 GB at level 7.
-ADJACENCY_MAX_LEVEL = 6
 
 
 def build_conflict_graph(level: int, margin: float = 0.0) -> ConflictGraph:

@@ -161,7 +161,7 @@ def test_criterion_05_exact_search_ground_truth(capsys):
     ok &= r1.optimal is True
     selfs = set(int(o) for o in g1.self_conflicts)
     free = [o for o in range(g1.n_cells()) if o not in selfs]
-    adj = g1.adjacency()
+    adj = dict(g1.adjacency())
     best = 0
     for size in range(len(free), 0, -1):
         if any(all(not (adj[o] & set(combo)) for o in combo)

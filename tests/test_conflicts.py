@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import math
 import tracemalloc
@@ -310,68 +309,56 @@ def test_adjacency_consistency():
             assert [list(adj[i]) for i in adj] == [list(expect[i]) for i in expect]
 
 
-def test_adjacency_pauses_and_restores_the_collector(monkeypatch):
-    g = build_conflict_graph(3)
-    expect = g.adjacency()
-    during = []
-    band_neighbours = ConflictGraph._band_neighbours
-
-    def spy(self, upper):
-        for band in band_neighbours(self, upper):
-            during.append(gc.isenabled())
-            yield band
-
-    def failing(self, upper):
-        yield next(band_neighbours(self, upper))
-        raise MemoryError
-
-    enabled = gc.isenabled()
-    try:
-        for on in (True, False):
-            gc.enable() if on else gc.disable()
-            monkeypatch.setattr(ConflictGraph, "_band_neighbours", spy)
-            assert g.adjacency() == expect
-            assert gc.isenabled() is on
-            monkeypatch.setattr(ConflictGraph, "_band_neighbours", failing)
-            with pytest.raises(MemoryError):
-                g.adjacency()
-            assert gc.isenabled() is on
-    finally:
-        gc.enable() if enabled else gc.disable()
-    assert len(during) == 2 * n_bands(3) and not any(during)
-
-
 def test_adjacency_sets_are_separate_objects():
+    # each read builds a new set, so mutating one changes no later read
     g = build_conflict_graph(3)
     adj = g.adjacency()
     before = [list(adj[o]) for o in adj]
-    assert len({id(s) for s in adj.values()}) == len(adj) == g.n_cells()
     last = g.n_cells() - 1
     adj[0].clear()
     adj[1].add(-1)
     adj[last].discard(before[last][0])
-    for o in range(2, last):
-        assert list(adj[o]) == before[o], o
+    assert [list(adj[o]) for o in adj] == before
     fresh = g.adjacency()
     assert [list(fresh[o]) for o in fresh] == before
 
 
-def test_adjacency_refuses_level_7_before_allocating(monkeypatch):
-    # the level-7 sets would need ~6.7 GB
-    def unreachable(self, upper):
-        raise AssertionError("_band_neighbours reached")
-        yield
-
+def test_adjacency_reads_level_7_cells():
+    # no per-cell state: the first read pays for `windows` (2n^3 bytes; its
+    # build holds at most its two comparisons and their AND), and a read after
+    # it an (m,) mask and O(degree) ints
     g = build_conflict_graph(7)
-    monkeypatch.setattr(ConflictGraph, "_band_neighbours", unreachable)
+    m, windows_bytes = g.n_cells(), 2 * n_bands(7) ** 3
+    adj = g.adjacency()
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCapError, match="adjacency at level 7 exceeds the maximum 6"):
-            g.adjacency()
-        peak = tracemalloc.get_traced_memory()[1]
+        assert len(adj[0]) == g.degrees()[0]
+        first_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        for o in (12_345, m - 1):
+            assert len(adj[o]) == g.degrees()[o], o
+        read_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 100_000
+    assert g.windows.nbytes == windows_bytes
+    assert first_peak < 3 * windows_bytes + 64 * m
+    assert read_peak < 64 * m
+
+
+def test_adjacency_is_a_read_only_mapping():
+    g = build_conflict_graph(2)
+    adj = g.adjacency()
+    m = g.n_cells()
+    assert len(adj) == m and list(adj) == list(range(m))
+    for key in (-1, m, "x", 1.5):
+        assert key not in adj and adj.get(key) is None, key
+        with pytest.raises(KeyError):
+            adj[key]
+    assert 0 in adj and m - 1 in adj
+    assert adj.get(m - 1) == adj[m - 1] == set(np.flatnonzero(g.neighbours(m - 1)).tolist())
+    with pytest.raises(TypeError):
+        adj[0] = set()
 
 
 def test_level6_adjacency_matches_sorted_edges():

@@ -64,7 +64,7 @@ def digest(selection):
 
 def reference_greedy(graph, order, seed=None):
     """Greedy selection on the adjacency dict, as an ordinal list."""
-    adj = graph.adjacency()
+    adj = dict(graph.adjacency())
     selfs = set(int(o) for o in graph.self_conflicts)
     free = [o for o in range(graph.n_cells()) if o not in selfs]
     candidates = set(free)
@@ -87,7 +87,7 @@ def reference_greedy(graph, order, seed=None):
 
 def reference_local(graph, init, iters, seed):
     """(1,2)-swap local search on the adjacency dict: (ordinals, iterations, swaps)."""
-    adj = graph.adjacency()
+    adj = dict(graph.adjacency())
     selfs = set(int(o) for o in graph.self_conflicts)
     current = set(ordinals(init))
     rng = np.random.default_rng(seed)
@@ -118,7 +118,7 @@ def reference_local(graph, init, iters, seed):
 
 def reference_exact(graph):
     """Branch and bound on the adjacency dict: (ordinals, nodes)."""
-    adj = graph.adjacency()
+    adj = dict(graph.adjacency())
     selfs = set(int(o) for o in graph.self_conflicts)
     best = reference_greedy(graph, "min-degree")
     nodes = 0
@@ -256,7 +256,7 @@ def test_exact_mis_level1_matches_exhaustive():
     # independent exhaustive enumeration over the conflict-free cells
     selfs = set(int(o) for o in graph.self_conflicts)
     free = [o for o in range(graph.n_cells()) if o not in selfs]
-    adj = graph.adjacency()
+    adj = dict(graph.adjacency())
     best = 0
     for r in range(len(free), 0, -1):
         if r <= best:
