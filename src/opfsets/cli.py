@@ -64,7 +64,7 @@ def cmd_grid(args) -> int:
           f"(fraction {area / SPHERE_AREA:.12g})")
     print(f"total {_both(m * area)}")
     if args.out:
-        CellSet.from_cells(args.level, all_cells(args.level)).save(args.out)
+        CellSet(args.level, all_cells(args.level)).save(args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -100,7 +100,7 @@ def cmd_search(args) -> int:
                                    seed=args.seed)
     elif args.method == "local":
         init = (search.double_cap_cellset(args.level) if args.init == "double-cap"
-                else CellSet.from_cells(args.level, []))
+                else CellSet(args.level, []))
         result = search.local_search(graph, init, iters=args.iters, seed=args.seed)
     else:  # exact; argparse's choices admit no other method
         result = search.exact_mis(graph)

@@ -28,7 +28,6 @@ from .sphere import (GeodesicSegment, NORMALIZATION_TOL, PREDICATE_TOL,
 
 HEMISPHERE_MARGIN = 1e-9
 MERGE_TOL = 1e-9  # conv2 merges polygons this close, so the ones it returns are disjoint
-ARC_TILE = 512  # points per tile of _points_arcs_min
 SEGMENT_SAMPLES = 16  # points per geodesic that check_triangle_lemma tests
 # angle slack of the endpoint prunes: a pair they drop is past every exact
 # test by more than the rounding of arccos near 0 (~1e-8) and the on-arc tolerance
@@ -37,16 +36,16 @@ FOOT_SLACK = 1e-6
 # far above the rounding of the cap radii (~1e-8 near 0) and of any dot
 CAP_MARGIN = 1e-6
 # rows per tile of a vertex Gram matrix pass (contains_batch,
-# certify_opf_polygons) and of a k-d tree query of polygon_distance, which so
-# pairs no more rows at once than a Gram tile holds, and cells per tile of
-# convex_hull's samples (~300 kB at 32 samples an arc).  Tiles start at
-# multiples of it and the last one takes the remainder, so no tile has a
-# single row (numpy sends those to gemv, which rounds differently).  It is a
-# multiple of every common gemm unroll (2, 4, 8, 12, 16, 24): measured with
-# single-threaded OpenBLAS, each tile's entries are then the full product's
-# bit for bit, while unaligned tiles of 64 rows and more were not.
-# Multi-threaded BLAS splits a product by its shape, so there a few entries
-# may round otherwise unless the column count is a multiple of 8.
+# certify_opf_polygons), of _points_arcs_min and of a k-d tree query of
+# polygon_distance, which so pairs no more rows at once than a Gram tile
+# holds, and cells per tile of convex_hull's samples (~300 kB at 32 samples
+# an arc).  Tiles start at multiples of it and the last one takes the
+# remainder, so no tile has a single row (numpy sends those to gemv, which
+# rounds differently).  It is a multiple of every common gemm unroll (2, 4,
+# 8, 12, 16, 24): measured with single-threaded OpenBLAS, each tile's entries
+# are then the full product's bit for bit, while unaligned tiles of 64 rows
+# and more were not.  Multi-threaded BLAS splits a product by its shape, so
+# there a few entries may round otherwise unless the column count is a multiple of 8.
 GRAM_TILE = 192
 
 
@@ -315,7 +314,7 @@ def connected_components(selection: CellSet) -> list[CellSet]:
     order = np.argsort(labels, kind="stable")   # members ascend within each component
     groups = np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
     groups.sort(key=lambda g: g[0])
-    return [CellSet(selection.level, tuple(map(tuple, cells[g].tolist()))) for g in groups]
+    return [CellSet(selection.level, cells[g]) for g in groups]
 
 
 def convex_hull(component: CellSet, arc_samples: int = 32) -> ConvexPolygon:
@@ -394,8 +393,8 @@ def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     """
     out = np.empty(len(points))
     length = _arc_lengths(a, b)
-    for r0 in range(0, len(points), ARC_TILE):
-        p = points[r0:r0 + ARC_TILE, None]             # (t, 1, 3)
+    for r0, r1 in _tiles(len(points)):
+        p = points[r0:r1, None]                        # (t, 1, 3)
         start = _angles(_dot(p, a))                    # (t, e)
         near = np.minimum(start, np.roll(start, -1, axis=1))
         pmin = near.min(axis=1)
@@ -404,7 +403,7 @@ def _points_arcs_min(points: np.ndarray, a: np.ndarray, b: np.ndarray,
         ii, ee = np.nonzero((circ < pmin[:, None]) & (near <= circ + length + FOOT_SLACK))
         on = _feet_on_arcs(p[ii, 0], s[ii, ee], a[ee], b[ee], n[ee])
         np.minimum.at(pmin, ii[on], circ[ii[on], ee[on]])
-        out[r0:r0 + ARC_TILE] = pmin
+        out[r0:r1] = pmin
     return out
 
 
@@ -622,8 +621,6 @@ class ConvResult:
 
 def conv(selection: CellSet, arc_samples: int = 32) -> ConvResult:
     """Full pipeline: conv2(conv1(selection)) with measure and OPF accounting."""
-    if len(selection) == 0:
-        return ConvResult(ConvexDecomposition((), _distance_matrix(())), 0.0, 0.0, 0, ())
     stage1 = conv1(selection, arc_samples)
     final, merges = conv2(stage1)
     return ConvResult(final, selection.measure(), final.total_area(), merges,

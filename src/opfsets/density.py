@@ -105,9 +105,8 @@ class MembershipOracle:
 def _cell_mask(cell_set: CellSet) -> np.ndarray:
     """(n, n) boolean membership of the cells at the set's own level."""
     n = n_bands(cell_set.level)
-    members = cell_set.array()
     mask = np.zeros((n, n), dtype=bool)
-    mask[members[:, 0], members[:, 1]] = True
+    mask[tuple(cell_set.array().T)] = True
     return mask
 
 
@@ -324,23 +323,30 @@ def cell_densities(oracle: MembershipOracle, level: int, cells, samples: int = 1
     return density, np.zeros(len(band))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityReport:
-    """Outcome of dense-cell selection at one level and threshold."""
+    """Dense-cell selection at one level and threshold; density and stderr
+    hold one value per selected cell, in the order of selected's rows."""
 
     level: int
     epsilon: float
     selected: CellSet
-    densities: tuple  # (band, sector, density, stderr) for every selected cell
+    density: np.ndarray
+    stderr: np.ndarray
     captured_measure: float
-    beta: float = THEOREM_BETA
     within_theorem_range: bool = True
+
+    @property
+    def densities(self) -> tuple:
+        """(band, sector, density, stderr) for every selected cell."""
+        return tuple(zip(*self.selected.array().T.tolist(), self.density.tolist(),
+                         self.stderr.tolist()))
 
     def to_json(self) -> dict:
         return {
             "level": self.level,
             "epsilon": self.epsilon,
-            "beta": self.beta,
+            "beta": THEOREM_BETA,
             "within_theorem_range": self.within_theorem_range,
             "captured_measure_sr": self.captured_measure,
             "selected": self.selected.to_json(),
@@ -371,8 +377,7 @@ def select_dense_cells(oracle: MembershipOracle, level: int, epsilon: float,
     cells = np.stack(np.divmod(np.arange(n * n), n), axis=1)  # band-major
     d, e = cell_densities(oracle, level, cells, samples, seed, method)
     keep = d >= 1.0 - epsilon
-    records = tuple(zip(*cells[keep].T.tolist(), d[keep].tolist(), e[keep].tolist()))
-    return DensityReport(level, epsilon, CellSet.from_cells(level, cells[keep]), records,
+    return DensityReport(level, epsilon, CellSet(level, cells[keep]), d[keep], e[keep],
                          _running_sum(d[keep] * cell_area(level)),
                          within_theorem_range=epsilon < THEOREM_BETA)
 
@@ -404,7 +409,7 @@ def covering_report(oracle: MembershipOracle, selection: CellSet,
     """
     area = cell_area(selection.level)
     per_cell = max(100, samples // max(1, len(selection)))
-    d, e = cell_densities(oracle, selection.level, selection.members, per_cell, seed)
+    d, e = cell_densities(oracle, selection.level, selection.array(), per_cell, seed)
     inter = _running_sum(d * area)
     mu_m, mu_union = oracle.measure(), selection.measure()
     return CoveringReport(mu_m, mu_union, inter, math.sqrt(_running_sum((e * area) ** 2)),

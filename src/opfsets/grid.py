@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,22 +197,17 @@ def _cell_key(cell, level: int):
 
 @dataclass(frozen=True)
 class CellSet:
-    """A finite selection of cells at one level, in canonical band-major order."""
+    """Cells at one level: rows, one read-only (k, 2) int64 array of (band, sector)
+    in ascending ordinal order, built from pairs, DyadicCells or a (k, 2) int
+    array.  Duplicates collapse; an out-of-range index raises DyadicCell's
+    error for the first bad input.  Ordinals band * n + sector are int64, so
+    levels above 30 are refused.  Iteration yields (band, sector) tuples."""
 
     level: int
-    members: tuple[tuple[int, int], ...]
-    # the members as a read-only (k, 2) int64 array, once built; array() copies it
-    _array: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    rows: np.ndarray
 
-    @classmethod
-    def from_cells(cls, level: int, cells) -> "CellSet":
-        """Canonical set of (band, sector) pairs, DyadicCells or a (k, 2) int array.
-
-        Duplicates collapse; an out-of-range index raises DyadicCell's error
-        for the first bad input.  Ordinals band * n + sector are int64, so
-        levels above 30 are refused.
-        """
-        n = n_bands(level)
+    def __post_init__(self):
+        level, cells, n = self.level, self.rows, n_bands(self.level)
         if level > 30:
             raise ValueError(f"level {level} exceeds 30, the largest with int64 ordinals")
         if not isinstance(cells, np.ndarray):
@@ -232,46 +227,49 @@ class CellSet:
             DyadicCell(level, *pairs[np.argmax(bad)].tolist())  # raises
         ords = np.sort(pairs[:, 0] * n + pairs[:, 1])
         ords = ords[np.diff(ords, prepend=-1) != 0]  # dedupe; np.unique hashes, far slower
-        band, sector = np.divmod(ords, n)
-        cell_set = cls(level, tuple(zip(band.tolist(), sector.tolist())))
-        cell_set._keep_array(np.stack((band, sector), axis=1))
-        return cell_set
+        rows = np.stack(np.divmod(ords, n), axis=1)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows.view())  # a view cannot turn writable
 
-    def _keep_array(self, array: np.ndarray) -> None:
-        array.setflags(write=False)
-        object.__setattr__(self, "_array", array)
+    @classmethod
+    def from_cells(cls, level: int, cells) -> "CellSet":
+        return cls(level, cells)
+
+    def __eq__(self, other):
+        return (isinstance(other, CellSet) and self.level == other.level
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.rows.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
     def __iter__(self):
-        return iter(self.members)
+        return zip(*self.rows.T.tolist())
 
     def __contains__(self, cell) -> bool:
         if isinstance(cell, DyadicCell):
-            return cell.level == self.level and (cell.band, cell.sector) in set(self.members)
-        return tuple(cell) in set(self.members)
+            return cell.level == self.level and (cell.band, cell.sector) in self
+        return bool((self.rows == tuple(cell)).all(axis=1).any())
 
     def array(self) -> np.ndarray:
-        """(k, 2) int64 array of the (band, sector) members, in order; a fresh copy."""
-        if self._array is None:
-            # two columns of ints convert ~3x faster than k pairs
-            self._keep_array(np.array(list(zip(*self.members)), dtype=np.int64).reshape(2, -1).T)
-        return self._array.copy()
+        """The read-only (k, 2) int64 array of (band, sector) rows, in order."""
+        return self.rows
 
     def cells(self) -> list[DyadicCell]:
-        return [DyadicCell(self.level, b, s) for b, s in self.members]
+        return [DyadicCell(self.level, b, s) for b, s in self]
 
     def measure(self) -> float:
         """Total area in steradians."""
-        return len(self.members) * cell_area(self.level)
+        return len(self) * cell_area(self.level)
 
     def fraction(self) -> float:
         """Measure normalized by the total sphere area: |cells| / (4*4^level)."""
-        return len(self.members) / cell_count(self.level)
+        return len(self) / cell_count(self.level)
 
     def to_json(self) -> dict:
-        return {"level": self.level, "cells": [[b, s] for b, s in self.members]}
+        return {"level": self.level, "cells": self.rows.tolist()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "CellSet":
@@ -286,7 +284,7 @@ class CellSet:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError('expected a CellSet {"level": k, "cells": [[band, sector], ...]} or '
                              'a document whose "selected" or "selection" member is one') from exc
-        return cls.from_cells(level, cells)
+        return cls(level, cells)
 
     def save(self, path) -> None:
         write_json(path, self.to_json())

@@ -271,7 +271,7 @@ def remove_polar_caps(selection: CellSet, delta: float) -> CellSet:
     cd = math.cos(delta)
     cells = selection.array()
     (ulo, uhi), _ = cell_bounds_batch(selection.level, cells[:, 0], 0)
-    return CellSet.from_cells(selection.level, cells[(uhi <= cd) & (ulo >= -cd)])
+    return CellSet(selection.level, cells[(uhi <= cd) & (ulo >= -cd)])
 
 
 def scaled_measure_lower_bound(cell: DyadicCell, constants: ScaleConstants) -> float:
@@ -314,11 +314,11 @@ def scale_set(selection: CellSet, constants: ScaleConstants) -> ScaleSummary:
     """Polar-cap removal followed by per-cell shrink, with measure accounting."""
     kept = remove_polar_caps(selection, constants.delta)
     removed = len(selection) - len(kept)
-    regions, measures = _shrink_cells(kept.level, kept.array(),
-                                      constants.shrink(selection.level))
+    cells = kept.array()  # ScaledRegions.cells shares it
+    regions, measures = _shrink_cells(kept.level, cells, constants.shrink(selection.level))
     total = _running_sum(measures)
     # every cell has the same bound; add it once per kept cell, as a loop would
-    bound = (scaled_measure_lower_bound(DyadicCell(kept.level, *kept.members[0]), constants)
+    bound = (scaled_measure_lower_bound(DyadicCell(kept.level, *cells[0].tolist()), constants)
              if len(kept) else 0.0)
     bound_total = _running_sum(np.full(len(kept), bound))
     target = (1.0 - constants.epsilon) * selection.measure()

@@ -57,7 +57,7 @@ def double_cap_cellset(level: int) -> CellSet:
     """All cells strictly inside either open polar cap of radius pi/4."""
     n = n_bands(level)
     bands = _double_cap_bands(level)
-    return CellSet.from_cells(level, np.stack(
+    return CellSet(level, np.stack(
         [np.repeat(bands, n), np.tile(np.arange(n), len(bands))], axis=1))
 
 
@@ -177,7 +177,7 @@ def write_leaderboard(results, path) -> None:
 
 
 def _cellset_from_ordinals(level: int, ords) -> CellSet:
-    return CellSet.from_cells(level, np.stack(
+    return CellSet(level, np.stack(
         np.divmod(np.asarray(ords, dtype=np.int64), n_bands(level)), axis=-1))
 
 

@@ -249,7 +249,7 @@ def test_criterion_07_scaling(capsys):
 
 def _double_cap_union_mc(selection, samples, rng):
     """Monte Carlo area of a double-cap cell union (contiguous polar bands)."""
-    north = [b for b, _ in selection.members if b < n_bands(selection.level) // 2]
+    north = [b for b, _ in selection if b < n_bands(selection.level) // 2]
     umin = min(1.0 - (b + 1) * 2.0 ** (-selection.level) for b in north)
     z = sample_uniform_batch(rng, samples)[:, 2]
     frac = float(np.mean((z >= umin) | (z <= -umin)))

@@ -81,7 +81,7 @@ def reference_graph(level, margin=0.0):
 
 def brute_force_violations(selection, margin=0.0):
     """(self-conflicting ordinals, conflicting pairs) by cells_conflict on each pair."""
-    cells = [DyadicCell(selection.level, b, s) for b, s in selection.members]
+    cells = [DyadicCell(selection.level, b, s) for b, s in selection]
     selfs = [c.ordinal for c in cells if cells_conflict(c, c, margin)]
     pairs = [(a.ordinal, b.ordinal) for i, a in enumerate(cells) for b in cells[i + 1:]
              if cells_conflict(a, b, margin)]

@@ -18,7 +18,7 @@ from opfsets.convexify import (ConvexDecomposition, ConvexPolygon,
                                convex_polygon_from_points, certify_opf_polygons,
                                hausdorff_distance, polygon_distance)
 from opfsets.grid import (CellSet, DyadicCell, cell_area, cell_bounds, neighbors,
-                          theta_bounds)
+                          theta_bounds, write_json)
 from opfsets.search import double_cap_cellset
 from opfsets.sphere import PREDICATE_TOL, from_polar, unit_vector
 
@@ -146,11 +146,16 @@ def test_conv_double_cap_level3():
     assert len(again) == 2
 
 
-def test_conv_empty_selection():
+def test_conv_empty_selection(tmp_path):
     result = conv(CellSet.from_cells(3, []))
     assert len(result.decomposition) == 0
     assert result.output_measure == 0.0
     assert result.opf_violations == ()
+    # conv's general path writes the bytes its old empty-selection shortcut wrote
+    write_json(tmp_path / "empty.json", conv(CellSet(3, [])).to_json())
+    assert (tmp_path / "empty.json").read_text() == (
+        '{"decomposition":{"pairwise_min_distance":Infinity,"polygons":[]},'
+        '"input_measure_sr":0.0,"merge_count":0,"opf_violations":[],"output_measure_sr":0.0}\n')
 
 
 def test_conv2_merges_touching_hulls():
@@ -728,7 +733,7 @@ def loop_boundary_points(component, arc_samples):
 
 
 def loop_components(selection):
-    remaining = set(selection.members)
+    remaining = set(selection)
     components = []
     while remaining:
         seed = min(remaining)
@@ -743,7 +748,7 @@ def loop_components(selection):
                     comp.append(key)
                     stack.append(key)
         components.append(CellSet.from_cells(selection.level, comp))
-    return sorted(components, key=lambda c: c.members[0])
+    return sorted(components, key=lambda c: next(iter(c)))
 
 
 def _random_selections(seed, count):

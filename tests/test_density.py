@@ -111,7 +111,7 @@ def test_vectorised_membership_matches_scalar_path():
                                                         rng.integers(0, 16, 60))])
     located = [locate_coords(math.cos(t), f, 3) for t, f in map(to_polar, pts)]
     assert cell_set_oracle(sel).contains_batch(pts).tolist() == [
-        (c.band, c.sector) in sel.members for c in located]
+        (c.band, c.sector) in sel for c in located]
     assert not cell_set_oracle(CellSet.from_cells(3, [])).contains_batch(pts).any()
 
 
@@ -442,6 +442,33 @@ def test_double_cap_filter_artifacts_pinned(tmp_path):
         "f.csv": "491e5fdd226c603636a402490ffacce757fdc0464c2b23df74d85c868a4bd8a2"}
 
 
+# sha256 of the save and save_csv bytes of two level-5 reports, written from
+# the (band, sector, density, stderr) records tuple the report used to keep
+LEVEL5_REPORT_SHA256 = {
+    "double cap": ("e486b06859b4c42c53e7f31cad8c4c969dfc338696ab6eda58353cd2890ed869",
+                   "8cb6716dde948c68e129ebd24e211428adb9e608173e92d680fe80b8a35adecb"),
+    "sieve, monte carlo": ("eb70578d1020e1ce7c8fe18e0512f40ae9fa232df622825d00a0edbed347698d",
+                           "c3d4eab50eb2bb54259884a8d2639ba1ca67a566f3a05a17b909ad169cc6573e"),
+}
+
+
+def test_level5_report_artifacts_pinned(tmp_path):
+    reports = {
+        "double cap": select_dense_cells(double_cap_oracle(), 5, 0.01),
+        "sieve, monte carlo": select_dense_cells(sieve_fractal_oracle(6), 5, 0.3, samples=100,
+                                                 method="monte_carlo"),
+    }
+    for name, report in reports.items():
+        report.save(tmp_path / "r.json")
+        report.save_csv(tmp_path / "r.csv")
+        digest = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                       for f in ("r.json", "r.csv"))
+        assert digest == LEVEL5_REPORT_SHA256[name], name
+        # the columns line up with the selection's rows
+        assert len(report.density) == len(report.stderr) == len(report.selected)
+        assert [r[:2] for r in report.densities] == list(report.selected)
+
+
 def test_monte_carlo_densities_pinned_and_chunk_free(monkeypatch):
     o = sieve_fractal_oracle(3)
     d, e = cell_densities(o, 3, all_band_sector(3), samples=1000, seed=0,
@@ -556,7 +583,7 @@ def test_cell_set_densities_across_levels():
     assert cell_densities(o, 1, [(0, 0), (1, 0)])[0].tolist() == [0.25, 0.0]
     rng = np.random.default_rng(12)
     sel = CellSet.from_cells(3, rng.integers(0, 16, size=(40, 2)).tolist())
-    members = set(sel.members)
+    members = set(sel)
     for level in range(6):
         d, _ = cell_densities(cell_set_oracle(sel), level, all_band_sector(level))
         if level >= 3:

@@ -187,7 +187,7 @@ def test_ordinal_round_trip(cell):
 
 def test_cellset_canonicalization_and_json(tmp_path):
     s = CellSet.from_cells(2, [(3, 1), (0, 0), (3, 1)])
-    assert s.members == ((0, 0), (3, 1))
+    assert list(s) == [(0, 0), (3, 1)]
     assert len(s) == 2
     assert DyadicCell(2, 3, 1) in s
     assert abs(s.measure() - 2 * cell_area(2)) < 1e-15
@@ -229,19 +229,38 @@ def test_cellset_from_cells_accepts_every_cell_form():
     for name, cells in forms.items():
         s = CellSet.from_cells(2, cells)
         assert s == expected, name
-        assert all(type(x) is int for m in s.members for x in m), name
+        assert all(type(x) is int for m in s for x in m), name
     for empty in ([], np.empty((0, 2), dtype=np.int64), np.array([]), iter(())):
         assert CellSet.from_cells(2, empty) == CellSet(2, ())
-    assert expected.array().tolist() == [list(m) for m in expected.members]
+    assert expected.array().tolist() == [list(m) for m in expected]
     assert expected.array().dtype == np.int64
     assert CellSet(2, ()).array().shape == (0, 2)
     assert CellSet.from_cells(2, expected.array()) == expected
-    # from_cells keeps its array; array() hands out copies of it
+    # the set keeps one array; a write to array() raises
     built = CellSet.from_cells(2, pairs)
-    first = built.array()
-    first[0] = (7, 7)
+    with pytest.raises(ValueError, match="read-only"):
+        built.array()[0] = (7, 7)
     assert built.array().tolist() == expected.array().tolist()
     assert built == expected and hash(built) == hash(expected) and repr(built) == repr(expected)
+
+
+def test_cellset_constructor_validates_as_from_cells():
+    # the dataclass constructor is the one path: it canonicalizes and checks
+    assert CellSet(2, [(3, 1), (0, 0), (3, 1)]) == CellSet.from_cells(2, [(0, 0), (3, 1)])
+    with pytest.raises(ValueError) as expected:
+        DyadicCell(2, 9, 0)
+    with pytest.raises(ValueError) as got:
+        CellSet(2, [(9, 0)])
+    assert str(got.value) == str(expected.value)
+    s = CellSet(2, [(3, 1), (0, 0)])
+    with pytest.raises(ValueError):
+        s.array()[0, 0] = 1
+    with pytest.raises(ValueError):
+        s.array().setflags(write=True)
+    assert s.array().tolist() == [[0, 0], [3, 1]]
+    equal = CellSet(2, np.array([[3, 1], [0, 0], [0, 0]], dtype=np.int32))
+    assert equal == s and hash(equal) == hash(s)
+    assert CellSet(3, [(0, 0), (3, 1)]) != s and CellSet(2, [(0, 0)]) != s
 
 
 def test_cellset_from_cells_errors_name_the_first_bad_cell():
@@ -260,7 +279,7 @@ def test_cellset_from_cells_errors_name_the_first_bad_cell():
         CellSet.from_cells(2, [(1, 2, 3), (4, 5, 6)])
     with pytest.raises(ValueError, match="int64"):
         CellSet.from_cells(31, [(2**32 - 1, 2**32 - 1), (0, 0)])
-    assert CellSet.from_cells(30, [(2**31 - 1, 2**31 - 1), (0, 0)]).members[-1] == (
+    assert list(CellSet.from_cells(30, [(2**31 - 1, 2**31 - 1), (0, 0)]))[-1] == (
         2**31 - 1, 2**31 - 1)
 
 

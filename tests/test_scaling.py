@@ -101,7 +101,7 @@ def test_remove_polar_caps():
     trimmed = remove_polar_caps(sel, 0.05)
     # exactly the two polar bands go
     assert len(trimmed) == len(sel) - 16
-    assert all(band not in (0, 7) for band, _ in trimmed.members)
+    assert all(band not in (0, 7) for band, _ in trimmed)
     # a large delta empties the selection
     assert len(remove_polar_caps(sel, math.pi / 2)) == 0
 
@@ -178,7 +178,7 @@ def test_scaled_regions_are_arrays_with_objects_on_access():
     for a in (regions.cells, *regions.theta, *regions.phi, *regions.cos):
         with pytest.raises(ValueError):  # read-only: the objects cannot go stale
             a[0] = 0
-    assert [(r.parent.band, r.parent.sector) for r in objects] == list(summary.kept.members)
+    assert [(r.parent.band, r.parent.sector) for r in objects] == list(summary.kept)
     # the arrays the certificate reads are the objects' bounds
     assert regions.theta[0].tolist() == [r.theta_lo for r in objects]
     assert regions.theta[1].tolist() == [r.theta_hi for r in objects]
@@ -290,7 +290,7 @@ def reference_scale_set(selection, constants):
     """(ScaleSummary, branch names hit) from the per-cell loop."""
     kept = []
     cd = math.cos(constants.delta)
-    for band, sector in selection.members:
+    for band, sector in selection:
         (ulo, uhi), _ = cell_bounds(DyadicCell(selection.level, band, sector))
         if constants.delta == 0.0 or not (uhi > cd or ulo < -cd):
             kept.append((band, sector))

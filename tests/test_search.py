@@ -55,7 +55,7 @@ EXACT_PINS = {  # level: (sha256, nodes)
 
 
 def ordinals(selection):
-    return [DyadicCell(selection.level, b, s).ordinal for b, s in selection.members]
+    return [DyadicCell(selection.level, b, s).ordinal for b, s in selection]
 
 
 def digest(selection):
@@ -168,7 +168,7 @@ def test_double_cap_cellset_fractions():
     assert double_cap_cellset(2).fraction() == 0.25
     assert double_cap_cellset(6).fraction() == 0.28125
     # strictly inside the open caps: no selected cell touches cos = sqrt(2)/2
-    for band, _ in double_cap_cellset(3).members:
+    for band, _ in double_cap_cellset(3):
         lo = 1.0 - (band + 1) / 8.0
         hi = 1.0 - band / 8.0
         assert lo > math.sqrt(0.5) or hi < -math.sqrt(0.5)
@@ -189,7 +189,7 @@ def test_double_cap_cellset_matches_band_loop():
         return tuple(cells)
 
     for level in range(1, 10):
-        members = double_cap_cellset(level).members
+        members = tuple(double_cap_cellset(level))
         assert members == reference(level), level
         assert all(type(x) is int for m in members[:1] + members[-1:] for x in m)
 
@@ -333,7 +333,7 @@ def test_negative_budgets_rejected():
 def test_ordinal_helpers_round_trip():
     graph = build_conflict_graph(1)
     result = greedy_mis(graph, "min-degree")
-    for band, sector in result.selection.members:
+    for band, sector in result.selection:
         cell = DyadicCell(1, band, sector)
         assert cell_from_ordinal(1, cell.ordinal) == cell
 
