@@ -15,15 +15,13 @@ from .convexify import (ConvResult, ConvexDecomposition, ConvexPolygon,
                         check_triangle_lemma, connected_components, conv, conv1,
                         conv2, convex_hull, convex_polygon_from_points,
                         hausdorff_distance, polygon_distance)
-from .density import (CoveringReport, DensityReport, MembershipOracle,
-                      cap_oracle, cap_union_oracle, cell_densities,
-                      cell_set_oracle, covering_report, double_cap_oracle,
-                      polygon_set_oracle, select_dense_cells,
+from .density import (DensityReport, MembershipOracle, cap_oracle,
+                      cap_union_oracle, cell_densities, cell_set_oracle,
+                      double_cap_oracle, polygon_set_oracle, select_dense_cells,
                       sieve_fractal_oracle)
 from .grid import (CellSet, DyadicCell, all_cells, antipodal_cell, cell_area,
-                   cell_bounds, cell_count, cell_from_ordinal, locate_coords,
-                   locate_point, n_bands, neighbors, parent, refine,
-                   theta_bounds)
+                   cell_bounds, cell_count, locate_coords, locate_point,
+                   n_bands, neighbors, parent, theta_bounds)
 from .scaling import (InfeasibleEpsilonError, OpfCertification, ScaleConstants,
                       ScaledRegion, ScaledRegions, ScaleSummary, choose_constants,
                       is_feasible, largest_feasible_epsilon, remove_polar_caps,
@@ -37,6 +35,6 @@ from .sphere import (Cap, GeodesicSegment, InfeasibleShrinkError,
                      OutOfHemisphereError, cap_area, from_polar,
                      geodesic_distance, gnomonic_project_batch,
                      gnomonic_unproject, lune_half_angle, sample_uniform_batch,
-                     spherical_polygon_area, to_polar, unit_vector)
+                     spherical_polygon_area, to_polar)
 
 __version__ = "0.1.0"

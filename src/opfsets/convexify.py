@@ -116,9 +116,6 @@ class ConvexPolygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def contains(self, p: np.ndarray, tol: float = PREDICATE_TOL) -> bool:
-        return bool(self.contains_batch(np.reshape(p, (1, 3)), tol)[0])
-
     def contains_batch(self, points: np.ndarray, tol: float = PREDICATE_TOL) -> np.ndarray:
         """Rowwise closed containment of an (m, 3) array, edges widened by tol."""
         a = self.vertices

@@ -27,7 +27,8 @@ import numpy as np
 
 from .grid import (CellSet, DyadicCell, cell_area, cell_bounds, cell_bounds_batch,
                    locate_coords_batch, n_bands, write_json)
-from .sphere import PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, _running_sum, cap_area
+from .sphere import (PREDICATE_TOL, SPHERE_AREA, TWO_PI, Cap, _running_sum, _unit_points,
+                     cap_area)
 
 THEOREM_BETA = 1.0 / 64.0
 # Monte Carlo points per contains_batch call.  At 1 << 16 the (points, 3)
@@ -66,9 +67,6 @@ class MembershipOracle:
                 if gap < a.radius + b.radius - PREDICATE_TOL:
                     raise ValueError(f"caps of radii {a.radius} and {b.radius} overlap; "
                                      "cap oracles need pairwise disjoint caps")
-
-    def contains(self, p: np.ndarray) -> bool:
-        return bool(self.contains_batch(p.reshape(1, 3))[0])
 
     def contains_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -259,12 +257,6 @@ def sample_in_cell(cell: DyadicCell, n: int, rng: np.random.Generator) -> np.nda
     return _unit_points(rng.uniform(ulo, uhi, n), rng.uniform(plo, phi, n))
 
 
-def _unit_points(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(len(u), 3) unit vectors at heights u and azimuths p."""
-    s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    return np.stack([s * np.cos(p), s * np.sin(p), u], axis=1)
-
-
 def cell_densities(oracle: MembershipOracle, level: int, cells, samples: int = 1000,
                    seed: int = 0, method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
     """(density, standard error) arrays for cells given as (band, sector) pairs.
@@ -381,36 +373,3 @@ def select_dense_cells(oracle: MembershipOracle, level: int, epsilon: float,
                          _running_sum(d[keep] * cell_area(level)),
                          within_theorem_range=epsilon < THEOREM_BETA)
 
-
-@dataclass(frozen=True)
-class CoveringReport:
-    """Two-sided covering diagnostics against a target set M."""
-
-    mu_m: float
-    mu_union: float
-    mu_intersection: float
-    mu_intersection_stderr: float
-    captured_gap: float   # mu(M ∩ union) - mu(M); Lemma-style bound wants > -eps
-    excess_gap: float     # mu(union) - mu(M); bound wants < eps
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "mu_m", "mu_union", "mu_intersection",
-            "mu_intersection_stderr", "captured_gap", "excess_gap")}
-
-
-def covering_report(oracle: MembershipOracle, selection: CellSet,
-                    samples: int = 200_000, seed: int = 0) -> CoveringReport:
-    """mu(M), mu(union of cells), mu(M ∩ union) and both gaps.
-
-    mu(M) and mu(union) are exact; the intersection adds the cells' densities,
-    which are exact unless the oracle is a polygon set.  Then `samples` Monte
-    Carlo points are spread over the cells (at least 100 per cell).
-    """
-    area = cell_area(selection.level)
-    per_cell = max(100, samples // max(1, len(selection)))
-    d, e = cell_densities(oracle, selection.level, selection.array(), per_cell, seed)
-    inter = _running_sum(d * area)
-    mu_m, mu_union = oracle.measure(), selection.measure()
-    return CoveringReport(mu_m, mu_union, inter, math.sqrt(_running_sum((e * area) ** 2)),
-                          inter - mu_m, mu_union - mu_m)

@@ -55,16 +55,6 @@ class DyadicCell:
         if not 0 <= self.sector < n:
             raise ValueError(f"sector {self.sector} out of range [0, {n}) at level {self.level}")
 
-    @property
-    def ordinal(self) -> int:
-        """Row-major index band * n + sector, used for graph files and seeds."""
-        return self.band * n_bands(self.level) + self.sector
-
-
-def cell_from_ordinal(level: int, ordinal: int) -> DyadicCell:
-    n = n_bands(level)
-    return DyadicCell(level, ordinal // n, ordinal % n)
-
 
 def cell_bounds(cell: DyadicCell) -> tuple[tuple[float, float], tuple[float, float]]:
     """((cos_theta_lo, cos_theta_hi), (phi_lo, phi_hi)).
@@ -125,14 +115,6 @@ def locate_coords_batch(cos_theta, phi, level: int) -> tuple[np.ndarray, np.ndar
 def locate_point(p: np.ndarray, level: int) -> DyadicCell:
     theta, phi = to_polar(p)
     return locate_coords(math.cos(theta), phi, level)
-
-
-def refine(cell: DyadicCell) -> tuple[DyadicCell, DyadicCell, DyadicCell, DyadicCell]:
-    """The 4 level-(k+1) children whose closures partition the cell's closure."""
-    k1 = cell.level + 1
-    b, s = 2 * cell.band, 2 * cell.sector
-    return (DyadicCell(k1, b, s), DyadicCell(k1, b, s + 1),
-            DyadicCell(k1, b + 1, s), DyadicCell(k1, b + 1, s + 1))
 
 
 def parent(cell: DyadicCell) -> DyadicCell:
@@ -199,19 +181,30 @@ def _cell_key(cell, level: int):
 class CellSet:
     """Cells at one level: rows, one read-only (k, 2) int64 array of (band, sector)
     in ascending ordinal order, built from pairs, DyadicCells or a (k, 2) int
-    array.  Duplicates collapse; an out-of-range index raises DyadicCell's
-    error for the first bad input.  Ordinals band * n + sector are int64, so
-    levels above 30 are refused.  Iteration yields (band, sector) tuples."""
+    array.  Duplicates collapse; a level or index that is not an integer
+    (float, string, bool) raises, and an out-of-range index raises
+    DyadicCell's error for the first bad input.  Ordinals band * n + sector
+    are int64, so levels above 30 are refused.  Iteration yields (band, sector) tuples."""
 
     level: int
     rows: np.ndarray
 
     def __post_init__(self):
-        level, cells, n = self.level, self.rows, n_bands(self.level)
+        level, cells = self.level, self.rows
+        if not isinstance(cells, np.ndarray):
+            # an object array keeps each index as given: numpy would read a
+            # bool beside ints as an int, and ints beside 2**63 as floats
+            cells = np.array([_cell_key(c, level) for c in cells], dtype=object)
+        # other arrays by dtype, in O(1); an empty one of any dtype holds no index
+        types = {type(level), *(map(type, cells.flat) if cells.dtype == object
+                                else [cells.dtype.type] * (cells.size > 0))}
+        bad = sorted({t.__name__ for t in types
+                      if t is bool or not issubclass(t, (int, np.integer))})
+        if bad:
+            raise ValueError(f"level and cell indices must be integers, got {', '.join(bad)}")
         if level > 30:
             raise ValueError(f"level {level} exceeds 30, the largest with int64 ordinals")
-        if not isinstance(cells, np.ndarray):
-            cells = [_cell_key(c, level) for c in cells]
+        n = n_bands(level)
         try:
             pairs = np.asarray(cells, dtype=np.int64)
         except OverflowError:
@@ -230,10 +223,6 @@ class CellSet:
         rows = np.stack(np.divmod(ords, n), axis=1)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows.view())  # a view cannot turn writable
-
-    @classmethod
-    def from_cells(cls, level: int, cells) -> "CellSet":
-        return cls(level, cells)
 
     def __eq__(self, other):
         return (isinstance(other, CellSet) and self.level == other.level
@@ -257,9 +246,6 @@ class CellSet:
         """The read-only (k, 2) int64 array of (band, sector) rows, in order."""
         return self.rows
 
-    def cells(self) -> list[DyadicCell]:
-        return [DyadicCell(self.level, b, s) for b, s in self]
-
     def measure(self) -> float:
         """Total area in steradians."""
         return len(self) * cell_area(self.level)
@@ -279,12 +265,11 @@ class CellSet:
             if isinstance(doc, dict) and isinstance(doc.get(key), dict):
                 doc = doc[key]
         try:
-            level = int(doc["level"])
-            cells = [(int(b), int(s)) for b, s in doc["cells"]]
+            return cls(doc["level"], doc["cells"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError('expected a CellSet {"level": k, "cells": [[band, sector], ...]} or '
-                             'a document whose "selected" or "selection" member is one') from exc
-        return cls(level, cells)
+            raise ValueError(f'{exc}; expected a CellSet {{"level": k, "cells": [[band, sector], '
+                             '...]} or a document whose "selected" or "selection" member is one'
+                             ) from exc
 
     def save(self, path) -> None:
         write_json(path, self.to_json())

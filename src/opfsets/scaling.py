@@ -22,7 +22,7 @@ import numpy as np
 
 from .conflicts import _pair_scan
 from .grid import CellSet, DyadicCell, cell_area, cell_bounds_batch, theta_bounds, write_json
-from .sphere import (InfeasibleShrinkError, SPHERE_AREA, TWO_PI, _running_sum,
+from .sphere import (InfeasibleShrinkError, SPHERE_AREA, TWO_PI, _running_sum, _unit_points,
                      lune_half_angle)
 
 N_ROOT = 3
@@ -144,9 +144,7 @@ class ScaledRegion:
         if self.empty:
             raise ValueError("cannot sample an empty region")
         u = rng.uniform(math.cos(self.theta_hi), math.cos(self.theta_lo), n)
-        p = rng.uniform(self.phi_lo, self.phi_hi, n)
-        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-        return np.stack([s * np.cos(p), s * np.sin(p), u], axis=1)
+        return _unit_points(u, rng.uniform(self.phi_lo, self.phi_hi, n))
 
     def to_json(self) -> dict:
         return {"parent": [self.parent.band, self.parent.sector],
@@ -188,8 +186,8 @@ class ScaledRegions(Sequence):
     cells is the (m, 2) array of parent (band, sector) rows, theta and phi the
     (lo, hi) bound arrays and cos the cosines (cos(theta_lo), cos(theta_hi))
     as math.cos gives them.  verify_scaled_opf reads the arrays; indexing or
-    iterating builds the ScaledRegion objects, once, on first access.  The
-    arrays are read-only, so the two views cannot drift apart.
+    iterating builds ScaledRegion objects from them on each access, and
+    equality compares them.  The arrays are read-only.
     """
 
     def __init__(self, level, shrink, cells, theta, phi, cos):
@@ -197,7 +195,6 @@ class ScaledRegions(Sequence):
             a.setflags(write=False)
         self.level, self.shrink, self.cells = level, shrink, cells
         self.theta, self.phi, self.cos = theta, phi, cos
-        self._objects = None
 
     @property
     def empty(self) -> np.ndarray:
@@ -210,27 +207,26 @@ class ScaledRegions(Sequence):
         return [{"parent": [b, s], "shrink": self.shrink, "theta": [t0, t1], "phi": [p0, p1],
                  "empty": e} for e, b, s, t0, t1, p0, p1 in zip(*columns)]
 
-    def _regions(self) -> tuple:
-        if self._objects is None:
-            columns = (x.tolist() for x in (*self.cells.T, *self.theta, *self.phi))
-            self._objects = tuple(
-                ScaledRegion(DyadicCell(self.level, b, s), self.shrink, t0, t1, p0, p1)
-                for b, s, t0, t1, p0, p1 in zip(*columns))
-        return self._objects
+    def _columns(self) -> tuple:
+        return (*self.cells.T, *self.theta, *self.phi)
+
+    def _region(self, b, s, t0, t1, p0, p1) -> ScaledRegion:
+        return ScaledRegion(DyadicCell(self.level, b, s), self.shrink, t0, t1, p0, p1)
 
     def __len__(self) -> int:
         return len(self.cells)
 
-    def __getitem__(self, index):
-        return self._regions()[index]
+    def __getitem__(self, index: int) -> ScaledRegion:
+        return self._region(*(x[index].item() for x in self._columns()))
 
     def __iter__(self):
-        return iter(self._regions())
+        return (self._region(*row) for row in zip(*(x.tolist() for x in self._columns())))
 
     def __eq__(self, other):
         if not isinstance(other, ScaledRegions):
             return NotImplemented
-        return self._regions() == other._regions()
+        return ((self.level, self.shrink) == (other.level, other.shrink)
+                and all(map(np.array_equal, self._columns(), other._columns())))
 
 
 def _shrink_cells(level: int, cells: np.ndarray,
@@ -241,8 +237,8 @@ def _shrink_cells(level: int, cells: np.ndarray,
     math; sectors take them with float +, - and *, so every bound and
     measure equals the per-cell computation bit for bit.
     """
-    if shrink < 0.0:
-        raise ValueError(f"shrink must be nonnegative, got {shrink}")
+    if not 0.0 <= shrink < math.inf:  # a NaN or infinite shrink would pass vacuously
+        raise ValueError(f"shrink must be finite and >= 0, got {shrink}")
     bands, band_of = np.unique(cells[:, 0], return_inverse=True)
     rule = [_band_shrink(level, b, shrink) for b in bands.tolist()]
     tlo, thi, omega, cos_lo, cos_hi = np.array(

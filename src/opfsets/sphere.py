@@ -24,7 +24,6 @@ TWO_PI = 2.0 * math.pi
 SPHERE_AREA = 4.0 * math.pi
 
 NORTH_POLE = np.array([0.0, 0.0, 1.0])
-SOUTH_POLE = np.array([0.0, 0.0, -1.0])
 
 
 class OutOfHemisphereError(ValueError):
@@ -33,15 +32,6 @@ class OutOfHemisphereError(ValueError):
 
 class InfeasibleShrinkError(ValueError):
     """Requested shrink distance cannot be realized at this colatitude."""
-
-
-def unit_vector(x: float, y: float, z: float) -> np.ndarray:
-    """Build a unit vector, normalizing the input. Zero input is an error."""
-    v = np.array([float(x), float(y), float(z)])
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
 
 
 def from_polar(theta: float, phi: float) -> np.ndarray:
@@ -79,20 +69,17 @@ def cap_area(radius: float) -> float:
 
 @dataclass(frozen=True)
 class Cap:
-    """Open geodesic disc: center on the sphere, radius in radians."""
+    """Open geodesic disc {p : p . center > cos(radius)}: a unit center, radius in radians."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
+        norm = np.linalg.norm(self.center) if np.shape(self.center) == (3,) else math.nan
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN and inf fail too
+            raise ValueError(f"cap center must be a finite unit 3-vector, got {self.center}")
         if not 0.0 < self.radius <= math.pi:
             raise ValueError(f"cap radius must be in (0, pi], got {self.radius}")
-
-    def contains(self, p: np.ndarray) -> bool:
-        return geodesic_distance(self.center, p) < self.radius
-
-    def area(self) -> float:
-        return cap_area(self.radius)
 
 
 @dataclass(frozen=True)
@@ -211,9 +198,13 @@ def spherical_polygon_area(vertices) -> float:
     return _running_sum(angles) - (n - 2) * math.pi
 
 
+def _unit_points(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(len(u), 3) unit vectors at heights u = cos(theta) and azimuths phi."""
+    s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+    return np.stack([s * np.cos(phi), s * np.sin(phi), u], axis=1)
+
+
 def sample_uniform_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 3) array of points uniform on the sphere."""
     z = 1.0 - 2.0 * rng.random(n)
-    phi = TWO_PI * rng.random(n)
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+    return _unit_points(z, TWO_PI * rng.random(n))

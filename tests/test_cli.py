@@ -207,7 +207,7 @@ def _selection_file(tmp_path, cells):
     # the full level-2 band next to the equator circles the sphere: no hemisphere holds it
     pytest.param(lambda tmp: [
         "convexify", "--selection",
-        _selection_file(tmp, CellSet.from_cells(2, [(3, s) for s in range(8)]))],
+        _selection_file(tmp, CellSet(2, [(3, s) for s in range(8)]))],
         EXIT_INFEASIBLE, id="hull-outside-a-hemisphere"),
     pytest.param(lambda tmp: ["conflicts", "--level", "2", "--margin=-1"], EXIT_USAGE,
                  id="bad-margin"),
@@ -283,7 +283,7 @@ def test_scale_feasible_and_infeasible(tmp_path, capsys):
 
 def test_scale_certification_failure(tmp_path, capsys):
     sel_path = tmp_path / "full.json"
-    sel = CellSet.from_cells(2, all_cells(2))
+    sel = CellSet(2, all_cells(2))
     sel.save(sel_path)
     thresh = largest_feasible_epsilon(sel.measure())
     assert main(["scale", "--selection", str(sel_path),
@@ -474,6 +474,16 @@ def test_filter_rejects_bad_centers(capsys):
     assert main(["filter", "--oracle", "cell-set", "--level", "2",
                  "--epsilon", "0.01"]) == EXIT_USAGE
     assert "--cells" in capsys.readouterr().err
+
+
+def test_convexify_rejects_non_integer_selection(tmp_path, capsys):
+    # a level of 3.7 used to be truncated: a level-3 cell was certified, exit 0
+    for doc in ({"level": 3.7, "cells": [[2, 1]]}, {"level": 3, "cells": [[2.5, 1]]},
+                {"level": "3", "cells": [[2, 1]]}, {"level": True, "cells": [[1, 0]]}):
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps(doc))
+        assert main(["convexify", "--selection", str(sel)]) == EXIT_USAGE, doc
+        assert "must be integers" in capsys.readouterr().err
 
 
 def test_convexify_rejects_zero_arc_samples(tmp_path, capsys):

@@ -16,7 +16,7 @@ from opfsets.conflicts import (ConflictGraph, CorruptCacheError, DotRange,
                                selection_violations)
 from opfsets.density import cap_union_oracle, select_dense_cells
 from opfsets.grid import (CellSet, DyadicCell, all_cells, antipodal_cell, cell_bounds,
-                          cell_bounds_batch, cell_from_ordinal, n_bands)
+                          cell_bounds_batch, n_bands)
 from opfsets.scaling import (choose_constants, largest_feasible_epsilon, scale_set,
                              _shrink_cells, verify_scaled_opf)
 from opfsets.search import double_cap_cellset, selection_graph_violations
@@ -81,10 +81,10 @@ def reference_graph(level, margin=0.0):
 
 def brute_force_violations(selection, margin=0.0):
     """(self-conflicting ordinals, conflicting pairs) by cells_conflict on each pair."""
-    cells = [DyadicCell(selection.level, b, s) for b, s in selection]
-    selfs = [c.ordinal for c in cells if cells_conflict(c, c, margin)]
-    pairs = [(a.ordinal, b.ordinal) for i, a in enumerate(cells) for b in cells[i + 1:]
-             if cells_conflict(a, b, margin)]
+    cells, n = [DyadicCell(selection.level, b, s) for b, s in selection], n_bands(selection.level)
+    selfs = [c.band * n + c.sector for c in cells if cells_conflict(c, c, margin)]
+    pairs = [(a.band * n + a.sector, b.band * n + b.sector) for i, a in enumerate(cells)
+             for b in cells[i + 1:] if cells_conflict(a, b, margin)]
     return selfs, pairs
 
 
@@ -195,7 +195,7 @@ def test_scalar_conflict_tests_reject_bad_margin(margin):
     with pytest.raises(ValueError, match="margin"):
         DotRange(-0.1, 0.2).contains_zero(margin)
     with pytest.raises(ValueError, match="margin"):
-        selection_violations(CellSet.from_cells(1, [(1, 0)]), margin)
+        selection_violations(CellSet(1, [(1, 0)]), margin)
 
 
 def test_documented_cell_examples():
@@ -401,7 +401,7 @@ def random_selections(graph, rng):
         ords = rng.choice(m, size=min(size, m), replace=False)
         if size and len(selfs):
             ords = np.concatenate([ords, rng.choice(selfs, size=3)])
-        yield CellSet.from_cells(graph.level, np.stack(np.divmod(ords, n), axis=1))
+        yield CellSet(graph.level, np.stack(np.divmod(ords, n), axis=1))
 
 
 def test_selection_graph_violations_match_reference():
@@ -432,10 +432,10 @@ def run_end_selections(graph, rng):
             cells = [(b1, s)] + [(b2, (s + d) % n) for d in offsets]
             must = [(b1 * n + s, b2 * n + (s + d) % n) for d in offsets
                     if f[b1, b2] <= min(d % n, n - d % n) <= l[b1, b2]]
-            yield name, CellSet.from_cells(graph.level, cells), must
+            yield name, CellSet(graph.level, cells), must
         if len(pairs):
             b1, b2 = pairs[0]
-            yield name, CellSet.from_cells(graph.level, [(b, s) for b in {b1, b2}
+            yield name, CellSet(graph.level, [(b, s) for b in {b1, b2}
                                                          for s in range(n)]), []
 
 
@@ -447,7 +447,7 @@ def test_selection_graph_violations_at_run_ends():
     for level in range(7):
         for margin in (0.0, 1e-3, 0.05, 0.3):
             g = build_conflict_graph(level, margin)
-            assert selection_graph_violations(CellSet.from_cells(level, []), g) == []
+            assert selection_graph_violations(CellSet(level, []), g) == []
             for name, sel, must in run_end_selections(g, rng):
                 got = selection_graph_violations(sel, g)
                 assert got == reference_graph_violations(sel, g), (level, margin, name)
@@ -479,11 +479,11 @@ def test_resource_cap():
 
 def test_selection_violations_matches_graph():
     g = build_conflict_graph(2)
-    full = CellSet.from_cells(2, [(b, s) for b in range(8) for s in range(8)])
+    full = CellSet(2, [(b, s) for b in range(8) for s in range(8)])
     selfs, pairs = selection_violations(full)
     assert sorted(selfs) == sorted(int(o) for o in g.self_conflicts)
     assert pairs == sorted((int(a), int(b)) for a, b in g.edges)
-    assert selection_violations(CellSet.from_cells(2, [])) == ([], [])
+    assert selection_violations(CellSet(2, [])) == ([], [])
 
 
 def test_cache_round_trip(tmp_path):
@@ -731,7 +731,7 @@ def rotcap_regions(level):
 def scaled_region_cases():
     """(name, regions): rotated caps at level 5 and the level-3 sphere, unshrunk
     (boxes in radians, so many decisions sit within ulps of zero) and scaled."""
-    full3 = CellSet.from_cells(3, all_cells(3))
+    full3 = CellSet(3, all_cells(3))
     full_eps = 0.9 * largest_feasible_epsilon(full3.measure())
     return [("rotcap-l5", rotcap_regions(5)),
             ("full-l3-unshrunk", _shrink_cells(3, full3.array(), 0.0)[0]),
@@ -834,8 +834,7 @@ def test_selection_checks_match_brute_force():
         m = graph.n_cells()
         for size in (0, 1, 5, 24):
             ords = rng.choice(m, size=min(size, m), replace=False)
-            sel = CellSet.from_cells(level, [
-                (c.band, c.sector) for c in (cell_from_ordinal(level, int(o)) for o in ords)])
+            sel = CellSet(level, [divmod(int(o), n_bands(level)) for o in ords])
             for margin in (0.0, 0.05):
                 assert selection_violations(sel, margin) == brute_force_violations(sel, margin)
             selfs, pairs = brute_force_violations(sel)
@@ -845,10 +844,10 @@ def test_selection_checks_match_brute_force():
     # every cell at levels 0-5, seeded 300-cell selections at levels 6-7
     for level in range(8):
         if level < 6:
-            sel, margins = CellSet.from_cells(level, all_cells(level)), (0.0, 1e-3, 0.05)
+            sel, margins = CellSet(level, all_cells(level)), (0.0, 1e-3, 0.05)
         else:
             ords = rng.choice(4 ** (level + 1), size=300, replace=False)
-            sel = CellSet.from_cells(level, np.stack(np.divmod(ords, n_bands(level)), axis=1))
+            sel = CellSet(level, np.stack(np.divmod(ords, n_bands(level)), axis=1))
             margins = (0.0, 0.05)
         for margin in margins:
             want = selection_graph_violations(sel, build_conflict_graph(level, margin))
@@ -862,7 +861,7 @@ def test_chunked_evaluation_matches_single_pass(monkeypatch):
     # a tiny chunk forces two kernel calls in the interval build and several
     # per tree level
     rng = np.random.default_rng(3)
-    sel = CellSet.from_cells(3, [(int(b), int(s)) for b, s in rng.integers(0, 16, (40, 2))])
+    sel = CellSet(3, [(int(b), int(s)) for b, s in rng.integers(0, 16, (40, 2))])
     graph = build_conflict_graph(3, 0.05)
     whole = graph, selection_violations(sel, 0.05), selection_graph_violations(sel, graph)
     assert whole[2]
@@ -876,13 +875,13 @@ def test_chunked_evaluation_matches_single_pass(monkeypatch):
                                    "verify_scaled_opf"])
 def test_bad_margin_rejected(entry, margin):
     # a NaN margin would make every comparison false and so pass every pair
-    full = CellSet.from_cells(2, all_cells(2))
+    full = CellSet(2, all_cells(2))
     regions = _shrink_cells(2, full.array(), 0.0)[0]
     none = _shrink_cells(2, np.empty((0, 2), dtype=np.int64), 0.0)[0]
     calls = {
         "build_conflict_graph": [lambda: build_conflict_graph(2, margin)],
         "selection_violations": [lambda: selection_violations(full, margin),
-                                 lambda: selection_violations(CellSet.from_cells(2, []), margin)],
+                                 lambda: selection_violations(CellSet(2, []), margin)],
         "verify_scaled_opf": [lambda: verify_scaled_opf(regions, margin),
                               lambda: verify_scaled_opf(none, margin)],
     }

@@ -20,7 +20,7 @@ from opfsets.convexify import (ConvexDecomposition, ConvexPolygon,
 from opfsets.grid import (CellSet, DyadicCell, cell_area, cell_bounds, neighbors,
                           theta_bounds, write_json)
 from opfsets.search import double_cap_cellset
-from opfsets.sphere import PREDICATE_TOL, from_polar, unit_vector
+from opfsets.sphere import PREDICATE_TOL, from_polar
 
 
 def ring_polygon(axis: np.ndarray, alpha: float, n: int = 4,
@@ -62,8 +62,8 @@ def test_octant_hull():
     assert len(poly) == 3
     assert poly.area() == pytest.approx(math.pi / 2, abs=1e-12)
     center = tri.sum(axis=0) / math.sqrt(3)
-    assert poly.contains(center / np.linalg.norm(center))
-    assert not poly.contains(-center / np.linalg.norm(center))
+    assert poly.contains_batch((center / np.linalg.norm(center))[None])[0]
+    assert not poly.contains_batch((-center / np.linalg.norm(center))[None])[0]
     inside = poly.contains_batch(np.stack([center, -center]) / np.linalg.norm(center))
     assert inside.tolist() == [True, False]
 
@@ -109,23 +109,23 @@ def test_polygon_distance_matches_brute_force():
 
 def test_connected_components():
     # two touching cells merge; an isolated cell stays separate
-    sel = CellSet.from_cells(3, [(3, 0), (3, 1), (6, 9)])
+    sel = CellSet(3, [(3, 0), (3, 1), (6, 9)])
     comps = connected_components(sel)
     assert [len(c) for c in comps] == [2, 1]
     # azimuthal wraparound joins the first and last sectors
-    wrap = CellSet.from_cells(3, [(3, 0), (3, 15)])
+    wrap = CellSet(3, [(3, 0), (3, 15)])
     assert len(connected_components(wrap)) == 1
     # all top-band cells meet at the pole
-    polar = CellSet.from_cells(3, [(0, s) for s in range(0, 16, 2)])
+    polar = CellSet(3, [(0, s) for s in range(0, 16, 2)])
     assert len(connected_components(polar)) == 1
 
 
 def test_convex_hull_covers_component():
-    comp = CellSet.from_cells(3, [(2, 1), (2, 2), (3, 1), (3, 2)])
+    comp = CellSet(3, [(2, 1), (2, 2), (3, 1), (3, 2)])
     poly = convex_hull(comp)
     assert poly.area() >= comp.measure() - 1e-6
     with pytest.raises(ValueError):
-        convex_hull(CellSet.from_cells(3, []))
+        convex_hull(CellSet(3, []))
     with pytest.raises(ValueError, match="arc_samples"):
         convex_hull(comp, arc_samples=0)
 
@@ -147,7 +147,7 @@ def test_conv_double_cap_level3():
 
 
 def test_conv_empty_selection(tmp_path):
-    result = conv(CellSet.from_cells(3, []))
+    result = conv(CellSet(3, []))
     assert len(result.decomposition) == 0
     assert result.output_measure == 0.0
     assert result.opf_violations == ()
@@ -160,14 +160,14 @@ def test_conv_empty_selection(tmp_path):
 
 def test_conv2_merges_touching_hulls():
     level = 3
-    left = convex_hull(CellSet.from_cells(level, [(2, 1)]))
-    right = convex_hull(CellSet.from_cells(level, [(2, 2)]))
+    left = convex_hull(CellSet(level, [(2, 1)]))
+    right = convex_hull(CellSet(level, [(2, 2)]))
     decomp = ConvexDecomposition((left, right), convexify._distance_matrix((left, right)))
     assert decomp.pairwise_min_distance == polygon_distance(left, right) <= 1e-9
     merged, merges = conv2(decomp)
     assert merges == 1
     assert len(merged) == 1
-    both = convex_hull(CellSet.from_cells(level, [(2, 1), (2, 2)]))
+    both = convex_hull(CellSet(level, [(2, 1), (2, 2)]))
     assert merged.polygons[0].area() == pytest.approx(both.area(), abs=1e-9)
 
 
@@ -175,7 +175,7 @@ def test_conv_merges_hull_that_swallows_a_cell():
     # the hull of a level-4 U of cells covers the separate cell (1, 2): the
     # two stage-1 polygons meet, and counting both would count the overlap twice
     u_shape = [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (2, 4), (1, 4)]
-    selection = CellSet.from_cells(4, u_shape + [(1, 2)])
+    selection = CellSet(4, u_shape + [(1, 2)])
     assert conv1(selection).pairwise_min_distance == 0.0
     result = conv(selection)
     assert len(result.decomposition) == 1 and result.merge_count == 1
@@ -202,7 +202,7 @@ def test_conv2_computes_each_pair_once(monkeypatch):
     level = 3
     u_shape = ([(b, 0) for b in range(2, 7)] + [(b, 4) for b in range(2, 7)]
                + [(2, s) for s in range(1, 4)])
-    selection = CellSet.from_cells(level, u_shape + [(5, 2), (12, 10)])
+    selection = CellSet(level, u_shape + [(5, 2), (12, 10)])
     assert len(connected_components(selection)) == 3
     calls = []
     seen = []  # holds every polygon passed, so no id is reused mid-test
@@ -306,7 +306,7 @@ def test_triangle_lemma_and_pasch_hold():
 
 
 def test_polygon_json_and_samples():
-    poly = ring_polygon(unit_vector(0, 0, 1), 0.3)
+    poly = ring_polygon(np.array([0.0, 0.0, 1.0]), 0.3)
     doc = poly.to_json()
     assert len(doc["vertices"]) == len(poly)
     samples = poly.boundary_samples(per_edge=4)
@@ -673,7 +673,7 @@ def test_reach_covers_widened_acute_vertex():
     apex_side = np.linalg.norm(np.cross(apex, base[0]))
     reach_past_apex = PREDICATE_TOL / (apex_side * math.sin(theta / 2))
     beyond = _axis_at_direction(apex, north, -0.9 * reach_past_apex, 0.0)
-    assert tri.contains(beyond)
+    assert tri.contains_batch(beyond[None])[0]
     past = math.acos(np.clip(beyond @ centre, -1.0, 1.0))
     assert past > radius + math.asin(PREDICATE_TOL / norms.min())
     assert past <= tri.reach
@@ -720,7 +720,7 @@ def test_double_cap_certified_by_caps_alone():
 
 def loop_boundary_points(component, arc_samples):
     pts = []
-    for cell in component.cells():
+    for cell in (DyadicCell(component.level, b, s) for b, s in component):
         tlo, thi = theta_bounds(cell)
         _, (plo, phi) = cell_bounds(cell)
         for theta in (tlo, thi):
@@ -747,7 +747,7 @@ def loop_components(selection):
                     remaining.discard(key)
                     comp.append(key)
                     stack.append(key)
-        components.append(CellSet.from_cells(selection.level, comp))
+        components.append(CellSet(selection.level, comp))
     return sorted(components, key=lambda c: next(iter(c)))
 
 
@@ -759,7 +759,7 @@ def _random_selections(seed, count):
         keep = rng.random((n, n)) < rng.uniform(0.05, 0.6)
         if k % 3 == 0:
             keep[[0, -1]] |= rng.random((2, n)) < 0.5     # populate the pole bands
-        yield CellSet.from_cells(level, [tuple(c) for c in np.argwhere(keep)])
+        yield CellSet(level, [tuple(c) for c in np.argwhere(keep)])
 
 
 def test_components_and_boundary_points_match_loops():
@@ -775,9 +775,9 @@ def test_components_and_boundary_points_match_loops():
                                       loop_boundary_points(comp, samples))
                 cases += 1
     assert cases > 1000
-    assert connected_components(CellSet.from_cells(2, [])) == []
+    assert connected_components(CellSet(2, [])) == []
     # level 0: two bands, both at a pole
-    assert len(connected_components(CellSet.from_cells(0, [(0, 0), (1, 1)]))) == 1
+    assert len(connected_components(CellSet(0, [(0, 0), (1, 1)]))) == 1
 
 
 def _hull_or_error(hull, *args):

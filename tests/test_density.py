@@ -11,11 +11,10 @@ from scipy.optimize import brentq, minimize_scalar
 
 from opfsets import density
 from opfsets.convexify import conv, convex_polygon_from_points
-from opfsets.density import (CoveringReport, DensityReport, MembershipOracle,
-                             THEOREM_BETA, cap_oracle, cap_union_oracle,
-                             cell_densities, cell_set_oracle, covering_report,
-                             double_cap_oracle, polygon_set_oracle, sample_in_cell,
-                             select_dense_cells, sieve_fractal_oracle)
+from opfsets.density import (DensityReport, MembershipOracle, THEOREM_BETA,
+                             cap_oracle, cap_union_oracle, cell_densities,
+                             cell_set_oracle, double_cap_oracle, polygon_set_oracle,
+                             sample_in_cell, select_dense_cells, sieve_fractal_oracle)
 from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_area, cell_bounds,
                           cell_bounds_batch, locate_coords, locate_coords_batch, n_bands)
 from opfsets.search import double_cap_cellset
@@ -34,10 +33,10 @@ def test_oracle_kind_validation():
 
 def test_double_cap_membership_and_measure():
     o = double_cap_oracle()
-    assert o.contains(from_polar(0.1, 0.3))
-    assert o.contains(from_polar(math.pi - 0.1, 0.3))
-    assert not o.contains(from_polar(math.pi / 2, 0.0))
-    assert not o.contains(from_polar(math.pi / 4, 0.0))  # open cap boundary
+    assert o.contains_batch(from_polar(0.1, 0.3)[None])[0]
+    assert o.contains_batch(from_polar(math.pi - 0.1, 0.3)[None])[0]
+    assert not o.contains_batch(from_polar(math.pi / 2, 0.0)[None])[0]
+    assert not o.contains_batch(from_polar(math.pi / 4, 0.0)[None])[0]  # open cap boundary
     assert abs(o.measure() - 2.0 * cap_area(math.pi / 4)) < 1e-15
     assert abs(o.measure() / SPHERE_AREA - (1.0 - SQ2)) < 1e-15
 
@@ -45,13 +44,13 @@ def test_double_cap_membership_and_measure():
 def test_contains_batch_matches_scalar():
     rng = np.random.default_rng(2)
     oracles = [double_cap_oracle(), cap_oracle([0.0, 1.0, 0.0], 0.5),
-               cell_set_oracle(CellSet.from_cells(2, [(0, 0), (3, 5)])),
+               cell_set_oracle(CellSet(2, [(0, 0), (3, 5)])),
                sieve_fractal_oracle(2)]
     pts = np.stack([from_polar(rng.uniform(0, math.pi),
                                rng.uniform(0, 2 * math.pi)) for _ in range(30)])
     for o in oracles:
         batch = o.contains_batch(pts)
-        assert all(bool(batch[i]) == o.contains(pts[i]) for i in range(len(pts)))
+        assert all(batch[i] == o.contains_batch(pts[i][None])[0] for i in range(len(pts)))
 
 
 def edge_normals(poly):
@@ -80,7 +79,7 @@ def test_polygon_set_membership_matches_polygons():
         np.concatenate([p.vertices for p in polys]),
         np.stack([-p.hemisphere_center for p in polys])])
     got = polygon_set_oracle(polys).contains_batch(pts)
-    assert got.tolist() == [any(p.contains(x) for p in polys) for x in pts]
+    assert got.tolist() == [any(p.contains_batch(x[None])[0] for p in polys) for x in pts]
     normals = [edge_normals(p) for p in polys]
     assert got.tolist() == [any(scalar_polygon_member(p, nrm, x) for p, nrm in zip(polys, normals))
                             for x in pts]
@@ -107,12 +106,12 @@ def test_vectorised_membership_matches_scalar_path():
                          + [sample_in_cell(c, 8, rng) for c in all_cells(3)])
     o = sieve_fractal_oracle(4)
     assert o.contains_batch(pts).tolist() == [scalar_sieve_member(p, 4) for p in pts]
-    sel = CellSet.from_cells(3, [(b, s) for b, s in zip(rng.integers(0, 16, 60),
+    sel = CellSet(3, [(b, s) for b, s in zip(rng.integers(0, 16, 60),
                                                         rng.integers(0, 16, 60))])
     located = [locate_coords(math.cos(t), f, 3) for t, f in map(to_polar, pts)]
     assert cell_set_oracle(sel).contains_batch(pts).tolist() == [
         (c.band, c.sector) in sel for c in located]
-    assert not cell_set_oracle(CellSet.from_cells(3, [])).contains_batch(pts).any()
+    assert not cell_set_oracle(CellSet(3, [])).contains_batch(pts).any()
 
 
 def test_vectorised_membership_band_edge_ties():
@@ -577,12 +576,12 @@ def test_sieve_densities_and_measure():
 
 
 def test_cell_set_densities_across_levels():
-    o = cell_set_oracle(CellSet.from_cells(2, [(0, 0)]))
+    o = cell_set_oracle(CellSet(2, [(0, 0)]))
     assert cell_densities(o, 3, [(0, 0), (0, 2)])[0].tolist() == [1.0, 0.0]
     assert cell_densities(o, 2, [(0, 0)])[0].tolist() == [1.0]
     assert cell_densities(o, 1, [(0, 0), (1, 0)])[0].tolist() == [0.25, 0.0]
     rng = np.random.default_rng(12)
-    sel = CellSet.from_cells(3, rng.integers(0, 16, size=(40, 2)).tolist())
+    sel = CellSet(3, rng.integers(0, 16, size=(40, 2)).tolist())
     members = set(sel)
     for level in range(6):
         d, _ = cell_densities(cell_set_oracle(sel), level, all_band_sector(level))
@@ -656,33 +655,6 @@ def test_density_report_serialization(tmp_path):
     rows = list(csv.reader(cpath.read_text().splitlines()))
     assert rows[0] == ["band", "sector", "density", "stderr"]
     assert len(rows) == len(report.selected) + 1
-
-
-def test_covering_report_double_cap():
-    o = double_cap_oracle()
-    report = covering_report(o, select_dense_cells(o, 3, 0.01).selected,
-                             samples=20_000)
-    assert isinstance(report, CoveringReport)
-    assert report.mu_m == pytest.approx(o.measure(), abs=1e-12)
-    assert "mu_m_stderr" not in report.to_json()
-    # selected cells sit inside M, so intersection equals the union measure
-    assert report.mu_intersection == pytest.approx(report.mu_union, abs=1e-9)
-    assert report.excess_gap == pytest.approx(report.mu_union - report.mu_m, abs=1e-12)
-    assert report.captured_gap <= 0.0
-
-
-def test_covering_report_polygons_and_empty_selection():
-    sel = double_cap_cellset(3)
-    polys = conv(sel).decomposition.polygons
-    o = polygon_set_oracle(polys)
-    report = covering_report(o, sel, samples=20_000)
-    assert report.mu_m == pytest.approx(sum(p.area() for p in polys), abs=1e-12)
-    # the hulls cover the cells up to their sampled latitude edges
-    assert report.mu_intersection_stderr > 0.0
-    gap = abs(report.mu_intersection - report.mu_union)
-    assert gap < 4.0 * report.mu_intersection_stderr + 1e-3
-    empty = covering_report(double_cap_oracle(), CellSet.from_cells(3, []))
-    assert (empty.mu_union, empty.mu_intersection, empty.mu_intersection_stderr) == (0.0, 0.0, 0.0)
 
 
 def test_cap_union_measure_additivity():

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfsets.grid import (CellSet, DyadicCell, all_cells, antipodal_cell,
-                          cell_area, cell_bounds, cell_count, cell_from_ordinal,
-                          locate_coords, locate_coords_batch, locate_point, n_bands,
-                          neighbors, parent, refine, theta_bounds, write_json)
+                          cell_area, cell_bounds, cell_count, locate_coords,
+                          locate_coords_batch, locate_point, n_bands, neighbors,
+                          parent, theta_bounds, write_json)
 from opfsets.sphere import from_polar
 
 levels = st.integers(0, 6)
@@ -107,20 +107,6 @@ def test_locate_coords_batch_reduces_azimuths_outside_one_turn():
         assert locate_coords(0.5, -0.0, level).sector == 0
 
 
-@given(cells(max_level=5))
-@settings(max_examples=200)
-def test_refine_partitions_parent(cell):
-    kids = refine(cell)
-    assert len(set(kids)) == 4
-    (clo, chi), (plo, phi) = cell_bounds(cell)
-    for kid in kids:
-        assert parent(kid) == cell
-        (kclo, kchi), (kplo, kphi) = cell_bounds(kid)
-        assert clo <= kclo and kchi <= chi
-        assert plo <= kplo + 1e-12 and kphi <= phi + 1e-12
-    assert abs(sum(cell_area(k.level) for k in kids) - cell_area(cell.level)) < 1e-15
-
-
 def test_parent_of_root_fails():
     with pytest.raises(ValueError):
         parent(DyadicCell(0, 1, 1))
@@ -179,14 +165,8 @@ def test_antipodal_involution(cell):
     assert abs(iclo + chi) < 1e-15 and abs(ichi + clo) < 1e-15
 
 
-@given(cells())
-@settings(max_examples=200)
-def test_ordinal_round_trip(cell):
-    assert cell_from_ordinal(cell.level, cell.ordinal) == cell
-
-
 def test_cellset_canonicalization_and_json(tmp_path):
-    s = CellSet.from_cells(2, [(3, 1), (0, 0), (3, 1)])
+    s = CellSet(2, [(3, 1), (0, 0), (3, 1)])
     assert list(s) == [(0, 0), (3, 1)]
     assert len(s) == 2
     assert DyadicCell(2, 3, 1) in s
@@ -200,7 +180,7 @@ def test_cellset_canonicalization_and_json(tmp_path):
 
 
 def test_cellset_reads_filter_and_search_documents():
-    s = CellSet.from_cells(2, [(3, 1), (0, 0)])
+    s = CellSet(2, [(3, 1), (0, 0)])
     assert CellSet.from_json({"selected": s.to_json(), "cells": []}) == s
     assert CellSet.from_json({"selection": s.to_json(), "method": "baseline"}) == s
     with pytest.raises(ValueError, match='"selection"'):
@@ -209,9 +189,9 @@ def test_cellset_reads_filter_and_search_documents():
 
 def test_cellset_rejects_level_mismatch():
     with pytest.raises(ValueError):
-        CellSet.from_cells(2, [DyadicCell(3, 0, 0)])
+        CellSet(2, [DyadicCell(3, 0, 0)])
     with pytest.raises(ValueError):
-        CellSet.from_cells(1, [(5, 0)])
+        CellSet(1, [(5, 0)])
 
 
 def test_cellset_from_cells_accepts_every_cell_form():
@@ -227,17 +207,17 @@ def test_cellset_from_cells_accepts_every_cell_form():
         "duplicates": pairs + pairs[::-1] + [pairs[0]],
     }
     for name, cells in forms.items():
-        s = CellSet.from_cells(2, cells)
+        s = CellSet(2, cells)
         assert s == expected, name
         assert all(type(x) is int for m in s for x in m), name
     for empty in ([], np.empty((0, 2), dtype=np.int64), np.array([]), iter(())):
-        assert CellSet.from_cells(2, empty) == CellSet(2, ())
+        assert CellSet(2, empty) == CellSet(2, ())
     assert expected.array().tolist() == [list(m) for m in expected]
     assert expected.array().dtype == np.int64
     assert CellSet(2, ()).array().shape == (0, 2)
-    assert CellSet.from_cells(2, expected.array()) == expected
+    assert CellSet(2, expected.array()) == expected
     # the set keeps one array; a write to array() raises
-    built = CellSet.from_cells(2, pairs)
+    built = CellSet(2, pairs)
     with pytest.raises(ValueError, match="read-only"):
         built.array()[0] = (7, 7)
     assert built.array().tolist() == expected.array().tolist()
@@ -246,7 +226,7 @@ def test_cellset_from_cells_accepts_every_cell_form():
 
 def test_cellset_constructor_validates_as_from_cells():
     # the dataclass constructor is the one path: it canonicalizes and checks
-    assert CellSet(2, [(3, 1), (0, 0), (3, 1)]) == CellSet.from_cells(2, [(0, 0), (3, 1)])
+    assert CellSet(2, [(3, 1), (0, 0), (3, 1)]) == CellSet(2, [(0, 0), (3, 1)])
     with pytest.raises(ValueError) as expected:
         DyadicCell(2, 9, 0)
     with pytest.raises(ValueError) as got:
@@ -271,16 +251,38 @@ def test_cellset_from_cells_errors_name_the_first_bad_cell():
         with pytest.raises(ValueError) as expected:
             DyadicCell(2, *first)
         with pytest.raises(ValueError) as got:
-            CellSet.from_cells(2, cells)
+            CellSet(2, cells)
         assert str(got.value) == str(expected.value)
     with pytest.raises(ValueError, match="does not match set level 2"):
-        CellSet.from_cells(2, [DyadicCell(2, 0, 0), DyadicCell(3, 0, 0)])
+        CellSet(2, [DyadicCell(2, 0, 0), DyadicCell(3, 0, 0)])
     with pytest.raises(ValueError, match="pairs"):
-        CellSet.from_cells(2, [(1, 2, 3), (4, 5, 6)])
+        CellSet(2, [(1, 2, 3), (4, 5, 6)])
     with pytest.raises(ValueError, match="int64"):
-        CellSet.from_cells(31, [(2**32 - 1, 2**32 - 1), (0, 0)])
-    assert list(CellSet.from_cells(30, [(2**31 - 1, 2**31 - 1), (0, 0)]))[-1] == (
+        CellSet(31, [(2**32 - 1, 2**32 - 1), (0, 0)])
+    assert list(CellSet(30, [(2**31 - 1, 2**31 - 1), (0, 0)]))[-1] == (
         2**31 - 1, 2**31 - 1)
+
+
+def test_cellset_refuses_non_integer_level_and_indices():
+    # each was truncated: (1.7, 2) held the cell (1, 2), a level of 2.5 built float rows
+    for level, cells in ((2, [(1.7, 2)]), (2.5, [(1, 2)]), ("2", [(1, 2)]), (True, [(1, 1)]),
+                         (2, [(True, 2)]), (2, [(np.True_, 2)]), (2, [("1", 2)]),
+                         (2, [DyadicCell(2, 1.0, 2)]), (2, np.array([[1.0, 2.0]])),
+                         (2, np.array([[True, False]])), (np.float64(2.0), np.array([[1, 2]]))):
+        with pytest.raises(ValueError, match="must be integers"):
+            CellSet(level, cells)
+    for doc in ({"level": "3", "cells": [[1, 1]]}, {"level": True, "cells": [[1, 1]]},
+                {"level": 3, "cells": [[1, 1.0]]}):
+        with pytest.raises(ValueError, match="must be integers"):
+            CellSet.from_json(doc)
+    # integers of any kind keep their rows, and empty arrays of any dtype hold no cells
+    expected = CellSet(2, [(1, 2), (3, 0)])
+    for level, cells in ((np.int64(2), [(1, 2), (3, 0)]),
+                         (2, np.array([[3, 0], [1, 2]], np.uint8)),
+                         (2, [(np.int16(3), 0), (1, np.uint64(2))])):
+        assert CellSet(level, cells) == expected
+    assert CellSet(2, np.zeros((0, 2))) == CellSet(2, [])
+    assert CellSet.from_json({"level": 2, "cells": [[3, 0], [1, 2]]}) == expected
 
 
 def test_all_cells_enumeration():

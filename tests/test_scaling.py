@@ -11,7 +11,7 @@ from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_area, cell_bounds
 from opfsets.scaling import (InfeasibleEpsilonError, N_ROOT, ScaleConstants,
                              ScaledRegion, ScaledRegions, ScaleSummary, choose_constants,
                              is_feasible, largest_feasible_epsilon, remove_polar_caps,
-                             _shrink_cells, scale_set, scaled_measure_lower_bound,
+                             _band_shrink, _shrink_cells, scale_set, scaled_measure_lower_bound,
                              shrink_cell, verify_scaled_opf)
 from opfsets.search import double_cap_cellset
 from opfsets.sphere import (TWO_PI, Cap, InfeasibleShrinkError, geodesic_distance,
@@ -63,6 +63,23 @@ def test_shrink_cell_geometry():
     assert shrink_cell(cell, 1.0).measure() == 0.0
 
 
+def test_shrink_must_be_finite():
+    # a NaN shrink gave NaN bounds marked empty and an infinite one emptied every
+    # region; verify_scaled_opf skips empty regions, so either passed vacuously
+    for shrink in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            shrink_cell(DyadicCell(3, 2, 1), shrink)
+        with pytest.raises(ValueError, match="finite"):
+            _shrink_cells(3, np.array([[2, 1], [5, 0]]), shrink)
+    # a positive shrink below ulp(pi)/2 rounds a bottom-band colatitude to pi,
+    # where no rotation clears the meridians; choose_constants(1e-8, ...) gives such shrinks
+    tiny = choose_constants(1e-8, MU_DC).shrink(3)
+    assert 0.0 < tiny < math.ulp(math.pi) / 2.0
+    for shrink in (1e-17, tiny):
+        assert _band_shrink(3, 15, shrink)[2] == math.inf
+        assert shrink_cell(DyadicCell(3, 15, 4), shrink).empty
+
+
 def test_shrunk_points_keep_clearance_from_parent_boundary():
     rng = np.random.default_rng(6)
     shrink = 0.004
@@ -94,7 +111,7 @@ def test_shrunk_points_keep_clearance_from_parent_boundary():
 
 
 def test_remove_polar_caps():
-    sel = CellSet.from_cells(2, all_cells(2))
+    sel = CellSet(2, all_cells(2))
     with pytest.raises(ValueError):
         remove_polar_caps(sel, -0.1)
     assert remove_polar_caps(sel, 0.0) == sel
@@ -153,7 +170,7 @@ def test_verify_scaled_opf_clean_double_cap():
 
 
 def test_verify_scaled_opf_flags_full_sphere():
-    sel = CellSet.from_cells(2, all_cells(2))
+    sel = CellSet(2, all_cells(2))
     summary = scale_set(sel, choose_constants(0.005, sel.measure()))
     cert = verify_scaled_opf(summary.regions)
     assert not cert.ok
@@ -165,15 +182,15 @@ def test_verify_scaled_opf_flags_full_sphere():
 
 
 def test_scaled_regions_are_arrays_with_objects_on_access():
-    sel = CellSet.from_cells(2, all_cells(2))
+    sel = CellSet(2, all_cells(2))
     summary = scale_set(sel, choose_constants(0.005, sel.measure()))
     regions = summary.regions
-    assert isinstance(regions, ScaledRegions) and regions._objects is None
-    verify_scaled_opf(regions)
-    assert regions._objects is None  # the certificate read the arrays
+    assert isinstance(regions, ScaledRegions)
+    before = dict(vars(regions))
     objects = tuple(regions)
-    assert regions[0] is objects[0] and tuple(regions) == objects  # built once
-    assert len(regions) == len(summary.kept) and regions[-1] is objects[-1]
+    assert regions[0] == objects[0] and tuple(regions) == objects  # built on each access
+    assert len(regions) == len(summary.kept) and regions[-1] == objects[-1]
+    assert vars(regions).keys() == before.keys()  # reading stored nothing
     assert regions.empty.tolist() == [r.empty for r in objects]
     for a in (regions.cells, *regions.theta, *regions.phi, *regions.cos):
         with pytest.raises(ValueError):  # read-only: the objects cannot go stale
@@ -330,7 +347,7 @@ def scale_set_cases():
         # every band, polar ones included, plus random cells
         cells = np.concatenate([np.stack([np.arange(n), rng.integers(0, n, n)], axis=1),
                                 rng.integers(0, n, (n * n // 4, 2))])
-        sel = CellSet.from_cells(level, cells)
+        sel = CellSet(level, cells)
         cases.append((f"random-l{level}", sel, choose_constants(0.01, sel.measure())))
         # shrink 0; level 4 at epsilon1 0.05 hits every other branch
         for epsilon1 in (0.0, 1e-6, 0.05, 1.0):

@@ -9,8 +9,7 @@ import pytest
 
 from opfsets import search
 from opfsets.conflicts import ConflictGraph, ResourceCapError, build_conflict_graph
-from opfsets.grid import (CellSet, DyadicCell, all_cells, cell_from_ordinal,
-                          n_bands)
+from opfsets.grid import CellSet, all_cells, n_bands
 from opfsets.search import (BEST_UPPER_BOUND, DOUBLE_CAP_FRACTION, EXACT_MAX_CELLS,
                             InfeasibleSelectionError, PUBLISHED_UPPER_BOUNDS,
                             SearchResult, double_cap_cellset, double_cap_fraction,
@@ -55,7 +54,7 @@ EXACT_PINS = {  # level: (sha256, nodes)
 
 
 def ordinals(selection):
-    return [DyadicCell(selection.level, b, s).ordinal for b, s in selection]
+    return [b * n_bands(selection.level) + s for b, s in selection]
 
 
 def digest(selection):
@@ -220,7 +219,7 @@ def test_selection_graph_violations_level_mismatch():
 
 def test_evaluate_rejects_conflicting_selection():
     graph = build_conflict_graph(1)
-    full = CellSet.from_cells(1, all_cells(1))
+    full = CellSet(1, all_cells(1))
     with pytest.raises(InfeasibleSelectionError) as exc:
         evaluate(full, graph)
     assert len(exc.value.violations) > 0
@@ -245,7 +244,7 @@ def test_local_search_improves_or_keeps():
     assert len(result.selection) >= len(init)
     assert selection_graph_violations(result.selection, graph) == []
     with pytest.raises(InfeasibleSelectionError):
-        local_search(graph, CellSet.from_cells(2, all_cells(2)))
+        local_search(graph, CellSet(2, all_cells(2)))
 
 
 def test_exact_mis_level1_matches_exhaustive():
@@ -330,14 +329,6 @@ def test_negative_budgets_rejected():
     assert local_search(graph, start, iters=0).iterations == 0
 
 
-def test_ordinal_helpers_round_trip():
-    graph = build_conflict_graph(1)
-    result = greedy_mis(graph, "min-degree")
-    for band, sector in result.selection:
-        cell = DyadicCell(1, band, sector)
-        assert cell_from_ordinal(1, cell.ordinal) == cell
-
-
 @pytest.mark.parametrize("level", [2, 3, 4, 5])
 def test_search_outputs_pinned(level):
     graph = build_conflict_graph(level)
@@ -373,7 +364,7 @@ def test_search_matches_adjacency_reference():
             result = greedy_mis(graph, order, seed=seed)
             assert ordinals(result.selection) == reference_greedy(graph, order, seed)
         # a third of a maximal selection, so fill() and swaps have room
-        start = CellSet.from_cells(graph.level, [
+        start = CellSet(graph.level, [
             divmod(o, n_bands(graph.level)) for o in reference_greedy(graph, "random", 3)[::3]])
         expect, steps, done = reference_local(graph, start, iters=60, seed=5)
         result = local_search(graph, start, iters=60, seed=5)

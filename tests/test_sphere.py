@@ -6,14 +6,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opfsets.convexify import conv1, convex_polygon_from_points
-from opfsets.density import cap_union_oracle, double_cap_oracle, select_dense_cells
+from opfsets.density import (cap_oracle, cap_union_oracle, double_cap_oracle,
+                             select_dense_cells)
 from opfsets.search import double_cap_cellset
 from opfsets.sphere import (Cap, GeodesicSegment, InfeasibleShrinkError,
                             OutOfHemisphereError, cap_area, from_polar,
                             geodesic_distance, gnomonic_project_batch,
                             gnomonic_unproject, lune_half_angle,
                             sample_uniform_batch, spherical_polygon_area,
-                            tangent_basis, to_polar, unit_vector)
+                            tangent_basis, to_polar)
 
 angles = st.floats(0.0, math.pi, allow_nan=False)
 azimuths = st.floats(0.0, 2.0 * math.pi, exclude_max=True, allow_nan=False)
@@ -21,13 +22,6 @@ azimuths = st.floats(0.0, 2.0 * math.pi, exclude_max=True, allow_nan=False)
 
 def is_unit(v) -> bool:
     return abs(float(v @ v) - 1.0) <= 3e-12
-
-
-def test_unit_vector_normalizes():
-    v = unit_vector(3.0, 4.0, 0.0)
-    assert np.allclose(v, [0.6, 0.8, 0.0])
-    with pytest.raises(ValueError):
-        unit_vector(0.0, 0.0, 0.0)
 
 
 @given(angles, azimuths)
@@ -46,7 +40,7 @@ def test_polar_round_trip(theta, phi):
 
 
 def test_geodesic_distance_basics():
-    e1, e3 = unit_vector(1, 0, 0), unit_vector(0, 0, 1)
+    e1, e3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
     assert geodesic_distance(e1, e1) == 0.0
     assert abs(geodesic_distance(e1, e3) - math.pi / 2) < 1e-15
     assert abs(geodesic_distance(e1, -e1) - math.pi) < 1e-15
@@ -61,7 +55,7 @@ def test_geodesic_distance_basics():
 @example(math.pi - 4e-16, 0.0, 1e-9, 0.0)  # near-antipodes broke the triangle with acos
 def test_distance_symmetry_and_triangle(t1, p1, t2, p2):
     u, v = from_polar(t1, p1), from_polar(t2, p2)
-    w = unit_vector(0.3, -0.2, 0.93)
+    w = np.array([0.3, -0.2, 0.93]) / math.sqrt(0.3**2 + 0.2**2 + 0.93**2)
     duv = geodesic_distance(u, v)
     assert duv == geodesic_distance(v, u)
     assert duv <= geodesic_distance(u, w) + geodesic_distance(w, v) + 1e-12
@@ -76,15 +70,20 @@ def test_cap_area_values():
         cap_area(-0.1)
 
 
-def test_cap_contains():
-    cap = Cap(np.array([0.0, 0.0, 1.0]), math.pi / 4)
-    assert cap.contains(from_polar(0.7, 1.0))
-    assert not cap.contains(from_polar(math.pi / 4, 1.0))  # open disc
-    assert not cap.contains(from_polar(2.0, 0.0))
+def test_cap_checks_its_center():
+    # a centre of norm 2 gave level-3 cell (2, 0) exact density 0 and Monte Carlo density 1
+    with pytest.raises(ValueError, match="unit 3-vector"):
+        cap_oracle(np.array([0.0, 0.0, 2.0]), 0.5)
+    for center in ([0.0, 0.0, 1.0 + 1e-9], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0],
+                   [0.0, 1.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            Cap(np.array(center), 0.5)
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    assert Cap(axis, 0.5).center is axis and Cap(from_polar(0.3, 0.4), math.pi).radius == math.pi
 
 
 def test_segment_interpolation_endpoints():
-    a, b = unit_vector(1, 0, 0), unit_vector(0, 1, 0)
+    a, b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     seg = GeodesicSegment(a, b)
     assert np.allclose(seg.point_at(0.0), a)
     assert np.allclose(seg.point_at(1.0), b)
@@ -93,7 +92,7 @@ def test_segment_interpolation_endpoints():
 
 
 def test_tangent_basis_orientation():
-    for c in (unit_vector(0, 0, 1), unit_vector(1, 1, 1), unit_vector(0, -1, 0)):
+    for c in (np.array([0.0, 0.0, 1.0]), np.ones(3) / math.sqrt(3.0), np.array([0.0, -1.0, 0.0])):
         e1, e2 = tangent_basis(c)
         assert abs(e1 @ e2) < 1e-12
         assert abs(e1 @ c) < 1e-12
@@ -103,7 +102,7 @@ def test_tangent_basis_orientation():
 @given(angles.filter(lambda t: t < 1.2), azimuths)
 @settings(max_examples=200)
 def test_gnomonic_round_trip(theta, phi):
-    center = unit_vector(0, 0, 1)
+    center = np.array([0.0, 0.0, 1.0])
     p = from_polar(theta, phi)
     x, y = gnomonic_project_batch(center, p[None])[0]
     q = gnomonic_unproject(center, x, y)
@@ -113,15 +112,15 @@ def test_gnomonic_round_trip(theta, phi):
 
 
 def test_gnomonic_rejects_far_points():
-    center = unit_vector(0, 0, 1)
+    center = np.array([0.0, 0.0, 1.0])
     with pytest.raises(OutOfHemisphereError):
-        gnomonic_project_batch(center, unit_vector(1, 0, 0)[None])
+        gnomonic_project_batch(center, np.array([1.0, 0.0, 0.0])[None])
     with pytest.raises(OutOfHemisphereError):
         gnomonic_project_batch(center, np.array([[0.0, 0.0, -1.0]]))
 
 
 def test_gnomonic_maps_arcs_to_lines():
-    center = unit_vector(0, 0, 1)
+    center = np.array([0.0, 0.0, 1.0])
     a, b = from_polar(0.8, 0.3), from_polar(0.6, 2.0)
     seg = GeodesicSegment(a, b)
     pa, pb = gnomonic_project_batch(center, np.stack([a, b]))
@@ -142,13 +141,13 @@ def test_lune_half_angle():
 
 
 def test_octant_triangle_area():
-    tri = [unit_vector(1, 0, 0), unit_vector(0, 1, 0), unit_vector(0, 0, 1)]
+    tri = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
     assert abs(spherical_polygon_area(tri) - math.pi / 2) < 1e-12
 
 
 def test_polygon_area_rejects_hemisphere_spill():
-    quad = [unit_vector(1, 0, 0), unit_vector(0, 1, 0),
-            unit_vector(-1, 0.001, 0), unit_vector(0, -1, 0)]
+    quad = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+            np.array([-1.0, 0.001, 0.0]) / math.hypot(1.0, 0.001), np.array([0.0, -1.0, 0.0])]
     with pytest.raises(ValueError):
         spherical_polygon_area(quad)
 
