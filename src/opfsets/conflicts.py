@@ -376,73 +376,42 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
     """(first, last): the run of sector distances t in [0, n/2] at which a cell
     of band b1 conflicts with a cell of band b2.
 
-    Sector boundaries are exact dyadic turns and the kernel reads azimuths only
-    through their differences taken mod 1, so the decision for cells (b1, s1)
-    and (b2, s2) is the one for (b1, d) and (b2, 0), d = (s1 - s2) mod n, bit
-    for bit.  The one for n - d is the one for d: the cosine is even, and the
-    two ranges agree to a few ulps, exact zeros included.  The dot range is
-    monotone in the cosine of the azimuth gap, so the conflicting distances
-    are one run; a row that is not is an error.
-
-    The kernel runs only on the northern band pairs b1 <= b2 < n/2, an eighth
-    of the table; three isometries of the sphere give the rest:
-
-    - the transpose, (b2, b1) = (b1, b2): the kernel is symmetric in its two
-      boxes.  It forms the same corner and edge candidates either way round,
-      in another order of float operations, so the ranges agree to 2 ulps
-      and an extreme of exactly zero is exactly zero both ways;
-    - the band flip z -> -z on both cells, (n-1-b1, n-1-b2) = (b1, b2): it
-      negates every u bound, which is exact on dyadic bounds, and the kernel
-      sees u only through products of two u's and through 1 - u^2, so each
-      candidate extreme is the same double and the decision is exact;
-    - the antipodal map on one cell, a band flip and a half turn, negates
-      every inner product: (b1, n-1-b2) and (n-1-b1, b2) take the run of
-      (b1, b2) at distances n/2 - t, i.e. (n/2 - last, n/2 - first), and an
-      empty run stays (1, 0).  The tests check this map against the full
-      kernel table at every level, at margins 0, 1e-3, 0.05 and 0.3 and at
-      seeded random margins.
-
-    So a decision can differ from a direct kernel call only where a range end
-    lies within a few ulps of -margin or margin (the d <-> n - d map already
-    allows that); the graph is symmetric there all the same.
+    Two points whose azimuth gap has cosine c have |dot| <= margin iff c is in
+    [(-u1*u2 - margin) / (s1*s2), (-u1*u2 + margin) / (s1*s2)], s = sqrt(1 - u^2).
+    In x = cot(theta) of each band the ends are concave (-margin) and convex
+    (+margin) in each x separately, so over a band pair's u-box the gap cosines
+    that conflict form one interval [L, H]: L is the least corner value of the
+    lower end and H the greatest of the upper end, 0/0 at a pole counting as
+    -inf and +inf.  Cells at distance t have gap cosines in
+    [cos(min(t + 1, n/2) w), cos(max(t - 1, 0) w)], w = 2 pi / n, and both ends
+    fall as t grows: the run is one searchsorted per end.  The cosine table is
+    odd about the quarter turn, so the transpose, the band flip and the
+    antipodal map on one cell (runs (n/2 - last, n/2 - first)) hold bit for bit.
     """
     _check_margin(margin)
     n = n_bands(level)
     h = n // 2
-    t = np.arange(h + 1)
-    (ulo, uhi), _ = cell_bounds_batch(level, np.arange(h), 0)
-    b1, b2 = np.triu_indices(h)
-    octant = np.empty((2, len(b1)), dtype=np.int64)  # (first, last) of each pair
-    step = max(1, _CHUNK // len(t))
-    for p0 in range(0, len(b1), step):
-        p = slice(p0, p0 + step)
-        i, j = b1[p, None], b2[p, None]
-        lo, hi = dot_range_boxes_u(ulo[i], uhi[i], t / n, (t + 1) / n,
-                                   ulo[j], uhi[j], 0.0, 1.0 / n)
-        hit = (lo - margin <= 0.0) & (hi + margin >= 0.0)
-        count = hit.sum(axis=1)
-        octant[0, p] = np.where(count > 0, hit.argmax(axis=1), 1)  # the empty run is (1, 0)
-        octant[1, p] = octant[0, p] + count - 1
-        if not np.array_equal(hit, (octant[0, p, None] <= t) & (t <= octant[1, p, None])):
-            raise RuntimeError(f"level {level} margin {margin:g}: a band pair's "
-                               "conflicting sector distances are not one run")
-    north = np.empty((2, h, h), dtype=np.int64)
-    north[:, b1, b2] = north[:, b2, b1] = octant
-    across = np.where(north[0] > north[1], [[[1]], [[0]]], h - north[::-1])
-    runs = np.empty((2, n, n), dtype=np.int64)
-    runs[:, :h, :h] = north
-    runs[:, h:, h:] = north[:, ::-1, ::-1]
-    runs[:, :h, h:] = across[:, :, ::-1]
-    runs[:, h:, :h] = across[:, ::-1, :]
-    return runs[0], runs[1]
+    (ulo, uhi), _ = cell_bounds_batch(level, np.arange(n), 0)
+    u = np.stack((ulo, uhi))
+    s = np.sqrt(1.0 - u * u)
+    p = u[:, None, :, None] * u[None, :, None, :]  # [corner of b1, corner of b2, b1, b2]
+    q = s[:, None, :, None] * s[None, :, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = (-p - margin) / q, (margin - p) / q
+    low = np.where(np.isnan(lo), -np.inf, lo).min(axis=(0, 1))
+    high = np.where(np.isnan(hi), np.inf, hi).max(axis=(0, 1))
+    j = np.arange(h + 1)
+    cos = np.where(2 * j <= h, 1.0, -1.0) * _cos_turns(np.minimum(j, h - j) / n)
+    first = np.searchsorted(-cos[np.minimum(j + 1, h)], -high, side="left")
+    last = np.searchsorted(-cos[np.maximum(j - 1, 0)], -low, side="right") - 1
+    empty = first > last
+    return np.where(empty, 1, first), np.where(empty, 0, last)
 
 
-# The largest level build_conflict_graph accepts.  The build holds only (n, n)
-# arrays: level 7 takes 0.35 s and level 8 2.4 s, at 118 and 142 MB process peak
-# (one thread of a 2-core box).  What caps it is `windows`, which every search method reads:
-# 2n^3 bytes, 34 MB at level 7, 268 MB at level 8 (590 MB peak while it is
-# built) and 2.1 GB at level 9.  `edges`, built only when asked for, is 346 MB
-# at level 7.
+# The largest level build_conflict_graph accepts.  What caps it is `windows`,
+# which every search method reads: 2n^3 bytes, 34 MB at level 7, 268 MB at
+# level 8 (590 MB peak while it is built) and 2.1 GB at level 9.  `edges`,
+# built only when asked for, is 346 MB at level 7.
 MAX_LEVEL = 7
 
 

@@ -202,6 +202,8 @@ class CellSet:
                       if t is bool or not issubclass(t, (int, np.integer))})
         if bad:
             raise ValueError(f"level and cell indices must be integers, got {', '.join(bad)}")
+        level = int(level)  # a numpy integer level would reach to_json, which json refuses
+        object.__setattr__(self, "level", level)
         if level > 30:
             raise ValueError(f"level {level} exceeds 30, the largest with int64 ordinals")
         n = n_bands(level)

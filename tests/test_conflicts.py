@@ -614,12 +614,12 @@ def test_intervals_match_kernel_table(level, margin):
     assert np.array_equal(g.degrees(), np.repeat(table.sum(axis=(1, 2)) - diagonal, n))
 
 
-# margins log-spread over [1e-12, 0.5]: the octant build's maps at generic margins
-OCTANT_MARGINS = np.exp(np.random.default_rng(18).uniform(math.log(1e-12), math.log(0.5), 24))
+# margins log-spread over [1e-12, 0.5]: the closed-form build at generic margins
+RANDOM_MARGINS = np.exp(np.random.default_rng(18).uniform(math.log(1e-12), math.log(0.5), 24))
 
 
-def test_octant_build_matches_kernel_table_at_random_margins():
-    for i, margin in enumerate(OCTANT_MARGINS.tolist()):
+def test_interval_build_matches_kernel_table_at_random_margins():
+    for i, margin in enumerate(RANDOM_MARGINS.tolist()):
         for level in range(7 if i % 4 == 0 else 6):  # level 6 at six of the margins
             table = reference_table.__wrapped__(level, margin)
             g = build_conflict_graph(level, margin)
@@ -633,52 +633,60 @@ def test_octant_build_matches_kernel_table_at_random_margins():
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
 def test_octant_build_runs_the_kernel_on_one_octant(monkeypatch, level):
-    n = n_bands(level)
+    # the build decides every band pair in closed form: the kernel runs on none
     seen = []
 
     def counting(*args):
-        lo, hi = dot_range_boxes_u(*args)
-        seen.append(lo.size // lo.shape[-1])  # band pairs; the last axis is t
-        return lo, hi
+        seen.append(args)
+        return dot_range_boxes_u(*args)
     monkeypatch.setattr(conflicts, "dot_range_boxes_u", counting)
     build_conflict_graph(level, 0.05)
-    assert sum(seen) <= (n // 2) * (n // 2 + 1) // 2
+    assert seen == []
+
+
+# sha256 of np.stack((first, last)) as <u2 from _interval_build, above MAX_LEVEL;
+# the values of the kernel scan the closed form replaced
+INTERVAL_SHA256 = {
+    (8, 0.0): "ab687435ae375323d121fc0d805e4a4fea93ed1ccda5fbf5a147ac6b69e9df13",
+    (8, 0.05): "927fcd221d51673d32e3740af3e3005984fc42510e119b16a0a9d3ad0c7e9c4c",
+    (9, 0.0): "9f3f6be3953b511198d934a9300d9d0af172d1eaa4d7e89fbecbbcb4c91dc2a4",
+}
+
+
+@pytest.mark.parametrize("level, margin", sorted(INTERVAL_SHA256))
+def test_interval_build_pinned_above_max_level(level, margin):
+    body = np.stack(conflicts._interval_build(level, margin)).astype("<u2").tobytes()
+    assert hashlib.sha256(body).hexdigest() == INTERVAL_SHA256[level, margin]
 
 
 def test_graph_symmetric_at_range_end_margins():
     # a margin equal to the end of some kernel range puts decisions on their
-    # rounding edge, where the transpose, d <-> n - d and half-turn maps need
-    # not hold bit for bit; the graph is still symmetric and flip-invariant
-    # there, and its northern octant is the kernel's decision
+    # rounding edge; the transpose, the band flip and the antipodal map on one
+    # cell still hold bit for bit, and away from the tie every run is the
+    # kernel's decision
     rng = np.random.default_rng(5)
     for level in range(2, 6):
         n = n_bands(level)
         h = n // 2
         t = np.arange(h + 1)
         (ulo, uhi), _ = cell_bounds_batch(level, np.arange(n), 0)
-        lo, hi = dot_range_boxes_u(ulo[:h, None, None], uhi[:h, None, None], t / n,
-                                   (t + 1) / n, ulo[None, :h, None], uhi[None, :h, None],
+        lo, hi = dot_range_boxes_u(ulo[:, None, None], uhi[:, None, None], t / n,
+                                   (t + 1) / n, ulo[None, :, None], uhi[None, :, None],
                                    0.0, 1.0 / n)
-        ends = np.unique(np.concatenate((-lo[lo < 0], -hi[hi < 0])))
+        north = (slice(h), slice(h))  # tie margins from the northern band pairs' range ends
+        ends = np.unique(np.concatenate((-lo[north][lo[north] < 0], -hi[north][hi[north] < 0])))
         for margin in rng.choice(ends[ends < 0.6], size=8, replace=False).tolist():
             g = build_conflict_graph(level, margin)
             for a in (g.first, g.last):
                 assert np.array_equal(a, a.T) and np.array_equal(a, a[::-1, ::-1])
+            empty = g.first > g.last
+            far_first = np.where(empty, 1, h - g.last)[:, ::-1]
+            far_last = np.where(empty, 0, h - g.first)[:, ::-1]
+            assert np.array_equal(far_first, g.first) and np.array_equal(far_last, g.last)
             hit = (lo - margin <= 0.0) & (hi + margin >= 0.0)
-            b1, b2 = np.triu_indices(h)
-            runs = (g.first[b1, b2, None] <= t) & (t <= g.last[b1, b2, None])
-            assert np.array_equal(runs, hit[b1, b2]), (level, margin)
-
-
-def test_interval_build_rejects_a_split_run(monkeypatch):
-    # a kernel that never conflicts at distance 1 splits the level-1 runs
-    # over distances 0-2
-    def split(*args):
-        lo, hi = dot_range_boxes_u(*args)
-        return np.where(np.arange(lo.shape[-1]) == 1, 1.0, lo), hi
-    monkeypatch.setattr(conflicts, "dot_range_boxes_u", split)
-    with pytest.raises(RuntimeError, match="not one run"):
-        build_conflict_graph(1)
+            runs = (g.first[:, :, None] <= t) & (t <= g.last[:, :, None])
+            clear = (np.abs(lo - margin) > 1e-15) & (np.abs(hi + margin) > 1e-15)
+            assert np.array_equal(runs[clear], hit[clear]), (level, margin)
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.05])
@@ -858,8 +866,7 @@ def test_selection_checks_match_brute_force():
 
 
 def test_chunked_evaluation_matches_single_pass(monkeypatch):
-    # a tiny chunk forces two kernel calls in the interval build and several
-    # per tree level
+    # a tiny chunk forces several kernel calls per tree level
     rng = np.random.default_rng(3)
     sel = CellSet(3, [(int(b), int(s)) for b, s in rng.integers(0, 16, (40, 2))])
     graph = build_conflict_graph(3, 0.05)

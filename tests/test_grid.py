@@ -285,6 +285,18 @@ def test_cellset_refuses_non_integer_level_and_indices():
     assert CellSet.from_json({"level": 2, "cells": [[3, 0], [1, 2]]}) == expected
 
 
+def test_cellset_stores_an_int_level(tmp_path):
+    # a numpy integer level was kept as given, so save failed in json.dumps
+    cells = CellSet(np.int64(2), [(1, 2)])
+    assert type(cells.level) is int and type(cells.to_json()["level"]) is int
+    cells.save(tmp_path / "cells.json")
+    assert CellSet.load(tmp_path / "cells.json") == cells
+    # int() takes these too: the type check comes first
+    for level in (np.True_, np.float32(2.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            CellSet(level, [(1, 2)])
+
+
 def test_all_cells_enumeration():
     cs = list(all_cells(1))
     assert len(cs) == 16
