@@ -70,11 +70,9 @@ def cmd_grid(args) -> int:
 
 
 def cmd_conflicts(args) -> int:
-    path = (Path(args.cache_dir) / f"level{args.level}_margin{args.margin:g}.opfg"
-            if args.cache_dir else None)
-    if path is not None:
+    if args.cache_dir:
         # before any build, so a --cache-dir that cannot be a directory fails at once
-        path.parent.mkdir(parents=True, exist_ok=True)
+        Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
     graph = conflicts.build_conflict_graph(args.level, args.margin)
     degrees = graph.degrees()
     print(f"level {graph.level} margin {graph.margin:g}: "
@@ -84,7 +82,8 @@ def cmd_conflicts(args) -> int:
     for d, c in enumerate(hist):
         if c:
             print(f"  {d}: {c}")
-    if path is not None:
+    if args.cache_dir:
+        path = Path(args.cache_dir) / f"level{graph.level}_margin{graph.margin:g}.opfg"
         conflicts.save_graph(graph, path)
         print(f"cached graph at {path}")
     return EXIT_OK
@@ -147,8 +146,7 @@ def cmd_filter(args) -> int:
         print(f"warning: epsilon {args.epsilon} >= 1/64; the captured-measure "
               "guarantee no longer applies", file=sys.stderr)
     oracle = _build_oracle(args)
-    report = density.select_dense_cells(oracle, args.level, args.epsilon,
-                                        samples=args.samples, seed=args.seed)
+    report = density.select_dense_cells(oracle, args.level, args.epsilon)
     print(f"selected {len(report.selected)} cells at level {args.level}, "
           f"captured {_both(report.captured_measure)}")
     target = (1.0 - args.epsilon) * oracle.measure()
@@ -292,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", default="0,0,1", help="cap center x,y,z")
     p.add_argument("--cells", help="CellSet JSON for the cell-set oracle")
     p.add_argument("--depth", type=int, default=3, help="sieve fractal depth")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_filter)

@@ -59,10 +59,12 @@ class DotRange:
         return self.lo - margin <= 0.0 <= self.hi + margin
 
 
-def _check_margin(margin: float) -> None:
-    """Reject a NaN, negative or infinite margin, with which a test fails open."""
+def _check_margin(margin: float) -> float:
+    """The margin, -0.0 as 0.0; a NaN, negative or infinite margin, with which
+    a test fails open, is refused."""
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and >= 0, got {margin}")
+    return margin + 0.0
 
 
 def _cos_turns(t):
@@ -191,50 +193,27 @@ class ConflictGraph:
         t = np.minimum(k, n - k)
         return (self.first[:, :, None] <= t) & (t <= self.last[:, :, None])
 
-    def _band_neighbours(self):
-        """For each band b in turn, (counts, neighbours): counts[s] is the number
-        of neighbours of cell (b, s) of higher ordinal, and neighbours their
-        ordinals, cell by cell and each cell's ascending.
-
-        Cell (b, s)'s neighbours in band b2 are the columns c of the sector-0
-        row of (b, b2), rotated to (c + s) mod n.  Ascending, they are a window
-        of the doubled column list (c - n for every c, then every c): its
-        entries in [-s, n - s), which start after the #{c < n - s} entries
-        below -s.  Every row is read once, into one pool of doubled lists.
-        """
-        n = n_bands(self.level)
-        bands = np.arange(n)
-        rows = self.windows.copy()
-        rows[bands, bands, 0] = rows[bands, bands, n] = False  # no cell is its own neighbour
-        flat = np.flatnonzero(rows)
-        pool = flat // (2 * n) % n * n + flat % (2 * n) - n  # b2 * n + (k - n) at [b, b2, k]
-        cum = np.cumsum(rows[:, :, n:], axis=2, dtype=np.int32)  # [b, b2, j]: #{c <= j}
-        below = cum[:, :, ::-1]                                  # [b, b2, s]: #{c < n - s}
-        size = cum[:, :, -1]
-        first = 2 * (np.cumsum(size) - size.ravel()).reshape(n, n)  # pool start of (b, b2)
-        # the bands above whole; in its own band, cell s keeps the c in
-        # [1, n - s), the first #{c < n - s} entries of the second copy
-        whole = np.triu(size, 1)
-        for b in range(n):  # one band's cells at a time, to keep the temporaries small
-            start = first[b, :, None] + below[b]                  # [b2, s]
-            length = np.repeat(whole[b, :, None], n, axis=1)
-            start[b] = first[b, b] + size[b, b]
-            length[b] = below[b, b]
-            start, length = start.T.ravel(), length.T.ravel()     # windows by (s, b2)
-            counts = length.reshape(n, n).sum(axis=1)
-            idx = np.repeat(start + length - np.cumsum(length), length) + np.arange(length.sum())
-            yield counts, pool[idx] + np.repeat(bands, counts)
-
     @cached_property
     def edges(self) -> np.ndarray:
-        """Sorted (m, 2) uint32 array of the conflicting ordinal pairs (a, b), a < b."""
+        """Sorted (m, 2) uint32 array of the conflicting ordinal pairs (a, c), a < c.
+
+        Cell (b, s) meets the cells (b2, d) of W[b, b2, n + d] rotated by s: row
+        s of ordinals (b2 * n + (d + s) mod n), b2 >= b.  Each row sorted, the
+        entries above b * n + s are the cell's pairs, in (a, c) order band by band.
+        """
         n = n_bands(self.level)
         pairs = np.empty((self.degrees().sum() // 2, 2), dtype=np.uint32)
+        own = np.arange(n, dtype=np.uint32)[:, None]  # row s: cell (b, s), ordinal b * n + s
         end = 0
-        for b, (counts, neighbours) in enumerate(self._band_neighbours()):
-            start, end = end, end + len(neighbours)
-            pairs[start:end, 0] = np.repeat(np.arange(b * n, (b + 1) * n), counts)
-            pairs[start:end, 1] = neighbours
+        for b in range(n):
+            b2, d = np.nonzero(self.windows[b, b:, n:])
+            rows = (d.astype(np.uint32) + own) % n + ((b + b2) * n).astype(np.uint32)
+            rows.sort(axis=1)
+            keep = rows > b * n + own
+            counts = np.count_nonzero(keep, axis=1)
+            start, end = end, end + counts.sum()
+            pairs[start:end, 0] = np.repeat(b * n + own.ravel(), counts)
+            pairs[start:end, 1] = rows[keep]
         return pairs
 
     def conflict_view(self, o: int) -> np.ndarray:
@@ -388,7 +367,6 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
     odd about the quarter turn, so the transpose, the band flip and the
     antipodal map on one cell (runs (n/2 - last, n/2 - first)) hold bit for bit.
     """
-    _check_margin(margin)
     n = n_bands(level)
     h = n // 2
     (ulo, uhi), _ = cell_bounds_batch(level, np.arange(n), 0)
@@ -411,7 +389,7 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
 # The largest level build_conflict_graph accepts.  What caps it is `windows`,
 # which every search method reads: 2n^3 bytes, 34 MB at level 7, 268 MB at
 # level 8 (590 MB peak while it is built) and 2.1 GB at level 9.  `edges`,
-# built only when asked for, is 346 MB at level 7.
+# built only when asked for, is 346 MB at level 7 (~357 MB peak).
 MAX_LEVEL = 7
 
 
@@ -420,6 +398,7 @@ def build_conflict_graph(level: int, margin: float = 0.0) -> ConflictGraph:
     if level > MAX_LEVEL:
         raise ResourceCapError(
             f"level {level} exceeds the maximum {MAX_LEVEL} ({cell_count(level)} cells)")
+    margin = _check_margin(margin)
     return ConflictGraph(level, margin, *_interval_build(level, margin))
 
 

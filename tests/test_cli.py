@@ -145,6 +145,19 @@ def test_graph_commands_have_no_cap_or_cache_path_options(tmp_path, capsys, monk
     assert not list(tmp_path.iterdir())
 
 
+def test_conflicts_negative_zero_margin_is_margin_zero(tmp_path, capsys):
+    # -0.0 used to print "margin -0" and name level2_margin-0.opfg, whose
+    # header margin differed from the margin-0 file's at byte 16
+    assert math.copysign(1.0, conflicts.build_conflict_graph(2, -0.0).margin) == 1.0
+    for name, margin in (("neg", "-0"), ("zero", "0")):
+        assert main(["conflicts", "--level", "2", "--margin", margin,
+                     "--cache-dir", str(tmp_path / name)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("level 2 margin 0: ")
+    assert [p.name for p in (tmp_path / "neg").iterdir()] == ["level2_margin0.opfg"]
+    assert ((tmp_path / "neg" / "level2_margin0.opfg").read_bytes()
+            == (tmp_path / "zero" / "level2_margin0.opfg").read_bytes())
+
+
 @pytest.mark.parametrize("margin", ["nan", "-1"])
 def test_conflicts_rejects_bad_margin(capsys, margin):
     assert main(["conflicts", "--level", "2", f"--margin={margin}"]) == EXIT_USAGE
@@ -255,6 +268,18 @@ def test_filter_double_cap_artifact(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert len(doc["selected"]["cells"]) == 64
     capsys.readouterr()
+
+
+def test_filter_has_no_samples_or_seed_option(tmp_path, capsys):
+    # every oracle the command builds is decided exactly, never by Monte
+    # Carlo, so neither option could change a byte of the output
+    base = ["filter", "--oracle", "double-cap", "--level", "2", "--epsilon", "0.01"]
+    for extra in (["--samples", "500"], ["--seed", "3"]):
+        assert main([*base, *extra]) == EXIT_USAGE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 500\n")
+    assert main(["--config", str(cfg), *base]) == EXIT_USAGE
+    assert "unknown config key 'samples'" in capsys.readouterr().err
 
 
 def test_filter_sieve_oracle(capsys):

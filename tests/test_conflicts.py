@@ -23,13 +23,15 @@ from opfsets.search import double_cap_cellset, selection_graph_violations
 from opfsets.sphere import TWO_PI, Cap, from_polar
 
 # sha256 of the self-conflicts followed by the edge list, as <u4, at margin 0:
-# the body checksums of the version-1 cache files, whose bytes were pinned when
-# graphs were still built by the pairwise scan
+# at levels 2-5 the body checksums of the version-1 cache files, whose bytes
+# were pinned when graphs were still built by the pairwise scan; at level 7
+# (43 302 400 edges) the list built from the doubled column lists
 EDGE_LIST_SHA256 = {
     2: "280e166669f4331f6d8ff9a0ed3097c5978e90b8d8daf6896a04b5d9fcdcf30c",
     3: "d99326b27cb2f78833d6a56bed03e8a051752862d3db1011fcd2623ff6252a60",
     4: "76470fb7e02c3a903607139979c50cb38777c4cb795e282fe3feef7308bf617f",
     5: "bd8a596572d4cfc547608d5a2456e6da1e004408225d3cd3457abfdd9f7d0bfb",
+    7: "2a9b9653edb03e0dfb266dec68a7c97aed5a96357b9d39c0a6b3fc6163554bcc",
 }
 # sha256 of save_graph output (version 2: the interval arrays) at margin 0
 SAVED_GRAPH_SHA256 = {
@@ -823,9 +825,26 @@ def test_table_symmetric_and_views_agree(margin):
 
 @pytest.mark.parametrize("level", sorted(EDGE_LIST_SHA256))
 def test_edge_list_pinned(level):
+    # hashed in place: at level 7 a concatenated copy would add ~700 MB
     g = build_conflict_graph(level)
-    lists = np.concatenate((g.self_conflicts, g.edges.ravel())).astype("<u4")
-    assert hashlib.sha256(lists.tobytes()).hexdigest() == EDGE_LIST_SHA256[level]
+    digest = hashlib.sha256(g.self_conflicts.astype("<u4", copy=False))
+    digest.update(g.edges.astype("<u4", copy=False))
+    assert digest.hexdigest() == EDGE_LIST_SHA256[level]
+
+
+def test_edges_peak_is_about_the_list():
+    # each band's rotated rows are sorted on their own, and the windows cube
+    # is read in place: the build holds the list and one band's rows, where
+    # a copy of the cube and a pool of doubled column lists came to 1.55x
+    g = build_conflict_graph(6)
+    g.windows
+    tracemalloc.start()
+    try:
+        edges = g.edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * edges.nbytes
 
 
 @pytest.mark.parametrize("level", sorted(SAVED_GRAPH_SHA256))
