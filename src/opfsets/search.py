@@ -7,7 +7,9 @@ graph.  Provided methods: the double-cap baseline, greedy construction,
 read each cell's conflicts as one (n, n) slice of ConflictGraph.windows, the
 graph's band-pair sector intervals expanded over doubled sector offsets,
 and OR, add or subtract it into an (n, n) view of their masks by ordinal,
-never building an adjacency dict or copying a mask.  Every result is
+never building an adjacency dict or copying a mask.  Local search finds
+every member's (1,2)-swap in one pass over the cells that member alone
+blocks, and stops drawing once no member has one.  Every result is
 re-verified against the graph, from the intervals: each member's conflicts
 in a band lie on two sector arcs, counted from prefix counts of the
 selection, so the check does no work on pairs that do not conflict.  The
@@ -71,6 +73,11 @@ def double_cap_fraction(level: int) -> float:
     return len(_double_cap_bands(level)) / n_bands(level)
 
 
+def _check_level(selection: CellSet, graph: ConflictGraph) -> None:
+    if selection.level != graph.level:
+        raise ValueError(f"selection level {selection.level} != graph level {graph.level}")
+
+
 def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list:
     """Sorted ordinal pairs (a, b), a <= b, of a selection that conflict in a built
     graph, a == b for a self-conflict.
@@ -84,8 +91,7 @@ def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list
     it, and a nonzero count names its members by rank, mod the band's size.
     Only band pairs with members on both sides and a nonempty run are read.
     """
-    if selection.level != graph.level:
-        raise ValueError(f"selection level {selection.level} != graph level {graph.level}")
+    _check_level(selection, graph)
     n = n_bands(graph.level)
     bands, sectors = selection.array().T  # ascending ordinals: by band, then sector
     start = np.searchsorted(bands, np.arange(n + 1))  # each band's members
@@ -208,8 +214,9 @@ def greedy_mis(graph: ConflictGraph, order: str = "min-degree",
         rng = np.random.default_rng(0 if seed is None else seed)
         sequence = free.tolist()
         rng.shuffle(sequence)
+        is_blocked = memoryview(blocked)  # Python bools, no numpy scalar per read
         for o in sequence:
-            if not blocked[o]:
+            if not is_blocked[o]:
                 chosen.append(o)
                 blocked_view |= graph.conflict_view(o)  # o's own entry is clear: o is free
     else:
@@ -232,21 +239,31 @@ def greedy_mis(graph: ConflictGraph, order: str = "min-degree",
 
 def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
                  seed: int = 0) -> SearchResult:
-    """(1,2)-swap hill climbing; never decreases the selection size."""
+    """(1,2)-swap hill climbing; never decreases the selection size.
+
+    Each iteration draws a member r; if two non-conflicting cells are blocked
+    by r alone, r leaves, the lowest such cell a with a compatible later one
+    and the lowest such later b enter, and fill() adds whatever became free.
+    Which pair r would take depends on the state only, so a swap table maps
+    every member that has one to its pair, rebuilt after each swap from the
+    cells that one member blocks, grouped by it.  When the table is empty no
+    later draw can change the selection, and the search stops: the result
+    and the iteration count are those of drawing all iters times.
+    """
     _check_non_negative(iters=iters, seed=seed)
-    bad = selection_graph_violations(init, graph)
-    if bad:
-        raise InfeasibleSelectionError(bad)
+    _check_level(init, graph)
     n = n_bands(graph.level)
     free = ~graph.self_conflicting()
     current = np.zeros(graph.n_cells(), dtype=bool)
+    current_view = current.reshape(n, n)
     # count[o]: how many cells of the current selection conflict with o
     count = np.zeros(graph.n_cells(), dtype=np.int64)
     count_view = count.reshape(n, n)  # by [band, sector], as conflict_view gives
     rng = np.random.default_rng(seed)
 
     def toggle(o: int, sign: int) -> None:
-        # every cell toggled is free, so o's own entry of its view is clear
+        # every cell toggled after the init check is free, so o's own entry
+        # of its view is clear
         current[o] = sign > 0
         (np.add if sign > 0 else np.subtract)(count_view, graph.conflict_view(o), out=count_view)
 
@@ -258,27 +275,43 @@ def local_search(graph: ConflictGraph, init: CellSet, iters: int = 1000,
             if count[o] == 0:
                 toggle(o, 1)
 
-    for o in _ordinals(init).tolist():
+    def swap_table() -> dict:
+        # the cells that one member alone blocks, ascending, by that member
+        blocked_by = {}
+        for c in np.flatnonzero(free & ~current & (count == 1)).tolist():
+            r = int(np.flatnonzero(graph.conflict_view(c) & current_view)[0])
+            blocked_by.setdefault(r, []).append(c)
+        table = {}
+        for r, cands in blocked_by.items():
+            cands = np.array(cands)
+            for i, a in enumerate(cands[:-1]):
+                later = cands[i + 1:]
+                compatible = later[~graph.conflict_view(a)[np.divmod(later, n)]]
+                if len(compatible):
+                    table[r] = (int(a), int(compatible[0]))
+                    break
+        return table
+
+    members = _ordinals(init)
+    for o in members.tolist():
         toggle(o, 1)
+    if count[members].any():  # a member conflicts with itself or another member
+        raise InfeasibleSelectionError(selection_graph_violations(init, graph))
     fill()
-    steps = 0
-    for _ in range(iters):
-        steps += 1
-        if not current.any():
+    table = swap_table()
+    # an empty selection stops at its first iteration
+    steps = iters if current.any() else min(iters, 1)
+    for _ in range(steps):
+        if not table:
             break
         r = int(rng.choice(np.flatnonzero(current)))
-        # candidates blocked only by r become insertable after its removal
-        cands = np.flatnonzero(graph.conflict_view(r)
-                               & (free & ~current & (count == 1)).reshape(n, n))
-        for i, a in enumerate(cands):
-            later = cands[i + 1:]
-            compatible = later[~graph.conflict_view(a)[np.divmod(later, n)]]
-            if len(compatible):
-                toggle(r, -1)
-                toggle(a, 1)
-                toggle(compatible[0], 1)
-                fill()
-                break
+        if r in table:
+            a, b = table[r]
+            toggle(r, -1)
+            toggle(a, 1)
+            toggle(b, 1)
+            fill()
+            table = swap_table()
     return SearchResult(_cellset_from_ordinals(graph.level, np.flatnonzero(current)),
                         "local-search", seed, iterations=steps)
 

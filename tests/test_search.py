@@ -374,3 +374,100 @@ def test_search_matches_adjacency_reference():
             result = exact_mis(graph)
             assert (ordinals(result.selection), result.nodes) == reference_exact(graph)
     assert swaps > 0
+
+
+class CountingRng:
+    """A Generator that counts its choice() draws."""
+
+    def __init__(self, rng):
+        self.rng, self.choices = rng, 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def counting_rngs(monkeypatch):
+    """Make numpy's default_rng hand out CountingRngs for one test; returns them as made."""
+    made, real = [], np.random.default_rng
+    monkeypatch.setattr(search.np.random, "default_rng",
+                        lambda seed=None: made.append(CountingRng(real(seed))) or made[-1])
+    return made
+
+
+@pytest.mark.parametrize("level", sorted(LOCAL_SEARCH_PINS))
+def test_local_search_stops_drawing_without_a_swap(monkeypatch, level):
+    # no member of the pinned starts has a (1,2)-swap, so no draw is made,
+    # and the result still counts every iteration it was given
+    graph = build_conflict_graph(level)
+    start = greedy_mis(graph, "random", seed=0).selection
+    made = counting_rngs(monkeypatch)
+    result = local_search(graph, start, iters=200, seed=0)
+    assert (digest(result.selection), result.iterations) == LOCAL_SEARCH_PINS[level]
+    assert [rng.choices for rng in made] == [0]
+
+
+def test_local_search_draws_while_a_swap_is_left(monkeypatch):
+    # the counting wrapper sees draws where swaps happen
+    graph = random_interval_graph(2, 0.05, 1)
+    start = CellSet(2, [divmod(o, n_bands(2)) for o in reference_greedy(graph, "random", 3)[::3]])
+    made = counting_rngs(monkeypatch)
+    expect, steps, swaps = reference_local(graph, start, iters=300, seed=5)
+    assert swaps > 0
+    assert made[-1].choices == steps
+    result = local_search(graph, start, iters=300, seed=5)
+    assert (ordinals(result.selection), result.iterations) == (expect, steps)
+    assert 0 < made[-1].choices <= steps
+
+
+def test_local_search_matches_reference_on_interval_graphs():
+    # dense relations give members several cells that only they block, so
+    # the pair each takes is not the only one; at level 1, margin 0.3 every
+    # cell conflicts with itself and the selection stays empty
+    cases = [(random_interval_graph(level, density, 10 * seed + level), seed)
+             for level, density, seed in itertools.product(
+                 (1, 2, 3), (0.03, 0.1, 0.3, 0.5), range(6))]
+    cases.append((build_conflict_graph(1, 0.3), 0))
+    assert len(cases[-1][0].self_conflicts) == cases[-1][0].n_cells()
+    swaps = 0
+    for graph, seed in cases:
+        full = reference_greedy(graph, "random", seed)
+        n = n_bands(graph.level)
+        for init in ([], full[::3], full[1::2], full[::4]):
+            start = CellSet(graph.level, [divmod(o, n) for o in init])
+            for iters in (0, 1, 300):
+                expect, steps, done = reference_local(graph, start, iters, seed)
+                result = local_search(graph, start, iters=iters, seed=seed)
+                assert (ordinals(result.selection), result.iterations) == (expect, steps)
+                swaps += done
+    assert swaps > 0
+
+
+def test_local_search_rejects_bad_inits_as_the_graph_check_does():
+    # an infeasible, a self-conflicting and a mismatched-level init each raise
+    # the error selection_graph_violations gives, with the same violations
+    graph = build_conflict_graph(1, 0.05)
+    assert 4 in graph.self_conflicts  # cell (1, 0)
+    maximal = ordinals(greedy_mis(graph, "min-degree").selection)
+    outside = next(o for o in range(graph.n_cells())
+                   if o not in maximal and o not in graph.self_conflicts)
+    for cells, selfs in ((all_cells(1), True), ([(1, 0)], True),
+                         ([divmod(o, 4) for o in maximal + [outside]], False)):
+        init = CellSet(1, cells)
+        bad = selection_graph_violations(init, graph)
+        assert bad and any(a == b for a, b in bad) == selfs
+        with pytest.raises(InfeasibleSelectionError) as exc:
+            local_search(graph, init)
+        assert exc.value.violations == bad
+        assert str(exc.value) == str(InfeasibleSelectionError(bad))
+    for level in (0, 2, 3):  # below and above the graph's; ordinals past its cells
+        init = double_cap_cellset(level) if level else CellSet(0, [(0, 0)])
+        with pytest.raises(ValueError) as expected:
+            selection_graph_violations(init, graph)
+        with pytest.raises(ValueError) as exc:
+            local_search(graph, init)
+        assert type(exc.value) is type(expected.value)
+        assert str(exc.value) == str(expected.value)
