@@ -25,7 +25,7 @@ import numbers
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -216,6 +216,11 @@ class ConflictGraph:
             pairs[start:end, 1] = rows[keep]
         return pairs
 
+    def _runs(self, bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(first, last) between the given bands, the runs _member_pairs reads."""
+        between = np.ix_(bands, bands)
+        return self.first[between], self.last[between]
+
     def conflict_view(self, o: int) -> np.ndarray:
         """(n, n) view [band, sector] of the cells that conflict with cell o,
         o itself included when its band self-conflicts: ORed, added or
@@ -351,9 +356,9 @@ def _pair_scan(boxes, margin: float) -> tuple[np.ndarray, int]:
     return np.stack([i[hit], j[hit]], axis=1), len(i)
 
 
-def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
+def _interval_build(level: int, margin: float, bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, last): the run of sector distances t in [0, n/2] at which a cell
-    of band b1 conflicts with a cell of band b2.
+    of band bands[i] conflicts with a cell of band bands[j], at [i, j].
 
     Two points whose azimuth gap has cosine c have |dot| <= margin iff c is in
     [(-u1*u2 - margin) / (s1*s2), (-u1*u2 + margin) / (s1*s2)], s = sqrt(1 - u^2).
@@ -369,7 +374,7 @@ def _interval_build(level: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
     """
     n = n_bands(level)
     h = n // 2
-    (ulo, uhi), _ = cell_bounds_batch(level, np.arange(n), 0)
+    (ulo, uhi), _ = cell_bounds_batch(level, bands, 0)
     u = np.stack((ulo, uhi))
     s = np.sqrt(1.0 - u * u)
     p = u[:, None, :, None] * u[None, :, None, :]  # [corner of b1, corner of b2, b1, b2]
@@ -399,24 +404,59 @@ def build_conflict_graph(level: int, margin: float = 0.0) -> ConflictGraph:
         raise ResourceCapError(
             f"level {level} exceeds the maximum {MAX_LEVEL} ({cell_count(level)} cells)")
     margin = _check_margin(margin)
-    return ConflictGraph(level, margin, *_interval_build(level, margin))
+    return ConflictGraph(level, margin, *_interval_build(level, margin, np.arange(n_bands(level))))
+
+
+def _member_pairs(selection: CellSet, runs) -> np.ndarray:
+    """Sorted (k, 2) ordinal pairs (a, b), a <= b, of a selection's members that
+    conflict, a == b for a self-conflict, from runs(bands): (first, last)
+    between its occupied bands, ascending, indexed by rank among them.
+
+    Member (b, s) conflicts with the members of band b2 whose sector offset
+    d = (s2 - s) mod n lies in [first, last] or in [n - last, n - first]; the
+    second arc drops d = n/2 and d = n (that is, 0), which the first holds when
+    they are in the run, so the two never overlap.  Each arc starts at s + lo,
+    lo in [0, n], so prefix counts of each band's members over the doubled
+    sector axis count it, and a nonzero count names its members by rank, mod
+    the band's size.  Only band pairs with a nonempty run are read.
+    """
+    n = n_bands(selection.level)
+    bands, sectors = selection.array().T  # ascending ordinals: by band, then sector
+    start = np.flatnonzero(np.diff(bands, prepend=-1))  # each occupied band's first member
+    size = np.diff(start, append=len(bands))
+    first, last = runs(bands[start])
+    row = np.repeat(np.arange(len(start)), size)  # each member's band, by rank
+    below = np.zeros((len(start), 2 * n + 1), dtype=np.int64)  # [r, j]: at doubled sector < j
+    below[row, sectors + 1] = below[row, sectors + n + 1] = 1
+    np.cumsum(below, axis=1, out=below)
+    arc_lo = np.stack((first, n - np.minimum(last, n // 2 - 1)))  # [arc, r, r2]
+    arc_end = np.stack((last, n - np.maximum(first, 1))) + 1      # past the arc
+    k = len(bands)
+    keys = [np.empty(0, dtype=np.int64)]  # i * k + j for each conflicting member pair i <= j
+    for r in range(len(start)):
+        others = np.flatnonzero(first[r] <= last[r])
+        if not len(others):
+            continue
+        s = sectors[start[r]:start[r] + size[r], None]
+        before = below[others, s + arc_lo[:, r][:, None, others]]  # [arc, member, other]
+        count = below[others, s + arc_end[:, r][:, None, others]] - before
+        arc, i, o = np.nonzero(count)
+        c = count[arc, i, o]
+        rank = np.repeat(before[arc, i, o] - np.cumsum(c) + c, c) + np.arange(c.sum())
+        r2 = np.repeat(others[o], c)
+        i, j = np.repeat(start[r] + i, c), start[r2] + rank % size[r2]
+        keys.append(i[j >= i] * k + j[j >= i])  # members ascend, so i <= j is a <= b
+    ords = bands * n + sectors
+    return ords[np.stack(np.divmod(np.sort(np.concatenate(keys)), k), axis=1)]
 
 
 def selection_violations(selection: CellSet,
                          margin: float = 0.0) -> tuple[list[int], list[tuple[int, int]]]:
     """(self-conflicting ordinals, conflicting ordinal pairs (a, b), a < b) within
-    a selection, both ascending.
-
-    The exact dyadic cell boxes go through _pair_scan, the tree verify_scaled_opf
-    walks, and its diagonal pairs are the self-conflicts.
-    """
-    n = n_bands(selection.level)
-    bands, sectors = selection.array().T
-    (ulo, uhi), _ = cell_bounds_batch(selection.level, bands, sectors)
-    pairs, _ = _pair_scan((ulo, uhi, sectors / n, (sectors + 1) / n), margin)
-    # members come in ascending ordinal order, so sorted index pairs i <= j
-    # are sorted ordinal pairs a <= b
-    a, b = (bands * n + sectors)[pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]].T
+    a selection, both ascending, from the closed-form runs between its occupied
+    bands alone: no graph is built, so any level is accepted."""
+    margin = _check_margin(margin)
+    a, b = _member_pairs(selection, partial(_interval_build, selection.level, margin)).T
     diagonal = a == b
     return a[diagonal].tolist(), list(zip(a[~diagonal].tolist(), b[~diagonal].tolist()))
 

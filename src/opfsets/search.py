@@ -10,9 +10,7 @@ and OR, add or subtract it into an (n, n) view of their masks by ordinal,
 never building an adjacency dict or copying a mask.  Local search finds
 every member's (1,2)-swap in one pass over the cells that member alone
 blocks, and stops drawing once no member has one.  Every result is
-re-verified against the graph, from the intervals: each member's conflicts
-in a band lie on two sector arcs, counted from prefix counts of the
-selection, so the check does no work on pairs that do not conflict.  The
+re-verified against the graph's runs, by the pair finder of conflicts.  The
 results are compared with the published bounds on the largest
 orthogonal-pair-free measure fraction.
 """
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conflicts import ConflictGraph, ResourceCapError
+from .conflicts import ConflictGraph, ResourceCapError, _member_pairs
 from .grid import CellSet, cell_bounds_batch, n_bands, write_json
 
 PUBLISHED_UPPER_BOUNDS = (1.0 / 3.0, 0.313, 0.308, 0.30153, 0.297742)
@@ -80,48 +78,10 @@ def _check_level(selection: CellSet, graph: ConflictGraph) -> None:
 
 def selection_graph_violations(selection: CellSet, graph: ConflictGraph) -> list:
     """Sorted ordinal pairs (a, b), a <= b, of a selection that conflict in a built
-    graph, a == b for a self-conflict.
-
-    Member (b, s) conflicts with the members of band b2 whose sector offset
-    d = (s2 - s) mod n has circular distance in the run [first, last] of
-    (b, b2): d in [first, last] or in [n - last, n - first].  The second arc
-    drops d = n/2 and d = n (that is, 0), which the first holds when they are
-    in the run, so the two never overlap.  Each arc starts at s + lo, lo in [0, n], so
-    prefix counts of each band's members over the doubled sector axis count
-    it, and a nonzero count names its members by rank, mod the band's size.
-    Only band pairs with members on both sides and a nonempty run are read.
-    """
+    graph, a == b for a self-conflict."""
     _check_level(selection, graph)
-    n = n_bands(graph.level)
-    bands, sectors = selection.array().T  # ascending ordinals: by band, then sector
-    start = np.searchsorted(bands, np.arange(n + 1))  # each band's members
-    size = np.diff(start)
-    below = np.zeros((n, 2 * n + 1), dtype=np.int64)  # [b, j]: members at doubled sector < j
-    below[bands, sectors + 1] = below[bands, sectors + n + 1] = 1
-    np.cumsum(below, axis=1, out=below)
-    first, last = graph.first, graph.last
-    arc_lo = np.stack((first, n - np.minimum(last, n // 2 - 1)))  # [arc, b, b2]
-    arc_end = np.stack((last, n - np.maximum(first, 1))) + 1      # past the arc
-    occupied = np.flatnonzero(size)
-    k = len(bands)
-    keys = [np.empty(0, dtype=np.int64)]  # i * k + j for each conflicting member pair i <= j
-    for band in occupied.tolist():
-        others = occupied[first[band, occupied] <= last[band, occupied]]
-        if not len(others):
-            continue
-        members = np.arange(start[band], start[band + 1])
-        s = sectors[members, None]
-        before = below[others, s + arc_lo[:, band][:, None, others]]  # [arc, member, other]
-        count = below[others, s + arc_end[:, band][:, None, others]] - before
-        arc, i, o = np.nonzero(count)
-        c = count[arc, i, o]
-        rank = np.repeat(before[arc, i, o] - np.cumsum(c) + c, c) + np.arange(c.sum())
-        b2 = np.repeat(others[o], c)
-        i, j = np.repeat(members[i], c), start[b2] + rank % size[b2]
-        keys.append(i[j >= i] * k + j[j >= i])  # members ascend, so i <= j is a <= b
-    i, j = np.divmod(np.sort(np.concatenate(keys)), k)
-    ords = bands * n + sectors
-    return list(zip(ords[i].tolist(), ords[j].tolist()))
+    a, b = _member_pairs(selection, graph._runs).T
+    return list(zip(a.tolist(), b.tolist()))
 
 
 @dataclass(frozen=True)

@@ -657,7 +657,8 @@ INTERVAL_SHA256 = {
 
 @pytest.mark.parametrize("level, margin", sorted(INTERVAL_SHA256))
 def test_interval_build_pinned_above_max_level(level, margin):
-    body = np.stack(conflicts._interval_build(level, margin)).astype("<u2").tobytes()
+    body = np.stack(conflicts._interval_build(level, margin, np.arange(n_bands(level))))
+    body = body.astype("<u2").tobytes()
     assert hashlib.sha256(body).hexdigest() == INTERVAL_SHA256[level, margin]
 
 
@@ -867,8 +868,9 @@ def test_selection_checks_match_brute_force():
             selfs, pairs = brute_force_violations(sel)
             assert selection_graph_violations(sel, graph) == sorted(
                 [(o, o) for o in selfs] + pairs)
-    # the tree check against the graph lookup, which stays as the reference:
-    # every cell at levels 0-5, seeded 300-cell selections at levels 6-7
+    # the runs of the selection's occupied bands against the runs of the whole
+    # level's graph: every cell at levels 0-5, seeded 300-cell selections at
+    # levels 6-7
     for level in range(8):
         if level < 6:
             sel, margins = CellSet(level, all_cells(level)), (0.0, 1e-3, 0.05)
@@ -885,15 +887,70 @@ def test_selection_checks_match_brute_force():
 
 
 def test_chunked_evaluation_matches_single_pass(monkeypatch):
-    # a tiny chunk forces several kernel calls per tree level
+    # a chunk of twice the region count splits the tree's kernel calls: the
+    # unshrunk regions of 40 cells touch, so hundreds of pairs reach the leaves
     rng = np.random.default_rng(3)
     sel = CellSet(3, [(int(b), int(s)) for b, s in rng.integers(0, 16, (40, 2))])
-    graph = build_conflict_graph(3, 0.05)
-    whole = graph, selection_violations(sel, 0.05), selection_graph_violations(sel, graph)
-    assert whole[2]
+    regions = _shrink_cells(3, sel.array(), 0.0)[0]
+    whole = verify_scaled_opf(regions, 0.05)
+    assert whole.pairs_evaluated > 4 * len(sel)
+    ords = [16 * b + s for b, s in sel]
+    assert [(ords[i], ords[j]) for i, j in whole.violations] == selection_graph_violations(
+        sel, build_conflict_graph(3, 0.05))
     monkeypatch.setattr(conflicts, "_CHUNK", 2 * len(sel))
-    assert (build_conflict_graph(3, 0.05), selection_violations(sel, 0.05),
-            selection_graph_violations(sel, graph)) == whole
+    chunked = verify_scaled_opf(regions, 0.05)
+    assert chunked == whole and chunked.pairs_evaluated == whole.pairs_evaluated
+
+
+def test_selection_violations_need_neither_tree_nor_kernel(monkeypatch):
+    # the closed-form runs alone answer; the reference is computed first
+    rng = np.random.default_rng(29)
+    cases = []
+    for level in range(1, 7):
+        n = n_bands(level)
+        for margin in (0.0, 0.05):
+            ords = rng.choice(n * n, size=min(40, n * n), replace=False)
+            sel = CellSet(level, np.stack(np.divmod(ords, n), axis=1))
+            want = brute_force_violations(sel, margin)
+            assert want[1], (level, margin)
+            cases.append((sel, margin, want))
+
+    def refuse(*args):
+        raise AssertionError("selection_violations reached the box tree or the kernel")
+
+    monkeypatch.setattr(conflicts, "_pair_scan", refuse)
+    monkeypatch.setattr(conflicts, "dot_range_boxes_u", refuse)
+    for sel, margin, want in cases:
+        assert selection_violations(sel, margin) == want
+
+
+@pytest.mark.parametrize("level", [8, 9])
+def test_selection_violations_above_max_level(level):
+    # no graph exists at these levels; 150 cells of bands that conflict
+    # (|u| near sqrt(1/2), where same-sector cells of the two caps meet, and
+    # the equator, where cells a quarter turn apart meet), on three sector
+    # windows, against cells_conflict on every pair
+    n = n_bands(level)
+    rng = np.random.default_rng(level)
+    w = 2.0 ** -level
+    near = [int((1.0 - u) / w) for u in (math.sqrt(0.5), 0.0, -math.sqrt(0.5))]
+    bands = [b + d for b in near for d in (-1, 0)]
+    sectors = [s + d for s in (0, n // 4, n // 2) for d in range(10)]
+    picks = rng.choice(len(bands) * len(sectors), size=150, replace=False)
+    sel = CellSet(level, [(bands[i // len(sectors)], sectors[i % len(sectors)]) for i in picks])
+    cells = [DyadicCell(level, b, s) for b, s in sel]
+    ords = [b * n + s for b, s in sel]
+    # cells_conflict(a, b, margin) is dot_range_cells(a, b).contains_zero(margin):
+    # one range a pair serves both margins
+    ranges = {(i, j): dot_range_cells(cells[i], cells[j])
+              for i in range(len(cells)) for j in range(i, len(cells))}
+    for margin in (0.0, 0.05):
+        hit = [(ords[i], ords[j]) for (i, j), r in ranges.items() if r.contains_zero(margin)]
+        want = ([a for a, b in hit if a == b], [(a, b) for a, b in hit if a != b])
+        assert want[1] and selection_violations(sel, margin) == want, margin
+    assert selection_violations(CellSet(level, [])) == ([], [])
+    with pytest.raises(ValueError, match="margin"):
+        selection_violations(sel, math.nan)
 
 
 @pytest.mark.parametrize("margin", [math.nan, math.inf, -1.0])
