@@ -69,7 +69,8 @@ def _check_margin(margin: float) -> float:
 
 def _cos_turns(t):
     """cos(2*pi*t), exact at multiples of a quarter turn."""
-    r = np.mod(np.asarray(t, dtype=float), 1.0)
+    t = np.asarray(t, dtype=float)
+    r = t - np.floor(t)  # np.mod(t, 1.0) bit for bit, -0.0 to 0.0 included
     out = np.cos(TWO_PI * r)
     out = np.where(r == 0.0, 1.0, out)
     out = np.where(r == 0.25, 0.0, out)
@@ -89,9 +90,13 @@ def _cos_interval_extremes_turns(dlo, dhi):
     return np.where(has_trough, -1.0, end_min), np.where(has_peak, 1.0, end_max)
 
 
+def _sine(u):
+    """sqrt(1 - u^2), sin(theta) of u = cos(theta), clamped at |u| > 1."""
+    return np.sqrt(np.maximum(0.0, 1.0 - u * u))
+
+
 def _g(u1, u2, c):
-    return u1 * u2 + c * np.sqrt(np.maximum(0.0, 1.0 - u1 * u1)) \
-        * np.sqrt(np.maximum(0.0, 1.0 - u2 * u2))
+    return u1 * u2 + c * _sine(u1) * _sine(u2)
 
 
 def _extremize_u_box(u1lo, u1hi, u2lo, u2hi, c, maximize: bool) -> np.ndarray:
@@ -111,7 +116,7 @@ def _extremize_u_box(u1lo, u1hi, u2lo, u2hi, c, maximize: bool) -> np.ndarray:
                            (u2lo, u2hi, u1lo), (u2lo, u2hi, u1hi)):
         a = np.asarray(ufix, dtype=float)
         vlo, vhi = np.asarray(vlo, dtype=float), np.asarray(vhi, dtype=float)
-        b = c * np.sqrt(np.maximum(0.0, 1.0 - a * a))
+        b = c * _sine(a)
         r = np.hypot(a, b)
         with np.errstate(invalid="ignore"):
             q = a / r  # NaN exactly where R = 0 (then A = 0), which fails every test
@@ -285,12 +290,13 @@ class _Adjacency(Mapping):
         return self._graph.n_cells()
 
 
-# Kernel decisions per call: bounds the kernel's float temporaries to a
-# few tens of MB whatever the level.
+# Pair decisions per call: bounds the float temporaries to a few tens of MB
+# whatever the level.
 _CHUNK = 1 << 20
 
-# Widens the tree's margin: a node range contains its members' ranges
-# exactly, but the kernel may round each by a few ulps.
+# Widens the tree's margin: a node's box contains its members' boxes, so its
+# exact range contains theirs, but its corner values are other floats, each
+# rounded by a few ulps, as are the cosine extremes of its azimuth gap.
 _BLOCK_SLACK = 1e-9
 # Bits per axis of the Morton key of a box centre: enough to tell apart the
 # 2^(k+1) bands and sectors of every level k up to 15.
@@ -309,14 +315,36 @@ def _morton_order(ulo, uhi, plo, phi_) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
+def _with_sines(ulo, uhi, plo, phi_):
+    """The box arrays followed by _sine(ulo) and _sine(uhi)."""
+    return ulo, uhi, plo, phi_, _sine(ulo), _sine(uhi)
+
+
 def _ranges_meet(boxes, i: np.ndarray, j: np.ndarray, margin: float) -> np.ndarray:
     """Mask of the pairs (i[t], j[t]) whose dot range meets [-margin, margin],
-    in kernel calls of <= _CHUNK pairs."""
+    decided on the four u corners of each pair, <= _CHUNK pairs at a time.
+
+    Boxes are _with_sines arrays.  The least corner value of
+    u1*u2 + cmin*s1*s2 must be <= margin and the greatest of u1*u2 + cmax*s1*s2
+    >= -margin, (cmin, cmax) the cosine extremes of the azimuth gap; the
+    values are the kernel's corner values bit for bit.  The kernel clips its
+    range to [-1, 1], so at a margin of 1 or more every pair meets.
+    """
+    top = margin if margin < 1.0 else math.inf
     meet = np.empty(len(i), dtype=bool)
     for c0 in range(0, len(i), _CHUNK):
         a, b = i[c0:c0 + _CHUNK], j[c0:c0 + _CHUNK]
-        lo, hi = dot_range_boxes_u(*(x[a] for x in boxes), *(x[b] for x in boxes))
-        meet[c0:c0 + _CHUNK] = (lo - margin <= 0.0) & (hi + margin >= 0.0)
+        u1lo, u1hi, p1lo, p1hi, s1lo, s1hi = (x[a] for x in boxes)
+        u2lo, u2hi, p2lo, p2hi, s2lo, s2hi = (x[b] for x in boxes)
+        cmin, cmax = _cos_interval_extremes_turns(p1lo - p2hi, p1hi - p2lo)
+        low, high = np.inf, -np.inf
+        for u1, s1 in ((u1lo, s1lo), (u1hi, s1hi)):
+            near, far = cmin * s1, cmax * s1
+            for u2, s2 in ((u2lo, s2lo), (u2hi, s2hi)):
+                p = u1 * u2
+                low = np.minimum(low, p + near * s2)
+                high = np.maximum(high, p + far * s2)
+        meet[c0:c0 + _CHUNK] = (low <= top) & (high >= -top)
     return meet
 
 
@@ -328,9 +356,22 @@ def _pair_scan(boxes, margin: float) -> tuple[np.ndarray, int]:
     consecutive sorted boxes by one box.  Descending from the root, a node
     pair is dropped when its range misses [-margin, margin] by more than
     _BLOCK_SLACK, and each surviving pair expands to its child pairs.  The
-    leaf pairs left reach the kernel as (smaller, larger) input index, so the
+    leaf pairs left are decided as (smaller, larger) input index, so the
     answer is the dense scan's, and they are the pairs evaluated.  The pairs
     come in no particular order.
+
+    Every pair is decided from the corners of its u-box alone.  The dot is
+    u1*u2 + c*s1*s2, s = sqrt(1 - u^2), c the cosine of the azimuth gap, and
+    s1*s2 >= 0, so the range over the pair is [min of the dot at c = cmin,
+    max of it at c = cmax].  In x = cot(theta) of each box, the dot is <= m
+    iff c <= m*sqrt(1 + x1^2)*sqrt(1 + x2^2) - x1*x2, and >= -m iff
+    c >= -m*sqrt(1 + x1^2)*sqrt(1 + x2^2) - x1*x2: the first bound is convex
+    and the second concave in each x separately, so each is extreme over the
+    box at a corner (a pole corner as the limit x -> +-inf), and the range
+    meets [-m, m] iff some corner has dot <= m at cmin and some corner has
+    dot >= -m at cmax.  The stationary points inside an edge move the ends
+    of the range that dot_range_boxes_u returns, never this decision, which
+    _interval_build reads the same way.
     """
     _check_margin(margin)
     boxes = tuple(np.asarray(a, dtype=float) for a in boxes)
@@ -346,13 +387,13 @@ def _pair_scan(boxes, margin: float) -> tuple[np.ndarray, int]:
                        np.minimum.reduceat(plo, starts), np.maximum.reduceat(phi_, starts)))
     i = j = np.zeros(1, dtype=np.int64)
     for k in range(len(levels) - 1, 0, -1):
-        live = _ranges_meet(levels[k], i, j, margin + _BLOCK_SLACK)
+        live = _ranges_meet(_with_sines(*levels[k]), i, j, margin + _BLOCK_SLACK)
         i = (2 * i[live, None] + [0, 0, 1, 1]).ravel()
         j = (2 * j[live, None] + [0, 1, 0, 1]).ravel()
         keep = (i <= j) & (j < len(levels[k - 1][0]))
         i, j = i[keep], j[keep]
     i, j = np.minimum(order[i], order[j]), np.maximum(order[i], order[j])
-    hit = _ranges_meet(boxes, i, j, margin)
+    hit = _ranges_meet(_with_sines(*boxes), i, j, margin)
     return np.stack([i[hit], j[hit]], axis=1), len(i)
 
 

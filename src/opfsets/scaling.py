@@ -330,7 +330,7 @@ class OpfCertification:
     n_regions: int
     margin: float
     violations: tuple  # (i, j) region indices, i == j for self-conflicts
-    # kernel evaluations of the region pairs that reach the tree's leaves
+    # region pairs decided at the leaves of the tree
     pairs_evaluated: int = field(compare=False)
 
     @property

@@ -81,13 +81,25 @@ def reference_graph(level, margin=0.0):
             with_self[~diagonal].astype(np.uint32))
 
 
+def kernel_meets(boxes, i, j, margin):
+    """The kernel's decision on the pairs (i[t], j[t]), and its (lo, hi)."""
+    lo, hi = dot_range_boxes_u(*(x[i] for x in boxes), *(x[j] for x in boxes))
+    return (lo - margin <= 0.0) & (hi + margin >= 0.0), lo, hi
+
+
 def brute_force_violations(selection, margin=0.0):
-    """(self-conflicting ordinals, conflicting pairs) by cells_conflict on each pair."""
-    cells, n = [DyadicCell(selection.level, b, s) for b, s in selection], n_bands(selection.level)
-    selfs = [c.band * n + c.sector for c in cells if cells_conflict(c, c, margin)]
-    pairs = [(a.band * n + a.sector, b.band * n + b.sector) for i, a in enumerate(cells)
-             for b in cells[i + 1:] if cells_conflict(a, b, margin)]
-    return selfs, pairs
+    """(self-conflicting ordinals, conflicting pairs) as cells_conflict decides
+    each member pair i <= j: the kernel on the cells' boxes, in one call."""
+    n = n_bands(selection.level)
+    bands, sectors = selection.array().T
+    (ulo, uhi), _ = cell_bounds_batch(selection.level, bands, sectors)
+    boxes = (ulo, uhi, sectors / n, (sectors + 1) / n)
+    i, j = np.triu_indices(len(bands))
+    hit = kernel_meets(boxes, i, j, margin)[0]
+    ords = bands * n + sectors
+    a, b = ords[i[hit]], ords[j[hit]]
+    diagonal = a == b
+    return a[diagonal].tolist(), list(zip(a[~diagonal].tolist(), b[~diagonal].tolist()))
 
 
 @lru_cache(maxsize=8)
@@ -805,12 +817,70 @@ def test_pair_scan_independent_of_input_order():
 
 
 def test_pair_scan_chunked_matches_default(monkeypatch):
-    # every tree level and the leaves then take several kernel calls
+    # every tree level and the leaves then take several chunks
     boxes = random_boxes(np.random.default_rng(29), 200)
     pairs, evaluated = _pair_scan(boxes, 0.0)
     monkeypatch.setattr(conflicts, "_CHUNK", 64)
     got, got_evaluated = _pair_scan(boxes, 0.0)
     assert np.array_equal(got, pairs) and got_evaluated == evaluated
+
+
+@pytest.mark.parametrize("margin", [0.0, 1e-3, 0.05, 1.0])
+def test_corner_test_matches_kernel(margin):
+    # the tree decides a pair from the four u corners, the kernel from its
+    # range with the edges' stationary points: the decisions agree on every
+    # pair of the level-3 cells, whose touching boundaries put ends of ranges
+    # at exact zeros, and of their unshrunk regions, where the boxes are in
+    # radians and those ends land within ulps of zero, on points paired with
+    # themselves, where the dot u*u + s*s rounds above 1 for some u and the
+    # kernel clips it, and on random pairs of random boxes
+    cells = CellSet(3, all_cells(3)).array()
+    bands, sectors = cells.T
+    (ulo, uhi), _ = cell_bounds_batch(3, bands, sectors)
+    i, j = np.triu_indices(len(cells))
+    cases = [((ulo, uhi, sectors / 16, (sectors + 1) / 16), i, j),
+             (region_boxes(_shrink_cells(3, cells, 0.0)[0]), i, j)]
+    u, p = np.random.default_rng(29).uniform(-1.0, 1.0, (2, 1000))
+    cases.append(((u, u, p, p), np.arange(1000), np.arange(1000)))
+    for seed in (31, 37, 41):
+        rng = np.random.default_rng(seed)
+        cases.append((random_boxes(rng, 3000), *rng.integers(0, 3000, (2, 1 << 17))))
+    exact = near = meets = misses = 0
+    for boxes, i, j in cases:
+        want, lo, hi = kernel_meets(boxes, i, j, margin)
+        got = conflicts._ranges_meet(conflicts._with_sines(*boxes), i, j, margin)
+        assert np.array_equal(got, want)
+        meets, misses = meets + want.sum(), misses + (~want).sum()
+        end = np.minimum(np.abs(lo), np.abs(hi))
+        exact += np.count_nonzero(end == 0.0)
+        near += np.count_nonzero((end > 0.0) & (end < 1e-15))
+    assert meets and (margin >= 1.0 or misses)
+    assert exact and near
+
+
+ROTCAP_VERIFY_PINS = {  # level: (violations, pairs evaluated), as the kernel decided them
+    6: (20, 10275),
+    7: (44, 42019),
+}
+
+
+@pytest.mark.parametrize("level", sorted(ROTCAP_VERIFY_PINS))
+def test_rotated_caps_verify_pinned(level):
+    cert = verify_scaled_opf(rotcap_regions(level))
+    assert (len(cert.violations), cert.pairs_evaluated) == ROTCAP_VERIFY_PINS[level]
+
+
+def test_cos_turns_fraction_is_np_mod_bit_for_bit():
+    k = np.array([0.0, 1.0, 2.0, 3.0, 7.0, 1e6])
+    t = np.concatenate(([-0.0, -1e-300, -1e-20], k, -k, k / 4, -k / 4,
+                        np.random.default_rng(43).uniform(-3.0, 3.0, 10 ** 6)))
+    r = np.mod(t, 1.0)
+    assert np.array_equal((t - np.floor(t)).view(np.int64), r.view(np.int64))
+    # _cos_turns as it was written on np.mod
+    old = np.cos(TWO_PI * r)
+    for quarter, value in ((0.0, 1.0), (0.25, 0.0), (0.5, -1.0), (0.75, 0.0)):
+        old = np.where(r == quarter, value, old)
+    assert np.array_equal(conflicts._cos_turns(t).view(np.int64), old.view(np.int64))
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.05])
@@ -887,7 +957,7 @@ def test_selection_checks_match_brute_force():
 
 
 def test_chunked_evaluation_matches_single_pass(monkeypatch):
-    # a chunk of twice the region count splits the tree's kernel calls: the
+    # a chunk of twice the region count splits the tree's pair decisions: the
     # unshrunk regions of 40 cells touch, so hundreds of pairs reach the leaves
     rng = np.random.default_rng(3)
     sel = CellSet(3, [(int(b), int(s)) for b, s in rng.integers(0, 16, (40, 2))])
@@ -929,7 +999,7 @@ def test_selection_violations_above_max_level(level):
     # no graph exists at these levels; 150 cells of bands that conflict
     # (|u| near sqrt(1/2), where same-sector cells of the two caps meet, and
     # the equator, where cells a quarter turn apart meet), on three sector
-    # windows, against cells_conflict on every pair
+    # windows, against the kernel on every pair
     n = n_bands(level)
     rng = np.random.default_rng(level)
     w = 2.0 ** -level
@@ -938,15 +1008,8 @@ def test_selection_violations_above_max_level(level):
     sectors = [s + d for s in (0, n // 4, n // 2) for d in range(10)]
     picks = rng.choice(len(bands) * len(sectors), size=150, replace=False)
     sel = CellSet(level, [(bands[i // len(sectors)], sectors[i % len(sectors)]) for i in picks])
-    cells = [DyadicCell(level, b, s) for b, s in sel]
-    ords = [b * n + s for b, s in sel]
-    # cells_conflict(a, b, margin) is dot_range_cells(a, b).contains_zero(margin):
-    # one range a pair serves both margins
-    ranges = {(i, j): dot_range_cells(cells[i], cells[j])
-              for i in range(len(cells)) for j in range(i, len(cells))}
     for margin in (0.0, 0.05):
-        hit = [(ords[i], ords[j]) for (i, j), r in ranges.items() if r.contains_zero(margin)]
-        want = ([a for a, b in hit if a == b], [(a, b) for a, b in hit if a != b])
+        want = brute_force_violations(sel, margin)
         assert want[1] and selection_violations(sel, margin) == want, margin
     assert selection_violations(CellSet(level, [])) == ([], [])
     with pytest.raises(ValueError, match="margin"):
